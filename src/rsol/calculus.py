@@ -696,8 +696,10 @@ def _contains_inst(f: Formula) -> bool:
 
 
 def _check_justified_line(proof: Proof, lines, i: int, line: ProofLine,
-                          in_template: bool):
-    """Reason string when line i does not check, else None."""
+                          in_template: bool, template_verdicts=None):
+    """Reason string when line i does not check, else None.  Outside a
+    template, `template_verdicts` holds check_template's verdict for every
+    template of the proof."""
     f = line.formula
     j = line.justification
     fam = proof.family
@@ -789,7 +791,7 @@ def _check_justified_line(proof: Proof, lines, i: int, line: ProofLine,
         if j.template not in proof.templates:
             return f"unknown template {j.template}"
         template = proof.templates[j.template]
-        tv = check_template(template, proof)
+        tv = template_verdicts[j.template]
         if not tv.ok:
             return f"cited template rejected: {tv.reason}"
         if f != normalize(template.target_formula()):
@@ -902,7 +904,8 @@ def check_proof(proof: Proof) -> Verdict:
         except FormulaError as exc:
             return Verdict(False, line=i, reason=str(exc),
                            template_verdicts=template_verdicts)
-        why = _check_justified_line(proof, proof.lines, i, line, in_template=False)
+        why = _check_justified_line(proof, proof.lines, i, line, in_template=False,
+                                    template_verdicts=template_verdicts)
         if why is not None:
             return Verdict(False, line=i, reason=why,
                            template_verdicts=template_verdicts)

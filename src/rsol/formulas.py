@@ -544,11 +544,6 @@ def alpha_eq(f: Formula, g: Formula) -> bool:
     return alpha_key(f) == alpha_key(g)
 
 
-def sort_key(f: Formula):
-    """Deterministic total order key on formulas (used by enumerators)."""
-    return repr(alpha_key(f))
-
-
 # ---------------------------------------------------------------------------
 # Substitution
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def random_structure(rng: random.Random, sig: Signature, max_size: int = 4,
     for name, arity in sig.functions.items():
         functions[name] = {args: rng.randrange(size)
                            for args in itertools.product(range(size), repeat=arity)}
-    constants = {name: rng.randrange(size) for name in sig.constants}
+    constants = {name: rng.randrange(size) for name in sorted(sig.constants)}
     return FiniteStructure(sig, size, predicates, functions, constants)
 
 

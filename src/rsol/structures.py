@@ -31,9 +31,8 @@ class FeasibilityError(RuntimeError):
     """A computation was refused because it exceeds the desk-scale guards."""
 
 
-FULL_SO_CELL_GUARD = 20          # refuse 2^(|A|^arity) beyond 2^20
+RELATION_GUARD = 20              # refuse ranges of more than 2^20 relations
 MATERIALIZE_TUPLE_GUARD = 10 ** 7
-ORBIT_UNION_GUARD = 20           # refuse families with more than 2^20 members
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +155,7 @@ def load_structure(path: str):
 
 
 # ---------------------------------------------------------------------------
-# First-order evaluation
+# Evaluation
 # ---------------------------------------------------------------------------
 
 def _term_value(s: FiniteStructure, t: Term, env: dict) -> int:
@@ -171,30 +170,47 @@ def _term_value(s: FiniteStructure, t: Term, env: dict) -> int:
     raise EvalError(f"not a term: {t!r}")
 
 
-def _eval_prim(s: FiniteStructure, f: Formula, env: dict) -> bool:
-    """Evaluation of a normalized first-order formula."""
+def _eval(s: FiniteStructure, f: Formula, env: dict, senv: dict,
+          relations=None) -> bool:
+    """Evaluation of a normalized formula.  `relations(arity)` is the range
+    of the relation quantifiers; first-order formulas need none.  The
+    first-order node types come first: they dominate materialization."""
     if isinstance(f, PredApp):
         return tuple(_term_value(s, t, env) for t in f.args) in s.predicates[f.name]
     if isinstance(f, TermEq):
         return _term_value(s, f.left, env) == _term_value(s, f.right, env)
     if isinstance(f, Not):
-        return not _eval_prim(s, f.body, env)
+        return not _eval(s, f.body, env, senv, relations)
     if isinstance(f, And):
-        return _eval_prim(s, f.left, env) and _eval_prim(s, f.right, env)
+        return _eval(s, f.left, env, senv, relations) and \
+            _eval(s, f.right, env, senv, relations)
     if isinstance(f, ForallFO):
-        saved = env.get(f.var, _MISSING)
-        try:
-            for e in s.elements:
-                env[f.var] = e
-                if not _eval_prim(s, f.body, env):
-                    return False
-            return True
-        finally:
-            if saved is _MISSING:
-                env.pop(f.var, None)
-            else:
-                env[f.var] = saved
-    raise EvalError(f"unexpected node in first-order evaluation: {f!r}")
+        store, values = env, s.elements
+    elif isinstance(f, SOApp):
+        if f.var not in senv:
+            raise EvalError(f"{f.var} is unassigned")
+        return tuple(_term_value(s, t, env) for t in f.args) in senv[f.var]
+    elif isinstance(f, SOEq):
+        for v in (f.left, f.right):
+            if v not in senv:
+                raise EvalError(f"{v} is unassigned")
+        return senv[f.left] == senv[f.right]
+    elif isinstance(f, ForallSO) and relations is not None:
+        store, values = senv, relations(f.var.arity)
+    else:
+        raise EvalError(f"unexpected node in evaluation: {f!r}")
+    saved = store.get(f.var, _MISSING)
+    try:
+        for value in values:
+            store[f.var] = value
+            if not _eval(s, f.body, env, senv, relations):
+                return False
+        return True
+    finally:
+        if saved is _MISSING:
+            store.pop(f.var, None)
+        else:
+            store[f.var] = saved
 
 
 _MISSING = object()
@@ -204,7 +220,7 @@ def eval_fo(s: FiniteStructure, f: Formula, assignment: Mapping | None = None) -
     """Tarskian truth of a first-order formula under an assignment."""
     if not is_first_order(f):
         raise EvalError("eval_fo is for first-order formulas")
-    return _eval_prim(s, normalize(f), dict(assignment or {}))
+    return _eval(s, normalize(f), dict(assignment or {}), {})
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +303,21 @@ def materialize_k_arity(s: FiniteStructure, fam: ThetaFamily, arity: int,
 def _materialize_member(s: FiniteStructure, m: ThetaMember,
                         family: DefinableFamily) -> None:
     body = normalize(m.formula)
-    arity = m.arity
-    env: dict = {}
     for params in itertools.product(range(s.size), repeat=len(m.params)):
-        env.clear()
-        env.update(zip(m.params, params))
-        rows = []
-        for row in itertools.product(range(s.size), repeat=arity):
-            env.update(zip(m.slots, row))
-            if _eval_prim(s, body, env):
-                rows.append(row)
-        family.add(arity, frozenset(rows),
+        family.add(m.arity, _defined_relation(s, m, body, params),
                    Provenance("theta", theta_index=m.index, params=params))
+
+
+def _defined_relation(s: FiniteStructure, m: ThetaMember, body: Formula,
+                      params: tuple) -> frozenset:
+    """The relation member m (normalized body) defines at the parameters."""
+    env = dict(zip(m.params, params))
+    rows = []
+    for row in itertools.product(range(s.size), repeat=m.arity):
+        env.update(zip(m.slots, row))
+        if _eval(s, body, env, {}):
+            rows.append(row)
+    return frozenset(rows)
 
 
 def verify_provenance(s: FiniteStructure, fam: ThetaFamily,
@@ -310,14 +329,7 @@ def verify_provenance(s: FiniteStructure, fam: ThetaFamily,
             if prov.kind != "theta":
                 return False
             m = fam.member_at(prov.theta_index)
-            env = dict(zip(m.params, prov.params))
-            body = normalize(m.formula)
-            rows = set()
-            for row in itertools.product(range(s.size), repeat=arity):
-                env.update(zip(m.slots, row))
-                if _eval_prim(s, body, env):
-                    rows.add(row)
-            if frozenset(rows) != rel:
+            if _defined_relation(s, m, normalize(m.formula), prov.params) != rel:
                 return False
     return True
 
@@ -374,24 +386,27 @@ def k_exact_orbits(s: FiniteStructure, with_parameters: bool,
     definable (take one parameter per element and a disjunction of
     coordinatewise matches), so the family is the full powerset.
     """
-    family = DefinableFamily()
     if with_parameters:
-        cells = s.size ** arity
-        if cells > FULL_SO_CELL_GUARD:
-            raise FeasibilityError(f"2^{cells} relations exceed the guard")
-        rows = list(itertools.product(range(s.size), repeat=arity))
-        for mask in range(1 << cells):
-            rel = frozenset(rows[i] for i in range(cells) if mask >> i & 1)
-            family.add(arity, rel, Provenance("orbit", note="with-parameters"))
-        return family
-    orbits = tuple_orbits(s, arity)
-    if len(orbits) > ORBIT_UNION_GUARD:
-        raise FeasibilityError(f"2^{len(orbits)} orbit unions exceed the guard")
-    for mask in range(1 << len(orbits)):
-        rel = frozenset().union(*(orbits[i] for i in range(len(orbits))
-                                  if mask >> i & 1)) if mask else frozenset()
-        family.add(arity, frozenset(rel), Provenance("orbit"))
+        if s.size ** arity > RELATION_GUARD:  # refuse before the rows exist
+            raise FeasibilityError(f"2^{s.size ** arity} relations exceed the guard")
+        blocks = [frozenset([row]) for row in
+                  itertools.product(range(s.size), repeat=arity)]
+        prov, what = Provenance("orbit", note="with-parameters"), "relations"
+    else:
+        blocks = tuple_orbits(s, arity)
+        prov, what = Provenance("orbit"), "orbit unions"
+    family = DefinableFamily()
+    for rel in _unions(blocks, what):
+        family.add(arity, rel, prov)
     return family
+
+
+def _unions(blocks: list, what: str = "relations"):
+    """Every union of the blocks, in mask order, the empty set first."""
+    if len(blocks) > RELATION_GUARD:
+        raise FeasibilityError(f"2^{len(blocks)} {what} exceed the guard")
+    for mask in range(1 << len(blocks)):
+        yield frozenset().union(*(b for i, b in enumerate(blocks) if mask >> i & 1))
 
 
 def rank_bounded_unary_family(s: FiniteStructure, rank: int) -> DefinableFamily:
@@ -449,10 +464,9 @@ def rank_bounded_unary_family(s: FiniteStructure, rank: int) -> DefinableFamily:
         classes.setdefault(tp(rank, (a,)), []).append(a)
     blocks = [frozenset((a,) for a in members) for members in classes.values()]
     family = DefinableFamily()
-    for mask in range(1 << len(blocks)):
-        rel = frozenset().union(*(blocks[i] for i in range(len(blocks))
-                                  if mask >> i & 1)) if mask else frozenset()
-        family.add(1, frozenset(rel), Provenance("rank-enum", note=f"rank<={rank}"))
+    prov = Provenance("rank-enum", note=f"rank<={rank}")
+    for rel in _unions(blocks):
+        family.add(1, rel, prov)
     return family
 
 
@@ -467,9 +481,12 @@ class MaterializedK:
         self.fam = fam
         self.bound = bound
         self.name = f"materialize({fam.name}, {bound})"
+        self._last = (None, None)        # (structure, its materialized family)
 
     def relations(self, s: FiniteStructure, arity: int) -> list:
-        return materialize_k(s, self.fam, self.bound).relations(arity)
+        if self._last[0] is not s:
+            self._last = (s, materialize_k(s, self.fam, self.bound))
+        return self._last[1].relations(arity)
 
 
 class OrbitK:
@@ -505,14 +522,7 @@ class WeakSOExactK:
     def relations(self, s: FiniteStructure, arity: int) -> list:
         if arity != self.k:
             return []
-        cells = s.size ** arity
-        if cells > FULL_SO_CELL_GUARD:
-            raise FeasibilityError(f"2^{cells} relations exceed the guard")
-        rows = list(itertools.product(range(s.size), repeat=arity))
-        out = []
-        for mask in range(1, 1 << cells):
-            out.append(frozenset(rows[i] for i in range(cells) if mask >> i & 1))
-        return sorted(out, key=_relation_key)
+        return [rel for rel in AllRelationsK().relations(s, arity) if rel]
 
 
 class RankBoundedDslK:
@@ -534,6 +544,7 @@ class StandardModel:
         self.structure = structure
         self.provider = provider
         self._cache: dict = {}
+        self._sets: dict = {}
 
     def relations(self, arity: int) -> list:
         if arity not in self._cache:
@@ -541,7 +552,9 @@ class StandardModel:
         return self._cache[arity]
 
     def contains(self, arity: int, relation: frozenset) -> bool:
-        return relation in set(self.relations(arity))
+        if arity not in self._sets:
+            self._sets[arity] = frozenset(self.relations(arity))
+        return relation in self._sets[arity]
 
 
 def exact_provider_for(fam: ThetaFamily):
@@ -563,53 +576,6 @@ def exact_provider_for(fam: ThetaFamily):
 # Second-order evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_so_prim(m: StandardModel, f: Formula, env: dict, senv: dict) -> bool:
-    s = m.structure
-    if isinstance(f, PredApp) or isinstance(f, TermEq):
-        return _eval_prim(s, f, env)
-    if isinstance(f, SOApp):
-        if f.var not in senv:
-            raise EvalError(f"{f.var} is unassigned")
-        return tuple(_term_value(s, t, env) for t in f.args) in senv[f.var]
-    if isinstance(f, SOEq):
-        for v in (f.left, f.right):
-            if v not in senv:
-                raise EvalError(f"{v} is unassigned")
-        return senv[f.left] == senv[f.right]
-    if isinstance(f, Not):
-        return not _eval_so_prim(m, f.body, env, senv)
-    if isinstance(f, And):
-        return _eval_so_prim(m, f.left, env, senv) and \
-            _eval_so_prim(m, f.right, env, senv)
-    if isinstance(f, ForallFO):
-        saved = env.get(f.var, _MISSING)
-        try:
-            for e in s.elements:
-                env[f.var] = e
-                if not _eval_so_prim(m, f.body, env, senv):
-                    return False
-            return True
-        finally:
-            if saved is _MISSING:
-                env.pop(f.var, None)
-            else:
-                env[f.var] = saved
-    if isinstance(f, ForallSO):
-        saved = senv.get(f.var, _MISSING)
-        try:
-            for rel in m.relations(f.var.arity):
-                senv[f.var] = rel
-                if not _eval_so_prim(m, f.body, env, senv):
-                    return False
-            return True
-        finally:
-            if saved is _MISSING:
-                senv.pop(f.var, None)
-            else:
-                senv[f.var] = saved
-    raise EvalError(f"unexpected node in evaluation: {f!r}")
-
-
 def eval_so(m: StandardModel, f: Formula, assignment: Assignment | None = None) -> bool:
     """Truth over the standard model; relation quantifiers range over the
     provider's family, and free relation variables must be assigned inside it."""
@@ -618,8 +584,8 @@ def eval_so(m: StandardModel, f: Formula, assignment: Assignment | None = None) 
         if not m.contains(var.arity, frozenset(rel)):
             raise EvalError(
                 f"assignment for {var} is outside the definable family")
-    return _eval_so_prim(m, normalize(f), dict(a.fo),
-                         {k: frozenset(v) for k, v in a.so.items()})
+    return _eval(m.structure, normalize(f), dict(a.fo),
+                 {k: frozenset(v) for k, v in a.so.items()}, m.relations)
 
 
 def eval_so_closure(m: StandardModel, f: Formula) -> bool:
@@ -635,7 +601,7 @@ def eval_so_closure(m: StandardModel, f: Formula) -> bool:
 
 def _all_relations(s: FiniteStructure, arity: int):
     cells = s.size ** arity
-    if cells > FULL_SO_CELL_GUARD:
+    if cells > RELATION_GUARD:
         raise FeasibilityError(
             f"full second-order range needs 2^{cells} relations")
     rows = list(itertools.product(range(s.size), repeat=arity))
@@ -658,7 +624,7 @@ def _eval_full_prim(s: FiniteStructure, f: Formula, env: dict, senv: dict) -> bo
             else:
                 senv[f.var] = saved
     if isinstance(f, (PredApp, TermEq)):
-        return _eval_prim(s, f, env)
+        return _eval(s, f, env, senv)
     if isinstance(f, SOApp):
         if f.var not in senv:
             raise EvalError(f"{f.var} is unassigned")
@@ -719,20 +685,14 @@ class TruthAlgebra:
             if var.index >= self.v:
                 raise EvalError(
                     f"{var} is outside the variable budget v={self.v}")
-        so_assignment = {k: frozenset(rows) for k, rows in (so_assignment or {}).items()}
-        fo_only = is_first_order(nf)
-        if not fo_only and model is None:
+        if model is None and not is_first_order(nf):
             raise EvalError("a model is needed for second-order classes")
-        out = []
-        for row in self.tuples:
-            env = {FOVar(i): row[i] for i in range(self.v)}
-            if fo_only:
-                ok = _eval_prim(self.structure, nf, env)
-            else:
-                ok = _eval_so_prim(model, nf, env, dict(so_assignment))
-            if ok:
-                out.append(row)
-        return frozenset(out)
+        senv = {k: frozenset(rows) for k, rows in (so_assignment or {}).items()}
+        relations = model.relations if model is not None else None
+        variables = [FOVar(i) for i in range(self.v)]
+        return frozenset(row for row in self.tuples
+                         if _eval(self.structure, nf, dict(zip(variables, row)),
+                                  senv, relations))
 
 
 def truth_algebra(s: FiniteStructure, v: int) -> TruthAlgebra:

@@ -152,7 +152,22 @@ def test_template_uniformity_rejection():
         implies(ForallSO(X0, normalize(phi)), ForallSO(X0, normalize(phi))),
         R3("bad"))], {"bad": bad})
     v = check_proof(proof)
-    assert not v.ok and "rejected" in v.reason
+    assert not v.ok and v.reason.startswith("cited template rejected: ")
+
+
+def test_check_proof_checks_each_template_once(monkeypatch):
+    import rsol.calculus as calculus
+    calls = []
+
+    def counting(t, proof):
+        calls.append(t.name)
+        return check_template(t, proof)
+
+    monkeypatch.setattr(calculus, "check_template", counting)
+    proof = self_implication_proof(WEAK, SOApp(X0, (Const("c0"),)))
+    twice = Proof(SIG, WEAK, [], proof.lines * 2, proof.templates)
+    accepted(twice)
+    assert calls == ["t1"]
 
 
 def test_template_arity_mismatch_rejected():

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rsol
 from rsol.cli import main
 
 TWO = '{"domain_size": 2, "predicates": {}, "functions": {}, "constants": {}}'
@@ -146,9 +149,35 @@ def test_json_output_is_deterministic(two_json):
         assert rec["seed"] == 3
 
 
+def _child_env(**extra):
+    """Environment for a child interpreter that imports this checkout's rsol."""
+    src = str(Path(rsol.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "rsol.cli", "parse", "--sentence", "P0(c0)"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "sentence:  True" in proc.stdout
+
+
+DRAWS = """
+import random
+from rsol.formulas import Signature
+from rsol.sampling import random_structure
+sig = Signature(constants=[f"c{i}" for i in range(8)])
+for seed in range(5):
+    s = random_structure(random.Random(seed), sig, min_size=4, max_size=4)
+    print(sorted(s.constants.items()))
+"""
+
+
+def test_random_structure_ignores_hash_seed():
+    outs = [subprocess.run([sys.executable, "-c", DRAWS], capture_output=True,
+                           text=True, check=True,
+                           env=_child_env(PYTHONHASHSEED=h)).stdout
+            for h in ("0", "1")]
+    assert outs[0] == outs[1]

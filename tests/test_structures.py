@@ -163,11 +163,49 @@ def test_eval_full_so_basics():
     assert eval_full_so(two_element(), parse(SENTENCE, EMPTY_SIG))
 
 
-def test_eval_full_so_guard():
+def _full_so_past_guard():
     s = FiniteStructure(EMPTY_SIG, 3)
     f = ForallSO(SOVar(0, 20), SOApp(SOVar(0, 20), tuple(Var(FOVar(i)) for i in range(20))))
+    eval_full_so(s, ExistsFO(x0, ForallFO(x1, f)))
+
+
+RIGID_SIG = Signature(constants=["c0", "c1", "c2"])
+RIGID = FiniteStructure(RIGID_SIG, 3, constants={"c0": 0, "c1": 1, "c2": 2})
+
+
+@pytest.mark.parametrize("compute,message", [
+    pytest.param(_full_so_past_guard, "full second-order range needs 2^",
+                 id="eval_full_so"),
+    pytest.param(lambda: k_exact_orbits(FiniteStructure(EMPTY_SIG, 3), True, 3),
+                 "2^27 relations exceed the guard", id="orbits-with-parameters"),
+    pytest.param(lambda: k_exact_orbits(RIGID, False, 3),
+                 "2^27 orbit unions exceed the guard", id="orbits"),
+    pytest.param(lambda: WeakSOExactK(3).relations(FiniteStructure(EMPTY_SIG, 3), 3),
+                 "2^27 relations exceed the guard", id="weak-so-exact"),
+    # 2^40 rows: the guard must refuse before any row is built
+    pytest.param(lambda: k_exact_orbits(FiniteStructure(EMPTY_SIG, 2), True, 40),
+                 "2^1099511627776 relations exceed the guard",
+                 id="orbits-with-parameters-rows-infeasible"),
+    pytest.param(lambda: WeakSOExactK(40).relations(FiniteStructure(EMPTY_SIG, 2), 40),
+                 "2^1099511627776 relations exceed the guard",
+                 id="weak-so-exact-rows-infeasible"),
+])
+def test_feasibility_guards(compute, message):
+    # every range here has more than 2^20 relations
+    with pytest.raises(FeasibilityError) as err:
+        compute()
+    assert str(err.value).startswith(message)
+
+
+def test_guards_start_past_2_to_the_20():
+    from rsol.structures import _all_relations, _unions
+    singletons = [frozenset([(a,)]) for a in range(21)]
+    assert next(_unions(singletons[:20])) == frozenset()
     with pytest.raises(FeasibilityError):
-        eval_full_so(s, ExistsFO(x0, ForallFO(x1, f)))
+        next(_unions(singletons))
+    assert next(_all_relations(FiniteStructure(EMPTY_SIG, 20), 1)) == frozenset()
+    with pytest.raises(FeasibilityError):
+        next(_all_relations(FiniteStructure(EMPTY_SIG, 21), 1))
 
 
 def test_collapse_on_small_examples():
@@ -338,6 +376,22 @@ def test_exact_provider_selection():
     assert isinstance(exact_provider_for(weak_so(EMPTY_SIG, 1)), WeakSOExactK)
     assert isinstance(exact_provider_for(dsl(EMPTY_SIG)), OrbitK)
     assert isinstance(exact_provider_for(all_fo(EMPTY_SIG)), AllRelationsK)
+
+
+def test_materialized_model_materializes_once(monkeypatch):
+    import rsol.structures as st
+    calls = []
+    real = st.materialize_k
+
+    def counting(s, fam, bound):
+        calls.append(bound)
+        return real(s, fam, bound)
+
+    monkeypatch.setattr(st, "materialize_k", counting)
+    model = StandardModel(pred_structure(), MaterializedK(all_fo(P_SIG), 20))
+    model.relations(1)
+    model.relations(2)
+    assert calls == [20]
 
 
 def test_idempotent_materialization():
