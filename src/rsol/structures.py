@@ -112,12 +112,40 @@ class Assignment:
         return cls(dict(fo or {}), {k: frozenset(v) for k, v in (so or {}).items()})
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise EvalError(f"{what} must be a JSON object")
+    return value
+
+
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:            # JSON true/false load as bool
+        raise EvalError(f"{what} must be an integer")
+    return value
+
+
+def _json_ints(values, what: str) -> list:
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise EvalError(f"{what} must be a list of integers")
+    return values
+
+
 def structure_from_json(data: dict):
-    """Build (signature, structure) from the JSON structure format."""
-    size = data["domain_size"]
-    predicates = {name: [tuple(row) for row in rows]
-                  for name, rows in data.get("predicates", {}).items()}
-    declared_arities = data.get("arities", {})
+    """Build (signature, structure) from the JSON structure format.
+
+    Malformed input raises EvalError, never a TypeError from deep inside."""
+    data = _json_object(data, "structure")
+    size = _json_int(data["domain_size"], "domain_size")
+    if size < 1:
+        raise EvalError("domain must be nonempty")
+    predicates = {}
+    for name, rows in _json_object(data.get("predicates", {}), "predicates").items():
+        if not isinstance(rows, list):
+            raise EvalError(f"predicate {name}: rows must be a list")
+        predicates[name] = [tuple(_json_ints(row, f"predicate {name} row"))
+                            for row in rows]
+    declared_arities = {name: _json_int(arity, f"arity of {name}") for name, arity
+                        in _json_object(data.get("arities", {}), "arities").items()}
     pred_arities = {}
     for name, rows in predicates.items():
         if name in declared_arities:
@@ -128,11 +156,12 @@ def structure_from_json(data: dict):
             raise EvalError(f"predicate {name}: empty extension needs an 'arities' entry")
     functions = {}
     fun_arities = {}
-    for name, table in data.get("functions", {}).items():
+    for name, table in _json_object(data.get("functions", {}), "functions").items():
+        table = _json_ints(table, f"function {name} table")
         arity = declared_arities.get(name)
         if arity is None:
             arity = 1
-            while size ** arity < len(table):
+            while size > 1 and size ** arity < len(table):
                 arity += 1
         if size ** arity != len(table):
             raise EvalError(f"function {name}: table length {len(table)} does not "
@@ -142,10 +171,13 @@ def structure_from_json(data: dict):
         for i, args in enumerate(itertools.product(range(size), repeat=arity)):
             mapping[args] = table[i]
         functions[name] = mapping
-    constants = dict(data.get("constants", {}))
+    constants = {name: _json_int(value, f"constant {name}") for name, value
+                 in _json_object(data.get("constants", {}), "constants").items()}
+    identity = data.get("identity", True)
+    if not isinstance(identity, bool):
+        raise EvalError("identity must be true or false")
     sig = Signature(predicates=pred_arities, functions=fun_arities,
-                    constants=constants.keys(),
-                    identity=data.get("identity", True))
+                    constants=constants.keys(), identity=identity)
     return sig, FiniteStructure(sig, size, predicates, functions, constants)
 
 
@@ -418,6 +450,16 @@ def rank_bounded_unary_family(s: FiniteStructure, rank: int) -> DefinableFamily:
     agree, and every union of type classes is defined by a disjunction of
     the class-describing formulas at that rank.  Relational signatures
     only; identity atoms participate only when the signature has identity.
+
+    The types are refined for k = 0, 1, ..., rank, and the loop stops at
+    the first k whose element partition equals the automorphism-orbit
+    partition.  The result is the rank-`rank` family all the same: the
+    rank-k type embeds the rank-(k-1) type, so partitions only refine as
+    k grows, and automorphisms preserve types, so no partition splits an
+    orbit; once equal to the orbits, the partition stays equal.  A rank
+    that never reaches the orbits returns its own, coarser partition.
+    The orbits come from the brute-force `automorphisms`, which costs
+    |A|! permutations; the type tree at rank k has |A|^(k+1) rows.
     """
     if s.functions:
         raise FeasibilityError(
@@ -459,10 +501,14 @@ def rank_bounded_unary_family(s: FiniteStructure, rank: int) -> DefinableFamily:
         cache[key] = out
         return out
 
-    classes: dict = {}
-    for a in s.elements:
-        classes.setdefault(tp(rank, (a,)), []).append(a)
-    blocks = [frozenset((a,) for a in members) for members in classes.values()]
+    orbits = set(tuple_orbits(s, 1))
+    for k in range(rank + 1):
+        classes: dict = {}
+        for a in s.elements:
+            classes.setdefault(tp(k, (a,)), []).append(a)
+        blocks = [frozenset((a,) for a in members) for members in classes.values()]
+        if set(blocks) == orbits:
+            break
     family = DefinableFamily()
     prov = Provenance("rank-enum", note=f"rank<={rank}")
     for rel in _unions(blocks):

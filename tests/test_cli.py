@@ -181,3 +181,37 @@ def test_random_structure_ignores_hash_seed():
                            env=_child_env(PYTHONHASHSEED=h)).stdout
             for h in ("0", "1")]
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"domain_size": "3"}', "domain_size must be an integer"),
+    ('{"domain_size": true}', "domain_size must be an integer"),
+    ('{"domain_size": -1}', "domain must be nonempty"),
+    ('{"domain_size": 0, "functions": {"f": [0]}}', "domain must be nonempty"),
+    ('[1, 2]', "structure must be a JSON object"),
+    ('{"domain_size": 2, "predicates": {"P": [["a"]]}}',
+     "predicate P row must be a list of integers"),
+    ('{"domain_size": 2, "predicates": {"P": [1]}}',
+     "predicate P row must be a list of integers"),
+    ('{"domain_size": 2, "predicates": {"P": 1}}', "predicate P: rows must be a list"),
+    ('{"domain_size": 2, "predicates": []}', "predicates must be a JSON object"),
+    ('{"domain_size": 2, "arities": {"P": "x"}, "predicates": {"P": []}}',
+     "arity of P must be an integer"),
+    ('{"domain_size": 2, "functions": {"f": ["a", 1]}}',
+     "function f table must be a list of integers"),
+    ('{"domain_size": 2, "functions": {"f": 3}}',
+     "function f table must be a list of integers"),
+    ('{"domain_size": 1, "functions": {"f": [0, 0]}}',
+     "function f: table length 2 does not match |A|^1"),
+    ('{"domain_size": 2, "constants": {"c": "0"}}', "constant c must be an integer"),
+    ('{"domain_size": 2, "constants": {"c": 1.0}}', "constant c must be an integer"),
+    ('{"domain_size": 2, "identity": "no"}', "identity must be true or false"),
+])
+def test_malformed_structure_exits_3(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(["eval", "--structure", str(path), "--oracle", "all",
+                 "--sentence", "forall x P(x)"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"error: {message}\n"

@@ -1,5 +1,6 @@
 """Golden byte streams: the sha256 of `--format json` stdout and the exit
-code of each README command on a fixed two.json, and of `suite all`.
+code of each README command on a fixed two.json, of the rank oracle on
+two.json and on a 4-element star, and of `suite all`.
 
 A change that alters any of these bytes alters documented output; update
 a digest only together with a note saying which output changed and why.
@@ -14,11 +15,14 @@ import pytest
 from rsol.cli import main
 
 TWO = '{"domain_size": 2, "predicates": {}, "functions": {}, "constants": {}}'
+STAR4 = ('{"domain_size": 4, "predicates": {"E": [[0, 1], [0, 2], [0, 3]]}, '
+         '"functions": {}, "constants": {}}')
 PROOF = ("template t1 over n {\n"
          "1. forall X0 X0(c0) -> inst(X0, X0(c0)) ; A6 n\n"
          "}\n"
          "1. forall X0 X0(c0) -> forall X0 X0(c0) ; R3 t1\n")
 SENTENCE = "forall x exists X forall y (X(y) <-> x = y)"
+CENTRE = "exists X forall y (X(y) <-> forall z ~E(z, y))"
 
 GOLDEN = {
     "parse": (
@@ -28,6 +32,18 @@ GOLDEN = {
         ["eval", "--structure", "{two}", "--theta", "dsl", "--oracle", "orbits",
          "--sentence", SENTENCE], 0,
         "f8ed922bdf06861349386d147cf9050adb92f4d70f1e78d9fed27735bf501040"),
+    "eval-rank": (
+        ["eval", "--structure", "{two}", "--oracle", "rank",
+         "--sentence", SENTENCE], 0,
+        "3a62a760abac5eb69fc0e7e6bb7cdf4b13b037430cce713a19ef92e682d7edb8"),
+    "eval-rank-star4": (
+        ["eval", "--structure", "{star4}", "--oracle", "rank",
+         "--sentence", SENTENCE], 0,
+        "4be73b1c3b37086168a476cd7a7a8779a82dfbaa0122f8f411bb264cc276bef3"),
+    "eval-rank-star4-centre": (
+        ["eval", "--structure", "{star4}", "--oracle", "rank",
+         "--sentence", CENTRE], 0,
+        "8bb416aeec2fa178b672fe34ef42c36eff371d8fbf0a07da0bbf47469cb7a4f8"),
     "eval-weak-so": (
         ["eval", "--structure", "{two}", "--theta", "weak-so:1", "--bound", "1",
          "--sentence", SENTENCE], 0,
@@ -83,9 +99,11 @@ GOLDEN = {
 def paths(tmp_path):
     two = tmp_path / "two.json"
     two.write_text(TWO, encoding="utf-8")
+    star4 = tmp_path / "star4.json"
+    star4.write_text(STAR4, encoding="utf-8")
     proof = tmp_path / "self.prf"
     proof.write_text(PROOF, encoding="utf-8")
-    return {"two": str(two), "proof": str(proof)}
+    return {"two": str(two), "star4": str(star4), "proof": str(proof)}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -1,8 +1,10 @@
 import itertools
 import json
+import random
 
 import pytest
 
+from rsol.corpus import orbit_catalog
 from rsol.formulas import (
     And, Const, ExistsFO, ExistsSO, ForallFO, ForallSO, FOVar, Iff, Implies,
     Not, PredApp, Signature, SOApp, SOEq, SOVar, TermEq, Var, parse,
@@ -16,6 +18,7 @@ from rsol.structures import (
     rank_bounded_unary_family, structure_from_json, truth_algebra,
     truth_class_entries, tuple_orbits, verify_provenance,
 )
+from rsol.sampling import random_structure
 from rsol.theta import all_fo, dsl, weak_so
 
 EMPTY_SIG = Signature()
@@ -291,8 +294,14 @@ def test_lemma_check_with_dsl_and_all_fo():
             assert lemma_reg_check(s, 2, body, which, X0, fam, 6), (fam.name, which)
 
 
+def directed_path(size):
+    return FiniteStructure(Signature(predicates={"E": 2}), size,
+                           predicates={"E": [(i, i + 1) for i in range(size - 1)]})
+
+
 def test_rank_bounded_family_matches_orbits():
     sig = Signature(predicates={"E": 2})
+    graph = Signature(predicates={"P0": 1, "E": 2})
     structures = [
         two_element(),
         FiniteStructure(EMPTY_SIG, 3),
@@ -301,10 +310,38 @@ def test_rank_bounded_family_matches_orbits():
         FiniteStructure(sig, 3, predicates={"E": [(0, 1)]}),
         FiniteStructure(sig, 4, predicates={"E": [(0, 1), (1, 0), (2, 3), (3, 2)]}),
     ]
+    # without the early stop, the rank-(|A|+1) type tree alone takes 9 s at
+    # |A| = 5 and 192 s at |A| = 6
+    structures += [directed_path(size) for size in (5, 6, 7)]
+    structures += [random_structure(random.Random(seed), graph, min_size=5, max_size=7)
+                   for seed in range(12)]
     for s in structures:
         fam = rank_bounded_unary_family(s, s.size + 1)
         oracle = k_exact_orbits(s, False, 1)
         assert set(fam.relations(1)) == set(oracle.relations(1))
+
+
+def test_rank_bounded_early_stop_returns_the_same_family(monkeypatch):
+    stopping = {(i, rank): rank_bounded_unary_family(s, rank)
+                for i, s in enumerate(orbit_catalog())
+                for rank in range(s.size + 2)}
+    # No partition of a nonempty domain equals an empty orbit list, so the
+    # patched loop refines all the way to the requested rank.
+    monkeypatch.setattr("rsol.structures.tuple_orbits", lambda s, arity: [])
+    for i, s in enumerate(orbit_catalog()):
+        for rank in range(s.size + 2):
+            full = rank_bounded_unary_family(s, rank)
+            assert full == stopping[i, rank], (i, rank)
+            assert full.relations(1) == stopping[i, rank].relations(1)
+
+
+@pytest.mark.parametrize("size", [5, 6, 7])
+def test_rank_bounded_directed_path_stops_at_rank_2(size):
+    s = directed_path(size)
+    orbits = set(k_exact_orbits(s, False, 1).relations(1))
+    assert len(orbits) == 2 ** size          # rigid: every subset
+    assert set(rank_bounded_unary_family(s, 1).relations(1)) != orbits
+    assert set(rank_bounded_unary_family(s, 2).relations(1)) == orbits
 
 
 def test_rank_bounded_family_rejects_functions():
