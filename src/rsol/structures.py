@@ -371,42 +371,130 @@ def verify_provenance(s: FiniteStructure, fam: ThetaFamily,
 # ---------------------------------------------------------------------------
 
 def automorphisms(s: FiniteStructure) -> list:
-    """All domain permutations preserving the interpretation, by brute force."""
-    out = []
-    for perm in itertools.permutations(range(s.size)):
-        if all(perm[v] == v for n, v in s.constants.items()) \
-                and _preserves_predicates(s, perm) and _preserves_functions(s, perm):
-            out.append(perm)
-    return out
-
-
-def _preserves_predicates(s, perm) -> bool:
-    for name, rows in s.predicates.items():
-        for row in rows:
-            if tuple(perm[v] for v in row) not in rows:
-                return False
-    return True
-
-
-def _preserves_functions(s, perm) -> bool:
-    for name, table in s.functions.items():
-        for args, value in table.items():
-            if table[tuple(perm[a] for a in args)] != perm[value]:
-                return False
-    return True
+    """All domain permutations preserving the interpretation, in
+    lexicographic order."""
+    colour, cells, autos = _symmetry(s)
+    if autos is None:                # every colour-preserving permutation
+        autos = list(itertools.permutations(range(s.size))) if len(cells) == 1 \
+            else _search(colour, cells, [])
+    return autos
 
 
 def tuple_orbits(s: FiniteStructure, arity: int) -> list:
-    autos = automorphisms(s)
+    """The orbits of the automorphisms on arity-tuples, least tuples first."""
+    colour, cells, autos = _symmetry(s)
+    rows = itertools.product(range(s.size), repeat=arity)
+    if autos is None:                # orbit = colours plus which entries are equal
+        classes: dict = {}
+        for row in rows:
+            key = (*map(colour.__getitem__, row), *map(row.index, row))
+            classes.setdefault(key, []).append(row)
+        return [frozenset(c) for c in classes.values()]
     seen = set()
     orbits = []
-    for row in itertools.product(range(s.size), repeat=arity):
+    for row in rows:
         if row in seen:
             continue
         orbit = {tuple(perm[v] for v in row) for perm in autos}
         seen |= orbit
         orbits.append(frozenset(orbit))
     return orbits
+
+
+def _symmetry(s: FiniteStructure):
+    """(colour, cells, autos): an automorphism-invariant colour for each
+    element, the elements of each colour, and the sorted automorphisms, or
+    None when they are all the colour-preserving permutations (colour
+    refinement and search after McKay & Piperno 2014).
+
+    Functions count as the relations of their graphs.  The first colour
+    says which relations hold of (a, ..., a) and names a constant's
+    element.  Until a transposition and a cycle of each cell, which
+    generate the cell's symmetric group, preserve every relation, a colour
+    is refined by the rows its element occurs in, the element marked and
+    the other entries coloured; if that stops splitting, `_search` runs.
+    """
+    n, preds, funcs = s.size, sorted(s.predicates), sorted(s.functions)
+    rels = [s.predicates[p] for p in preds] + [
+        frozenset(args + (v,) for args, v in s.functions[f].items()) for f in funcs]
+    named = set(s.constants.values())     # automorphisms fix these elements
+    colour = _ranks([(a if a in named else -1,     # then: which R hold of (a, ..., a)
+                      tuple((a,) * len(next(iter(rows), ())) in rows for rows in rels))
+                     for a in range(n)])
+    while True:
+        cells = [[] for _ in range(max(colour) + 1)]
+        for a, c in enumerate(colour):
+            cells[c].append(a)
+        moves = [dict(zip(cell, images)) for cell in cells if len(cell) > 1
+                 for images in (cell[1::-1] + cell[2:], cell[1:] + cell[:1])]
+        if all(tuple(m.get(v, v) for v in row) in rows
+               for m in moves for rows in rels for row in rows):
+            return colour, cells, None
+        occurs: list = [[] for _ in range(n)]
+        for i, rows in enumerate(rels):
+            for row in rows:
+                cols = tuple(map(colour.__getitem__, row))
+                for a in set(row):
+                    occurs[a].append((i, cols, tuple(map(a.__eq__, row))))
+        new = _ranks([(colour[a], tuple(sorted(occurs[a]))) for a in range(n)])
+        if len(cells) == max(new) + 1:
+            return colour, cells, _search(colour, cells, rels)
+        colour = new
+
+
+def _search(colour: list, cells: list, rels: list) -> list:
+    """Every colour-preserving permutation that maps each relation into
+    itself, sorted.  Elements are visited breadth-first through shared
+    rows, and each row is tested once its last element has an image."""
+    n = len(colour)
+    linked = [set() for _ in range(n)]
+    for row in itertools.chain(*rels):
+        for v in row:
+            linked[v].update(row)
+    order = []
+    for root in sorted(range(n), key=lambda a: len(cells[colour[a]])):
+        if root not in order:
+            order.append(root)
+            for a in itertools.islice(order, len(order) - 1, None):   # grows as read
+                order += sorted(linked[a].difference(order))
+    position = {a: i for i, a in enumerate(order)}
+    checks = [[] for _ in range(n)]
+    for rows in rels:
+        for row in rows:
+            checks[max(map(position.__getitem__, row))].append((rows, row))
+    perm, used, out = [None] * n, [False] * n, []
+    image = perm.__getitem__
+    stack = [iter(cells[colour[order[0]]])]
+    while stack:
+        level = len(stack) - 1
+        a = order[level]
+        if perm[a] is not None:                   # undo the previous choice
+            used[perm[a]] = False
+        for b in stack[-1]:
+            if used[b]:
+                continue
+            perm[a] = b
+            for rows, row in checks[level]:
+                if tuple(map(image, row)) not in rows:
+                    break
+            else:
+                break                             # b passes every check
+        else:
+            perm[a] = None
+            stack.pop()
+            continue
+        used[b] = True
+        if level + 1 == n:
+            out.append(tuple(perm))
+        else:
+            stack.append(iter(cells[colour[order[level + 1]]]))
+    return sorted(out)
+
+
+def _ranks(values: list) -> list:
+    """Each value replaced by its rank among the distinct values."""
+    rank = {v: i for i, v in enumerate(sorted(set(values)))}
+    return [rank[v] for v in values]
 
 
 def k_exact_orbits(s: FiniteStructure, with_parameters: bool,
@@ -434,11 +522,16 @@ def k_exact_orbits(s: FiniteStructure, with_parameters: bool,
 
 
 def _unions(blocks: list, what: str = "relations"):
-    """Every union of the blocks, in mask order, the empty set first."""
+    """Every union of the blocks, in mask order, the empty set first; the
+    union at mask m + 2^i is the one at m plus block i."""
     if len(blocks) > RELATION_GUARD:
         raise FeasibilityError(f"2^{len(blocks)} {what} exceed the guard")
-    for mask in range(1 << len(blocks)):
-        yield frozenset().union(*(b for i, b in enumerate(blocks) if mask >> i & 1))
+    out = [frozenset()]
+    yield out[0]
+    for b in blocks:
+        for i in range(len(out)):
+            out.append(out[i] | b)
+            yield out[-1]
 
 
 def rank_bounded_unary_family(s: FiniteStructure, rank: int) -> DefinableFamily:
@@ -458,8 +551,9 @@ def rank_bounded_unary_family(s: FiniteStructure, rank: int) -> DefinableFamily:
     k grows, and automorphisms preserve types, so no partition splits an
     orbit; once equal to the orbits, the partition stays equal.  A rank
     that never reaches the orbits returns its own, coarser partition.
-    The orbits come from the brute-force `automorphisms`, which costs
-    |A|! permutations; the type tree at rank k has |A|^(k+1) rows.
+    The orbits come from `tuple_orbits` (colour refinement, then a search
+    pruned by the colours only where they leave the group open); the type
+    tree at rank k has |A|^(k+1) rows.
     """
     if s.functions:
         raise FeasibilityError(
@@ -844,7 +938,7 @@ def leibniz_reduce(s: FiniteStructure, depth: int | None = None):
                     if row in rows:
                         facts.append((name, pos, ctx))
         color[a] = ("atoms", tuple(facts))
-    color = _canon_colors(color)
+    color = _ranks(list(color.values()))
 
     rounds = 0
     while depth is None or rounds < depth:
@@ -859,7 +953,7 @@ def leibniz_reduce(s: FiniteStructure, depth: int | None = None):
                         args = ctx[:pos] + (a,) + ctx[pos:]
                         images.append((name, pos, ctx, color[table[args]]))
             new[a] = (color[a], tuple(images))
-        new = _canon_colors(new)
+        new = _ranks(list(new.values()))
         rounds += 1
         if new == color:
             break
@@ -893,12 +987,6 @@ def leibniz_reduce(s: FiniteStructure, depth: int | None = None):
     constants = {name: index[v] for name, v in s.constants.items()}
     quotient = FiniteStructure(s.sig, len(partition), predicates, functions, constants)
     return quotient, partition
-
-
-def _canon_colors(color: dict) -> dict:
-    values = sorted(set(color.values()), key=repr)
-    rank = {v: i for i, v in enumerate(values)}
-    return {a: rank[v] for a, v in color.items()}
 
 
 # ---------------------------------------------------------------------------

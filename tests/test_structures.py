@@ -127,6 +127,126 @@ def test_automorphisms_examples():
     assert sorted(automorphisms(cyc)) == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
 
 
+def brute_automorphisms(s):
+    """Reference: every permutation that fixes the constants and maps each
+    predicate row and function graph row to a row."""
+    graphs = [{args + (value,) for args, value in table.items()}
+              for table in s.functions.values()]
+    rels = [set(rows) for rows in s.predicates.values()] + graphs
+    return [perm for perm in itertools.permutations(range(s.size))
+            if all(perm[v] == v for v in s.constants.values())
+            and all(tuple(perm[v] for v in row) in rows for rows in rels for row in rows)]
+
+
+def brute_orbits(s, arity, autos):
+    """Reference: the images of each tuple not yet seen, in product order."""
+    seen, orbits = set(), []
+    for row in itertools.product(range(s.size), repeat=arity):
+        if row not in seen:
+            orbit = frozenset(tuple(perm[v] for v in row) for perm in autos)
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
+def random_mixed_structure(rng, size):
+    """Predicates of arity 1-3, a unary and a binary function and two
+    constants, which name one element in about half the draws.  Every
+    relation is closed under a random permutation `sigma` that fixes the
+    constants, so most draws keep some symmetry."""
+    sig = Signature(predicates={"P0": 1, "E": 2, "T": 3},
+                    functions={"f": 1, "g": 2}, constants=["c0", "c1"])
+    c0 = rng.randrange(size)
+    c1 = c0 if rng.random() < 0.5 else rng.randrange(size)
+    free = [a for a in range(size) if a not in (c0, c1)]
+    sigma = list(range(size))
+    for a, b in zip(free, rng.sample(free, len(free))):
+        sigma[a] = b
+
+    def closed(rows):
+        out = set()
+        for row in rows:
+            while row not in out:
+                out.add(row)
+                row = tuple(sigma[v] for v in row)
+        return out
+
+    preds = {name: closed(row for row in itertools.product(range(size), repeat=arity)
+                          if rng.random() < density)
+             for (name, arity), density in zip(sig.predicates.items(),
+                                                (rng.random(), rng.random(), 0.1))}
+    # the last choice, a random table, usually breaks the symmetry
+    f = rng.choice([lambda a: sigma[a], lambda a: a, lambda a: c0,
+                    lambda a: rng.randrange(size)])
+    g = rng.choice([lambda a, b: a, lambda a, b: sigma[b], lambda a, b: c0,
+                    lambda a, b: rng.randrange(size)])
+    tables = {"f": {(a,): f(a) for a in range(size)},
+              "g": {(a, b): g(a, b) for a in range(size) for b in range(size)}}
+    return FiniteStructure(sig, size, preds, tables, {"c0": c0, "c1": c1})
+
+
+def relabelled_cycle(rng, size, directed):
+    labels = list(range(size))
+    rng.shuffle(labels)
+    rows = [(labels[i], labels[(i + 1) % size]) for i in range(size)]
+    if not directed:
+        rows += [(b, a) for a, b in rows]
+    return FiniteStructure(Signature(predicates={"E": 2}), size, predicates={"E": rows})
+
+
+def symmetry_cases():
+    rng = random.Random(2024)
+    cases = [(f"catalog{i}", s) for i, s in enumerate(orbit_catalog())]
+    cases += [(f"mixed{i}", random_mixed_structure(rng, rng.randint(2, 6)))
+              for i in range(60)]
+    cases += [(f"{kind}-cycle{size}", relabelled_cycle(rng, size, kind == "directed"))
+              for size in range(1, 8) for kind in ("directed", "undirected")]
+    return cases
+
+
+SYMMETRY_CASES = symmetry_cases()
+
+
+@pytest.mark.parametrize("s", [s for _, s in SYMMETRY_CASES],
+                         ids=[name for name, _ in SYMMETRY_CASES])
+def test_automorphisms_and_orbits_match_brute_force(s):
+    autos = brute_automorphisms(s)
+    assert automorphisms(s) == autos
+    for arity in (1, 2, 3):
+        assert tuple_orbits(s, arity) == brute_orbits(s, arity, autos)
+
+
+def test_two_directed_6_cycles_have_72_automorphisms():
+    sig = Signature(predicates={"E": 2})
+    s = FiniteStructure(sig, 12, predicates={"E": [(c + i, c + (i + 1) % 6)
+                                                   for c in (0, 6) for i in range(6)]})
+    # 12! permutations are too many to filter: rotate each cycle, then swap
+    expected = []
+    for r, t in itertools.product(range(6), repeat=2):
+        rotate = [(i + r) % 6 for i in range(6)] + [6 + (i + t) % 6 for i in range(6)]
+        expected.append(tuple(rotate))
+        expected.append(tuple(rotate[6:] + rotate[:6]))
+    expected.sort()
+    assert len(expected) == 72
+    assert automorphisms(s) == expected
+    for arity in (1, 2, 3):
+        assert tuple_orbits(s, arity) == brute_orbits(s, arity, expected)
+
+
+def test_rigid_12_element_structure_has_only_the_identity():
+    graph = Signature(predicates={"P0": 1, "E": 2})
+    rng = random.Random(0)
+    p0 = {(a,) for a in range(12) if rng.random() < 0.5}
+    edges = {(a, b) for a in range(12) for b in range(12) if rng.random() < 0.5}
+    s = FiniteStructure(graph, 12, predicates={"P0": p0, "E": edges})
+    # rigid by an independent argument: these invariants differ on every element
+    invariants = {((a,) in p0, (a, a) in edges, sum((a, b) in edges for b in range(12)),
+                   sum((b, a) in edges for b in range(12))) for a in range(12)}
+    assert len(invariants) == 12
+    assert automorphisms(s) == [tuple(range(12))]
+    assert tuple_orbits(s, 1) == [frozenset([(a,)]) for a in range(12)]
+
+
 def test_k_exact_orbits_examples():
     s = two_element()
     assert set(k_exact_orbits(s, False, 1).relations(1)) == \
@@ -322,17 +442,20 @@ def test_rank_bounded_family_matches_orbits():
 
 
 def test_rank_bounded_early_stop_returns_the_same_family(monkeypatch):
-    stopping = {(i, rank): rank_bounded_unary_family(s, rank)
-                for i, s in enumerate(orbit_catalog())
-                for rank in range(s.size + 2)}
+    # a random 9-element structure at rank 1: the stop test's orbits once
+    # took a 9! permutation search there
+    graph = Signature(predicates={"P0": 1, "E": 2})
+    nine = random_structure(random.Random(0), graph, min_size=9, max_size=9)
+    cases = [(s, rank) for s in orbit_catalog() for rank in range(s.size + 2)]
+    cases.append((nine, 1))
+    stopping = [rank_bounded_unary_family(s, rank) for s, rank in cases]
     # No partition of a nonempty domain equals an empty orbit list, so the
     # patched loop refines all the way to the requested rank.
     monkeypatch.setattr("rsol.structures.tuple_orbits", lambda s, arity: [])
-    for i, s in enumerate(orbit_catalog()):
-        for rank in range(s.size + 2):
-            full = rank_bounded_unary_family(s, rank)
-            assert full == stopping[i, rank], (i, rank)
-            assert full.relations(1) == stopping[i, rank].relations(1)
+    for (s, rank), stopped in zip(cases, stopping):
+        full = rank_bounded_unary_family(s, rank)
+        assert full == stopped, (s, rank)
+        assert full.relations(1) == stopped.relations(1)
 
 
 @pytest.mark.parametrize("size", [5, 6, 7])
@@ -391,6 +514,20 @@ def test_leibniz_reduce_with_functions():
     # 1 and 2 differ: f0 sends 1 into the P0 block but 2 outside it
     assert partition == [[0], [1], [2]]
     assert quotient.size == 3
+
+
+@pytest.mark.parametrize("size", [11, 12, 15])
+def test_leibniz_reduce_terminates_past_ten_blocks(size):
+    # a successor chain into a marked end splits one more block per round;
+    # when colours were ordered by their repr, "10" sorted before "2", the
+    # numbering never settled past ten blocks and the loop ran forever
+    fsig = Signature(predicates={"P0": 1}, functions={"f0": 1})
+    s = FiniteStructure(fsig, size, predicates={"P0": [(size - 1,)]},
+                        functions={"f0": {(a,): min(a + 1, size - 1)
+                                          for a in range(size)}})
+    quotient, partition = leibniz_reduce(s)
+    assert partition == [[a] for a in range(size)]
+    assert quotient.size == size
 
 
 def test_structure_json_roundtrip(tmp_path):
