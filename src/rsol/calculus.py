@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .formulas import (
-    And, ExistsSO, ForallFO, ForallSO, Formula, FormulaError, FOVar, Iff,
-    InstAtom, Not, PredApp, Signature, SOApp, SOEq, SOVar, Term, TermEq, Var,
-    a6_instantiate, alpha_eq, as_implies, free_variables, implies,
-    is_sentence, normalize, parse, substitute_fo, substitute_so, term_fo_vars,
-    validate, CaptureError,
+    BINDERS, SUBFORMULAS, And, ExistsSO, ForallFO, ForallSO, Formula,
+    FormulaError, FOVar, Func, Iff, InstAtom, Not, Signature, SOApp, SOEq,
+    SOVar, Term, TermEq, Var, a6_instantiate, alpha_eq, as_implies, children,
+    free_variables, implies, is_sentence, normalize, parse,
+    substitute_fo, substitute_so, term_fo_vars, validate, CaptureError,
 )
 from .theta import ThetaFamily
 
@@ -362,43 +362,41 @@ def _match_c3(f):
     return {"a": a, "b": b}
 
 
+def _atom_terms(a):
+    return (a.left, a.right) if isinstance(a, TermEq) else getattr(a, "args", ())
+
+
+def _first_diff(phi, psi, atom_diff):
+    """The first non-None atom_diff(a, b), left to right, over the pairs of
+    atoms where phi and psi differ, both walked in lockstep."""
+    if phi == psi or type(phi) is not type(psi):
+        return None
+    kids = children(phi)
+    if not kids:
+        return atom_diff(phi, psi)
+    for a, b in zip(kids, children(psi)):
+        got = _first_diff(a, b, atom_diff)
+        if got is not None:
+            return got
+    return None
+
+
 def _first_term_diff(phi, psi, x: FOVar):
     """Candidate substituted term: the psi-side of the first difference at a
     position where phi has the variable x."""
-    out = []
+    def terms(us, vs):
+        for u, v in zip(us, vs):
+            if u == v:
+                continue
+            if isinstance(u, Var) and u.var == x:
+                return v
+            if isinstance(u, Func) and isinstance(v, Func) and u.name == v.name:
+                got = terms(u.args, v.args)
+                if got is not None:
+                    return got
+        return None
 
-    def terms(u, v):
-        if out:
-            return
-        if u == v:
-            return
-        if isinstance(u, Var) and u.var == x:
-            out.append(v)
-            return
-        if isinstance(u, type(v)) and hasattr(u, "args") and hasattr(v, "args") \
-                and getattr(u, "name", None) == getattr(v, "name", None):
-            for uu, vv in zip(u.args, v.args):
-                terms(uu, vv)
-
-    def walk(a, b):
-        if out or a == b or type(a) is not type(b):
-            return
-        if isinstance(a, (PredApp, SOApp)):
-            for u, v in zip(a.args, b.args):
-                terms(u, v)
-        elif isinstance(a, TermEq):
-            terms(a.left, b.left)
-            terms(a.right, b.right)
-        elif isinstance(a, Not):
-            walk(a.body, b.body)
-        elif isinstance(a, And):
-            walk(a.left, b.left)
-            walk(a.right, b.right)
-        elif isinstance(a, (ForallFO, ForallSO, InstAtom)):
-            walk(a.body, b.body)
-
-    walk(phi, psi)
-    return out[0] if out else None
+    return _first_diff(phi, psi, lambda a, b: terms(_atom_terms(a), _atom_terms(b)))
 
 
 def _match_q1(f):
@@ -446,45 +444,50 @@ def _match_eq_refl(f):
     return None
 
 
-def _is_term_replacement(a, b, t1, t2, bound=frozenset()):
+def _is_replacement(a, b, atom_ok, bound=frozenset()):
+    """Whether b is a with some atoms replaced.  Both are walked in lockstep;
+    binders must agree on their variable, and each pair of differing atoms
+    must pass atom_ok(a, b, bound), where bound holds the variables of both
+    sorts bound above them."""
     if a == b:
         return True
     if type(a) is not type(b):
         return False
-    blocked = (term_fo_vars(t1) | term_fo_vars(t2)) & bound
+    kids = children(a)
+    if not kids:
+        return atom_ok(a, b, bound)
+    if isinstance(a, BINDERS):
+        if a.var != b.var:
+            return False
+        bound = bound | {a.var}
+    for u, v in zip(kids, children(b)):
+        if not _is_replacement(u, v, atom_ok, bound):
+            return False
+    return True
 
-    def term_ok(u, v):
+
+def _is_term_replacement(a, b, t1, t2):
+    """Whether b is a with some occurrences of the term t1 replaced by t2,
+    none of them under a binder of a variable of t1 or t2."""
+    fo = term_fo_vars(t1) | term_fo_vars(t2)
+
+    def term_ok(u, v, blocked):
         if u == v:
             return True
         if u == t1 and v == t2:
             return not blocked
-        if isinstance(u, type(v)) and hasattr(u, "args") \
-                and getattr(u, "name", None) == getattr(v, "name", None) \
-                and not isinstance(u, Var):
-            return all(term_ok(uu, vv) for uu, vv in zip(u.args, v.args))
+        if isinstance(u, Func) and isinstance(v, Func) and u.name == v.name:
+            return all(term_ok(uu, vv, blocked) for uu, vv in zip(u.args, v.args))
         return False
 
-    if isinstance(a, (PredApp, SOApp)):
-        if getattr(a, "name", None) != getattr(b, "name", None) \
+    def atom_ok(a, b, bound):
+        if isinstance(a, SOEq) or getattr(a, "name", None) != getattr(b, "name", None) \
                 or getattr(a, "var", None) != getattr(b, "var", None):
             return False
-        return all(term_ok(u, v) for u, v in zip(a.args, b.args))
-    if isinstance(a, TermEq):
-        return term_ok(a.left, b.left) and term_ok(a.right, b.right)
-    if isinstance(a, Not):
-        return _is_term_replacement(a.body, b.body, t1, t2, bound)
-    if isinstance(a, And):
-        return _is_term_replacement(a.left, b.left, t1, t2, bound) and \
-            _is_term_replacement(a.right, b.right, t1, t2, bound)
-    if isinstance(a, ForallFO):
-        if a.var != b.var:
-            return False
-        return _is_term_replacement(a.body, b.body, t1, t2, bound | {a.var})
-    if isinstance(a, (ForallSO, InstAtom)):
-        if a.var != b.var:
-            return False
-        return _is_term_replacement(a.body, b.body, t1, t2, bound)
-    return False
+        blocked = fo & bound
+        return all(term_ok(u, v, blocked) for u, v in zip(_atom_terms(a), _atom_terms(b)))
+
+    return _is_replacement(a, b, atom_ok)
 
 
 def _match_eq_subst(f):
@@ -501,32 +504,19 @@ def _match_eq_subst(f):
     return None
 
 
-def _is_so_replacement(a, b, vm, vn, bound=frozenset()):
-    if a == b:
-        return True
-    if type(a) is not type(b):
+def _is_so_replacement(a, b, vm, vn):
+    """Whether b is a with some free occurrences of vm replaced by vn, none
+    of them under a binder of vm or vn."""
+    def atom_ok(a, b, bound):
+        free = vm not in bound and vn not in bound
+        if isinstance(a, SOApp):
+            return a.var == vm and b.var == vn and a.args == b.args and free
+        if isinstance(a, SOEq):
+            return all(u == v or (u == vm and v == vn and free)
+                       for u, v in ((a.left, b.left), (a.right, b.right)))
         return False
-    if isinstance(a, SOApp):
-        return (a.var == vm and b.var == vn and a.args == b.args
-                and vm not in bound and vn not in bound)
-    if isinstance(a, SOEq):
-        def side(u, v):
-            if u == v:
-                return True
-            return u == vm and v == vn and vm not in bound and vn not in bound
-        return side(a.left, b.left) and side(a.right, b.right)
-    if isinstance(a, Not):
-        return _is_so_replacement(a.body, b.body, vm, vn, bound)
-    if isinstance(a, And):
-        return _is_so_replacement(a.left, b.left, vm, vn, bound) and \
-            _is_so_replacement(a.right, b.right, vm, vn, bound)
-    if isinstance(a, ForallFO):
-        return a.var == b.var and _is_so_replacement(a.body, b.body, vm, vn, bound)
-    if isinstance(a, (ForallSO, InstAtom)):
-        if a.var != b.var:
-            return False
-        return _is_so_replacement(a.body, b.body, vm, vn, bound | {a.var})
-    return False
+
+    return _is_replacement(a, b, atom_ok)
 
 
 def _match_a3(f):
@@ -548,29 +538,18 @@ def _match_a3(f):
 
 
 def _first_so_diff(phi, psi, vm: SOVar):
-    out = []
-
-    def walk(a, b):
-        if out or a == b or type(a) is not type(b):
-            return
+    """Candidate incoming variable: the psi-side of the first difference at
+    a position where phi has vm."""
+    def so_atoms(a, b):
         if isinstance(a, SOApp):
-            if a.var == vm and b.var != vm and a.args == b.args:
-                out.append(b.var)
-        elif isinstance(a, SOEq):
+            return b.var if a.var == vm and b.var != vm and a.args == b.args else None
+        if isinstance(a, SOEq):
             for u, v in ((a.left, b.left), (a.right, b.right)):
                 if u == vm and v != vm:
-                    out.append(v)
-                    return
-        elif isinstance(a, Not):
-            walk(a.body, b.body)
-        elif isinstance(a, And):
-            walk(a.left, b.left)
-            walk(a.right, b.right)
-        elif isinstance(a, (ForallFO, ForallSO, InstAtom)):
-            walk(a.body, b.body)
+                    return v
+        return None
 
-    walk(phi, psi)
-    return out[0] if out else None
+    return _first_diff(phi, psi, so_atoms)
 
 
 def _match_a4(f):
@@ -684,14 +663,11 @@ def recognize_axiom(f: Formula, fam: Optional[ThetaFamily] = None,
 # ---------------------------------------------------------------------------
 
 def _contains_inst(f: Formula) -> bool:
-    if isinstance(f, InstAtom):
+    if type(f) is InstAtom:
         return True
-    if isinstance(f, (Not,)):
-        return _contains_inst(f.body)
-    if isinstance(f, And):
-        return _contains_inst(f.left) or _contains_inst(f.right)
-    if isinstance(f, (ForallFO, ForallSO)):
-        return _contains_inst(f.body)
+    for name in SUBFORMULAS[type(f)]:
+        if _contains_inst(getattr(f, name)):
+            return True
     return False
 
 
@@ -834,13 +810,8 @@ def _inst_atoms(f: Formula):
     if isinstance(f, InstAtom):
         yield f
         return
-    if isinstance(f, Not):
-        yield from _inst_atoms(f.body)
-    elif isinstance(f, And):
-        yield from _inst_atoms(f.left)
-        yield from _inst_atoms(f.right)
-    elif isinstance(f, (ForallFO, ForallSO)):
-        yield from _inst_atoms(f.body)
+    for g in children(f):
+        yield from _inst_atoms(g)
 
 
 def instantiate_template(t: OmegaTemplate, proof: Proof, n: int) -> Proof:
@@ -848,18 +819,16 @@ def instantiate_template(t: OmegaTemplate, proof: Proof, n: int) -> Proof:
     fam = proof.family
 
     def replace(f):
-        if isinstance(f, InstAtom):
+        t = type(f)
+        if t is InstAtom:
             member = fam.arity_member(f.var.arity, n)
             return normalize(a6_instantiate(f.body, f.var, member))
-        if isinstance(f, Not):
-            return Not(replace(f.body))
-        if isinstance(f, And):
-            return And(replace(f.left), replace(f.right))
-        if isinstance(f, ForallFO):
-            return ForallFO(f.var, replace(f.body))
-        if isinstance(f, ForallSO):
-            return ForallSO(f.var, replace(f.body))
-        return f
+        kids = []
+        for name in SUBFORMULAS[t]:
+            kids.append(replace(getattr(f, name)))
+        if not kids:
+            return f
+        return t(f.var, *kids) if t in BINDERS else t(*kids)
 
     lines = []
     for line in t.lines:
@@ -1266,7 +1235,11 @@ def load_proof_text(text: str, sig: Signature, fam: Optional[ThetaFamily],
                 f"line {lineno}: index {m.group(1)} out of order "
                 f"(expected {expected_index})")
         formula = parse(m.group(2), sig, allow_inst=current_template is not None)
-        just = _parse_justification(m.group(3), current_template is not None)
+        try:
+            just = _parse_justification(m.group(3), current_template is not None)
+        except IndexError:
+            raise FormulaError(f"line {lineno}: justification {m.group(3)!r} "
+                               f"is missing an argument") from None
         target = template_lines if current_template else lines
         target.append(ProofLine(formula, just))
     if current_template is not None:

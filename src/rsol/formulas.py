@@ -258,6 +258,46 @@ class InstAtom(Formula):
 BINARY = (And, Or, Implies, Iff)
 FO_QUANT = (ForallFO, ExistsFO)
 SO_QUANT = (ForallSO, ExistsSO)
+BINDERS = FO_QUANT + SO_QUANT + (InstAtom,)
+_SECOND_ORDER = (SOApp, SOEq, InstAtom) + SO_QUANT
+
+
+# ---------------------------------------------------------------------------
+# The shape table
+# ---------------------------------------------------------------------------
+
+class _ShapeTable(dict):
+    def __missing__(self, node_type):
+        raise FormulaError(f"not a formula: {node_type.__name__} object")
+
+
+# Node type -> the names of the fields that hold its immediate subformulas,
+# left to right.  A binder (BINDERS) takes its variable, then its body; every
+# other node takes exactly its subformulas.  Walkers on hot paths read the
+# table inline, which costs no Python call per node; the rest use
+# `children` and `rebuild`.
+SUBFORMULAS = _ShapeTable({
+    PredApp: (), TermEq: (), SOApp: (), SOEq: (),
+    Not: ("body",),
+    And: ("left", "right"), Or: ("left", "right"),
+    Implies: ("left", "right"), Iff: ("left", "right"),
+    ForallFO: ("body",), ExistsFO: ("body",),
+    ForallSO: ("body",), ExistsSO: ("body",), InstAtom: ("body",),
+})
+
+
+def children(f: Formula) -> tuple:
+    """The immediate subformulas of f, left to right (FormulaError if f is not
+    a formula)."""
+    return tuple(map(f.__getattribute__, SUBFORMULAS[type(f)]))
+
+
+def rebuild(f: Formula, kids) -> Formula:
+    """The node f with its immediate subformulas replaced by kids."""
+    t = type(f)
+    if not SUBFORMULAS[t]:
+        return f
+    return t(f.var, *kids) if t in BINDERS else t(*kids)
 
 
 # ---------------------------------------------------------------------------
@@ -283,36 +323,39 @@ def free_variables(f: Formula) -> tuple:
     so: set = set()
 
     def walk(g, bound_fo, bound_so):
-        if isinstance(g, PredApp):
-            for t in g.args:
-                fo.update(term_fo_vars(t) - bound_fo)
-        elif isinstance(g, TermEq):
+        t = type(g)
+        if t is PredApp:
+            for a in g.args:
+                fo.update(term_fo_vars(a) - bound_fo)
+        elif t is TermEq:
             fo.update((term_fo_vars(g.left) | term_fo_vars(g.right)) - bound_fo)
-        elif isinstance(g, SOApp):
+        elif t is SOApp:
             if g.var not in bound_so:
                 so.add(g.var)
-            for t in g.args:
-                fo.update(term_fo_vars(t) - bound_fo)
-        elif isinstance(g, SOEq):
+            for a in g.args:
+                fo.update(term_fo_vars(a) - bound_fo)
+        elif t is SOEq:
             for v in (g.left, g.right):
                 if v not in bound_so:
                     so.add(v)
-        elif isinstance(g, Not):
-            walk(g.body, bound_fo, bound_so)
-        elif isinstance(g, BINARY):
-            walk(g.left, bound_fo, bound_so)
-            walk(g.right, bound_fo, bound_so)
-        elif isinstance(g, FO_QUANT):
-            walk(g.body, bound_fo | {g.var}, bound_so)
-        elif isinstance(g, SO_QUANT):
-            walk(g.body, bound_fo, bound_so | {g.var})
-        elif isinstance(g, InstAtom):
-            walk(g.body, bound_fo, bound_so | {g.var})
         else:
-            raise FormulaError(f"not a formula: {g!r}")
+            if t in FO_QUANT:
+                bound_fo = bound_fo | {g.var}
+            elif t in BINDERS:
+                bound_so = bound_so | {g.var}
+            for name in SUBFORMULAS[t]:
+                walk(getattr(g, name), bound_fo, bound_so)
 
     walk(f, frozenset(), frozenset())
     return frozenset(fo), frozenset(so)
+
+
+def _depth(f: Formula) -> int:
+    """The number of levels of f, counted without recursion."""
+    level, levels = [f], 0
+    while level:
+        level, levels = [k for g in level for k in children(g)], levels + 1
+    return levels
 
 
 def is_sentence(f: Formula) -> bool:
@@ -321,17 +364,13 @@ def is_sentence(f: Formula) -> bool:
 
 
 def is_first_order(f: Formula) -> bool:
-    if isinstance(f, (SOApp, SOEq, InstAtom)) or isinstance(f, SO_QUANT):
+    t = type(f)
+    if t in _SECOND_ORDER:
         return False
-    if isinstance(f, (PredApp, TermEq)):
-        return True
-    if isinstance(f, Not):
-        return is_first_order(f.body)
-    if isinstance(f, BINARY):
-        return is_first_order(f.left) and is_first_order(f.right)
-    if isinstance(f, FO_QUANT):
-        return is_first_order(f.body)
-    raise FormulaError(f"not a formula: {f!r}")
+    for name in SUBFORMULAS[t]:
+        if not is_first_order(getattr(f, name)):
+            return False
+    return True
 
 
 def _max_term_index(t: Term) -> int:
@@ -344,86 +383,61 @@ def _max_term_index(t: Term) -> int:
 
 def max_fo_index(f: Formula) -> int:
     """Largest first-order variable index occurring anywhere in f, -1 if none."""
-    if isinstance(f, PredApp):
-        return max((_max_term_index(t) for t in f.args), default=-1)
-    if isinstance(f, TermEq):
+    t = type(f)
+    if t is PredApp or t is SOApp:
+        return max(map(_max_term_index, f.args), default=-1)
+    if t is TermEq:
         return max(_max_term_index(f.left), _max_term_index(f.right))
-    if isinstance(f, SOApp):
-        return max((_max_term_index(t) for t in f.args), default=-1)
-    if isinstance(f, SOEq):
-        return -1
-    if isinstance(f, Not):
-        return max_fo_index(f.body)
-    if isinstance(f, BINARY):
-        return max(max_fo_index(f.left), max_fo_index(f.right))
-    if isinstance(f, FO_QUANT):
-        return max(f.var.index, max_fo_index(f.body))
-    if isinstance(f, SO_QUANT) or isinstance(f, InstAtom):
-        return max_fo_index(f.body)
-    raise FormulaError(f"not a formula: {f!r}")
+    top = f.var.index if t in FO_QUANT else -1
+    for name in SUBFORMULAS[t]:
+        i = max_fo_index(getattr(f, name))
+        if i > top:
+            top = i
+    return top
 
 
 def max_so_index(f: Formula) -> int:
     """Largest second-order variable index occurring anywhere in f, -1 if none."""
-    if isinstance(f, (PredApp, TermEq)):
-        return -1
     if isinstance(f, SOApp):
         return f.var.index
     if isinstance(f, SOEq):
         return max(f.left.index, f.right.index)
-    if isinstance(f, Not):
-        return max_so_index(f.body)
-    if isinstance(f, BINARY):
-        return max(max_so_index(f.left), max_so_index(f.right))
-    if isinstance(f, FO_QUANT):
-        return max_so_index(f.body)
-    if isinstance(f, SO_QUANT) or isinstance(f, InstAtom):
-        return max(f.var.index, max_so_index(f.body))
-    raise FormulaError(f"not a formula: {f!r}")
+    top = f.var.index if isinstance(f, SO_QUANT) or isinstance(f, InstAtom) else -1
+    return max([top, *map(max_so_index, children(f))])
 
 
 def quantifier_rank(f: Formula) -> int:
-    if isinstance(f, (PredApp, TermEq, SOApp, SOEq, InstAtom)):
+    if isinstance(f, InstAtom):
         return 0
-    if isinstance(f, Not):
-        return quantifier_rank(f.body)
-    if isinstance(f, BINARY):
-        return max(quantifier_rank(f.left), quantifier_rank(f.right))
-    if isinstance(f, FO_QUANT) or isinstance(f, SO_QUANT):
-        return 1 + quantifier_rank(f.body)
-    raise FormulaError(f"not a formula: {f!r}")
+    inner = max(map(quantifier_rank, children(f)), default=0)
+    return inner + 1 if isinstance(f, FO_QUANT) or isinstance(f, SO_QUANT) else inner
 
 
 def validate(f: Formula, sig: Signature) -> None:
     """Check f against a signature: known symbols, arities, identity use."""
-    if isinstance(f, PredApp):
+    t = type(f)
+    if t is PredApp:
         if f.name not in sig.predicates:
             raise FormulaError(f"unknown predicate {f.name!r}")
         if len(f.args) != sig.predicates[f.name]:
             raise FormulaError(
                 f"predicate {f.name!r} expects {sig.predicates[f.name]} arguments, got {len(f.args)}")
-        for t in f.args:
-            _validate_term(t, sig)
-    elif isinstance(f, TermEq):
+        for a in f.args:
+            _validate_term(a, sig)
+    elif t is TermEq:
         if not sig.identity:
             raise FormulaError("identity atom with identity disabled")
         _validate_term(f.left, sig)
         _validate_term(f.right, sig)
-    elif isinstance(f, SOApp):
-        for t in f.args:
-            _validate_term(t, sig)
-    elif isinstance(f, SOEq):
+    elif t is SOApp:
+        for a in f.args:
+            _validate_term(a, sig)
+    elif t is SOEq:
         if not sig.identity:
             raise FormulaError("identity atom with identity disabled")
-    elif isinstance(f, Not):
-        validate(f.body, sig)
-    elif isinstance(f, BINARY):
-        validate(f.left, sig)
-        validate(f.right, sig)
-    elif isinstance(f, FO_QUANT) or isinstance(f, SO_QUANT) or isinstance(f, InstAtom):
-        validate(f.body, sig)
     else:
-        raise FormulaError(f"not a formula: {f!r}")
+        for name in SUBFORMULAS[t]:
+            validate(getattr(f, name), sig)
 
 
 def _validate_term(t: Term, sig: Signature) -> None:
@@ -568,41 +582,37 @@ def substitute_fo_many(f: Formula, mapping: Mapping[FOVar, Term],
         return f
 
     def walk(g, mapping):
-        if isinstance(g, PredApp):
-            return PredApp(g.name, tuple(_subst_term(t, mapping) for t in g.args))
-        if isinstance(g, TermEq):
+        t = type(g)
+        if t is PredApp:
+            return PredApp(g.name, tuple(_subst_term(a, mapping) for a in g.args))
+        if t is TermEq:
             return TermEq(_subst_term(g.left, mapping), _subst_term(g.right, mapping))
-        if isinstance(g, SOApp):
-            return SOApp(g.var, tuple(_subst_term(t, mapping) for t in g.args))
-        if isinstance(g, SOEq):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.body, mapping))
-        if isinstance(g, BINARY):
-            return type(g)(walk(g.left, mapping), walk(g.right, mapping))
-        if isinstance(g, FO_QUANT):
+        if t is SOApp:
+            return SOApp(g.var, tuple(_subst_term(a, mapping) for a in g.args))
+        if t in FO_QUANT:
             live = {k: v for k, v in mapping.items() if k != g.var}
             free_body, _ = free_variables(g.body)
             live = {k: v for k, v in live.items() if k in free_body}
             if not live:
                 return g
             incoming = set()
-            for t in live.values():
-                incoming |= term_fo_vars(t)
+            for term in live.values():
+                incoming |= term_fo_vars(term)
             if g.var in incoming:
                 if on_capture == "fail":
                     raise CaptureError(f"{g.var} would be captured")
                 top = max([g.var.index, max_fo_index(g.body)]
-                          + [_max_term_index(t) for t in live.values()])
+                          + [_max_term_index(term) for term in live.values()])
                 fresh = FOVar(top + 1)
                 body = walk(g.body, {g.var: Var(fresh)})
-                return type(g)(fresh, walk(body, live))
-            return type(g)(g.var, walk(g.body, live))
-        if isinstance(g, SO_QUANT):
-            return type(g)(g.var, walk(g.body, mapping))
-        if isinstance(g, InstAtom):
-            return InstAtom(g.var, walk(g.body, mapping))
-        raise FormulaError(f"not a formula: {g!r}")
+                return t(fresh, walk(body, live))
+            return t(g.var, walk(g.body, live))
+        kids = []
+        for name in SUBFORMULAS[t]:
+            kids.append(walk(getattr(g, name), mapping))
+        if not kids:
+            return g
+        return t(g.var, *kids) if t in BINDERS else t(*kids)
 
     return walk(f, dict(mapping))
 
@@ -623,39 +633,24 @@ def substitute_so(f: Formula, vm: SOVar, vn: SOVar) -> tuple:
         raise FormulaError(f"arities differ: {vm} vs {vn}")
     clean = True
 
-    def walk(g, vm):
+    def walk(g):
         nonlocal clean
-        if isinstance(g, (PredApp, TermEq)):
-            return g
         if isinstance(g, SOApp):
             return SOApp(vn, g.args) if g.var == vm else g
         if isinstance(g, SOEq):
             left = vn if g.left == vm else g.left
             right = vn if g.right == vm else g.right
             return SOEq(left, right)
-        if isinstance(g, Not):
-            return Not(walk(g.body, vm))
-        if isinstance(g, BINARY):
-            return type(g)(walk(g.left, vm), walk(g.right, vm))
-        if isinstance(g, FO_QUANT):
-            return type(g)(g.var, walk(g.body, vm))
-        if isinstance(g, SO_QUANT):
-            if g.var == vm:
-                return g
-            _, free_so = free_variables(g.body)
-            if g.var == vn and vm in free_so:
-                clean = False
-                fresh = SOVar(max(max_so_index(g.body), vm.index, vn.index) + 1, g.var.arity)
-                body, _ = substitute_so(g.body, g.var, fresh)
-                return type(g)(fresh, walk(body, vm))
-            return type(g)(g.var, walk(g.body, vm))
-        if isinstance(g, InstAtom):
-            if g.var == vm:
-                return g
-            return InstAtom(g.var, walk(g.body, vm))
-        raise FormulaError(f"not a formula: {g!r}")
+        if isinstance(g, BINDERS) and g.var == vm:
+            return g
+        if isinstance(g, SO_QUANT) and g.var == vn and vm in free_variables(g.body)[1]:
+            clean = False
+            fresh = SOVar(max(max_so_index(g.body), vm.index, vn.index) + 1, g.var.arity)
+            body, _ = substitute_so(g.body, g.var, fresh)
+            return type(g)(fresh, walk(body))
+        return rebuild(g, tuple(map(walk, children(g))))
 
-    return walk(f, vm), clean
+    return walk(f), clean
 
 
 def a6_instantiate(f: Formula, var: SOVar, member) -> Formula:
@@ -678,38 +673,20 @@ def a6_instantiate(f: Formula, var: SOVar, member) -> Formula:
     def occurs_in_soeq(g):
         if isinstance(g, SOEq):
             return var in (g.left, g.right)
-        if isinstance(g, Not):
-            return occurs_in_soeq(g.body)
-        if isinstance(g, BINARY):
-            return occurs_in_soeq(g.left) or occurs_in_soeq(g.right)
-        if isinstance(g, FO_QUANT):
-            return occurs_in_soeq(g.body)
-        if isinstance(g, SO_QUANT) or isinstance(g, InstAtom):
-            return False if g.var == var else occurs_in_soeq(g.body)
-        return False
+        if isinstance(g, BINDERS) and g.var == var:
+            return False
+        return any(map(occurs_in_soeq, children(g)))
 
     if occurs_in_soeq(f):
         raise FormulaError(
             f"{var} occurs free in a second-order identity; instantiation is undefined")
 
     def walk(g):
-        if isinstance(g, (PredApp, TermEq, SOEq)):
-            return g
-        if isinstance(g, SOApp):
-            if g.var != var:
-                return g
+        if isinstance(g, SOApp) and g.var == var:
             return substitute_fo_many(theta, dict(zip(member.slots, g.args)))
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, BINARY):
-            return type(g)(walk(g.left), walk(g.right))
-        if isinstance(g, FO_QUANT):
-            return type(g)(g.var, walk(g.body))
-        if isinstance(g, SO_QUANT):
-            return g if g.var == var else type(g)(g.var, walk(g.body))
-        if isinstance(g, InstAtom):
-            return g if g.var == var else InstAtom(g.var, walk(g.body))
-        raise FormulaError(f"not a formula: {g!r}")
+        if isinstance(g, BINDERS) and g.var == var:
+            return g
+        return rebuild(g, tuple(map(walk, children(g))))
 
     out = walk(f)
     for p in reversed(fresh_params):
@@ -843,6 +820,14 @@ _TOKEN = re.compile(r"""
   | (?P<ident>[A-Za-z][A-Za-z0-9_]*(\^\d+)?)
 """, re.VERBOSE)
 
+# The deepest nesting `parse` accepts, while parsing (parentheses, prefix
+# operators and implication chains each open a level) and in the formula it
+# returns: the largest depth at which parse, validate, normalize, format,
+# alpha_key and eval all finish under the default recursion limit, with a
+# margin.  Called 60 frames deep, parentheses fail past 131 levels (seven parser
+# frames each) and `exists` chains past 231 (normalize triples the depth).
+MAX_DEPTH = 100
+
 _CANON_FO = re.compile(r"^x(\d+)$")
 _NAMED_FO = re.compile(r"^[uvwyz]\d*$|^x$")
 _CANON_SO = re.compile(r"^X(\d+)(\^(\d+))?$")
@@ -883,6 +868,7 @@ class _Parser:
         self.sig = sig
         self.pos = 0
         self.allow_inst = allow_inst
+        self.depth = 1                  # the top level, as `_depth` counts it
         self._intern_named()
 
     def _intern_named(self):
@@ -932,6 +918,16 @@ class _Parser:
     def peek(self) -> _Tok:
         return self.toks[self.pos]
 
+    def nested(self, parse) -> Formula:
+        """Run one nested parse, refusing nesting deeper than MAX_DEPTH."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels",
+                             self.peek().pos)
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
+        return f
+
     def take(self, kind=None) -> _Tok:
         t = self.toks[self.pos]
         if kind is not None and t.kind != kind:
@@ -957,7 +953,7 @@ class _Parser:
         f = self.parse_or()
         if self.peek().kind == "imp":
             self.take()
-            return Implies(f, self.parse_imp())
+            return Implies(f, self.nested(self.parse_imp))
         return f
 
     def parse_or(self) -> Formula:
@@ -978,7 +974,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "not":
             self.take()
-            return Not(self.parse_unary())
+            return Not(self.nested(self.parse_unary))
         if t.kind in ("forall", "exists"):
             self.take()
             post = t.kind
@@ -986,7 +982,7 @@ class _Parser:
             while self.peek().kind == "comma":
                 self.take()
                 variables.append(self._parse_quant_var())
-            body = self.parse_unary()
+            body = self.nested(self.parse_unary)
             for v in reversed(variables):
                 if isinstance(v, FOVar):
                     body = ForallFO(v, body) if post == "forall" else ExistsFO(v, body)
@@ -1054,7 +1050,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "lparen":
             self.take()
-            f = self.parse_iff()
+            f = self.nested(self.parse_iff)
             self.take("rparen")
             return f
         if t.kind != "ident":
@@ -1110,14 +1106,18 @@ class _Parser:
         if kind != "sovar":
             raise ParseError("inst() needs a relation variable first", vtok.pos)
         self.take("comma")
-        body = self.parse_iff()
+        body = self.nested(self.parse_iff)
         self.take("rparen")
         return InstAtom(value, body)
 
 
 def parse(text: str, sig: Signature, allow_inst: bool = False) -> Formula:
     """Parse the concrete syntax into a (possibly sugared) formula."""
-    p = _Parser(_lex(text), sig, allow_inst=allow_inst)
-    f = p.parse_formula()
+    tokens = _lex(text)
+    f = _Parser(tokens, sig, allow_inst=allow_inst).parse_formula()
+    # a formula is no deeper than its number of tokens; long operator chains
+    # nest without nesting the parse
+    if len(tokens) > MAX_DEPTH and _depth(f) > MAX_DEPTH:
+        raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", 0)
     validate(f, sig)
     return f

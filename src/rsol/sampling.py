@@ -12,8 +12,8 @@ from typing import Optional
 
 from .formulas import (
     And, Const, ExistsFO, ExistsSO, ForallFO, ForallSO, Formula, FOVar, Func,
-    Iff, Implies, InstAtom, Not, Or, PredApp, Signature, SOApp, SOEq, SOVar,
-    TermEq, Var, free_variables,
+    Iff, Implies, Not, Or, PredApp, Signature, SOApp, SOEq, SOVar, TermEq,
+    Var, children, free_variables, rebuild,
 )
 from .structures import FiniteStructure
 
@@ -116,33 +116,18 @@ def random_sentence(rng: random.Random, sig: Signature, depth: int = 2,
 # ---------------------------------------------------------------------------
 
 def _sites(f: Formula, path=()):
+    """Every subformula of f in preorder, with its path of child indices."""
     yield path, f
-    if isinstance(f, Not):
-        yield from _sites(f.body, path + ("body",))
-    elif isinstance(f, And):
-        yield from _sites(f.left, path + ("left",))
-        yield from _sites(f.right, path + ("right",))
-    elif isinstance(f, (ForallFO, ForallSO, InstAtom)):
-        yield from _sites(f.body, path + ("body",))
+    for i, g in enumerate(children(f)):
+        yield from _sites(g, path + (i,))
 
 
 def _replace(f: Formula, path, value):
     if not path:
         return value
-    head, rest = path[0], path[1:]
-    if isinstance(f, Not):
-        return Not(_replace(f.body, rest, value))
-    if isinstance(f, And):
-        if head == "left":
-            return And(_replace(f.left, rest, value), f.right)
-        return And(f.left, _replace(f.right, rest, value))
-    if isinstance(f, ForallFO):
-        return ForallFO(f.var, _replace(f.body, rest, value))
-    if isinstance(f, ForallSO):
-        return ForallSO(f.var, _replace(f.body, rest, value))
-    if isinstance(f, InstAtom):
-        return InstAtom(f.var, _replace(f.body, rest, value))
-    raise AssertionError(path)
+    kids = list(children(f))
+    kids[path[0]] = _replace(kids[path[0]], path[1:], value)
+    return rebuild(f, kids)
 
 
 def _tweak_atom(rng: random.Random, g: Formula, sig: Signature):

@@ -20,8 +20,8 @@ from .corpus import (
     orbit_catalog, proof_corpus,
 )
 from .formulas import (
-    And, ForallSO, Formula, FormulaError, FOVar, Implies, Not, SOApp, SOVar,
-    Var, alpha_eq, format_formula, free_variables, normalize,
+    BINDERS, ForallSO, Formula, FormulaError, FOVar, Implies, SOApp, SOVar,
+    Var, alpha_eq, children, format_formula, free_variables, normalize, rebuild,
 )
 from .sampling import mutate_formula, random_formula, random_structure
 from .structures import (
@@ -130,31 +130,19 @@ def _axiom_instance(rng, schema: str, fam: ThetaFamily, sig) -> Formula:
 def _replace_some(rng, phi, vm, vn):
     """Replace a random nonempty subset of the free vm-applications by vn,
     skipping sites where either variable is bound."""
-    from .formulas import ForallFO as _AFO, ForallSO as _ASO
-
-    changed = [False]
-
     def walk(g, bound):
         if isinstance(g, SOApp):
             if g.var == vm and vm not in bound and vn not in bound \
                     and rng.random() < 0.6:
-                changed[0] = True
                 return SOApp(vn, g.args)
             return g
-        if isinstance(g, Not):
-            return Not(walk(g.body, bound))
-        if isinstance(g, And):
-            return And(walk(g.left, bound), walk(g.right, bound))
-        if isinstance(g, _AFO):
-            return _AFO(g.var, walk(g.body, bound))
-        if isinstance(g, _ASO):
-            return _ASO(g.var, walk(g.body, bound | {g.var}))
-        return g
+        if isinstance(g, BINDERS):
+            bound = bound | {g.var}
+        return rebuild(g, [walk(k, bound) for k in children(g)])
 
-    out = walk(normalize(phi), frozenset())
-    if not changed[0]:
-        return None, False
-    return out, True
+    phi = normalize(phi)
+    out = walk(phi, frozenset())
+    return (out, True) if out != phi else (None, False)
 
 
 def suite_soundness(seed: int = 0, per_schema: int = 200,

@@ -13,6 +13,7 @@ from rsol.formulas import (
     InstAtom, Not, PredApp, Signature, SOApp, SOVar, TermEq, Var, alpha_eq,
     implies, normalize, parse,
 )
+from rsol.corpus import proof_corpus
 from rsol.theta import dsl, weak_so
 
 SIG = Signature(predicates={"P0": 1, "P1": 2}, constants=["c0", "c1"])
@@ -406,3 +407,16 @@ def test_check_proof_independent_of_template_table_order():
     assert [va.template_verdicts[k].ok for k in sorted(va.template_verdicts)] == \
         [vb.template_verdicts[k].ok for k in sorted(vb.template_verdicts)]
     del first, second
+
+
+@pytest.mark.parametrize("name, n", [
+    ("omega-self-weak", 200), ("omega-with-premise", 200),
+    ("omega-under-conjunction", 60),
+])
+def test_deep_template_instances_check_within_the_recursion_limit(name, n):
+    # instances of the weak-so templates deepen with n; these bounds sit
+    # below the depths at which check_proof runs out of stack (247, 247
+    # and 80), so a walker that takes more frames per level fails here
+    proof = {item.name: item.proof for item in proof_corpus()}[name]
+    (template,) = proof.templates.values()
+    accepted(instantiate_template(template, proof, n))

@@ -8,6 +8,7 @@ import pytest
 
 import rsol
 from rsol.cli import main
+from rsol.formulas import MAX_DEPTH
 
 TWO = '{"domain_size": 2, "predicates": {}, "functions": {}, "constants": {}}'
 PRED = ('{"domain_size": 2, "predicates": {"P0": [[0]]}, '
@@ -215,3 +216,60 @@ def test_malformed_structure_exits_3(tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert code == 3
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("justification", [
+    "premise", "ax", "eq", "A1", "A2", "A6", "mp 1", "gen x0", "genso X0", "R3",
+])
+def test_justification_missing_its_argument_exits_3(tmp_path, capsys, justification):
+    proof = tmp_path / "short.prf"
+    proof.write_text(f"1. P0(c0) ; {justification}\n", encoding="utf-8")
+    code = main(["prove-check", "--proof", str(proof)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: line 1: justification {justification!r} is missing an argument\n")
+
+
+DEEP = {
+    "negations": "~" * 1200 + "P0(c0)",
+    "parentheses": "(" * 200 + "P0(c0)" + ")" * 200,
+    "conjunction chain": " & ".join(["P0(c0)"] * 1200),
+    "implication chain": " -> ".join(["P0(c0)"] * 1200),
+}
+
+
+@pytest.fixture
+def const_json(tmp_path):
+    p = tmp_path / "const.json"
+    p.write_text('{"domain_size": 2, "predicates": {"P0": [[0]]}, "constants": {"c0": 0}}',
+                 encoding="utf-8")
+    return str(p)
+
+
+@pytest.mark.parametrize("command", ["parse", "eval", "prove-check"])
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_deep_input_exits_2(tmp_path, capsys, const_json, command, name):
+    text = DEEP[name]
+    if command == "parse":
+        args = ["parse", "--sentence", text]
+    elif command == "eval":
+        args = ["eval", "--structure", const_json, "--oracle", "all", "--sentence", text]
+    else:
+        proof = tmp_path / "deep.prf"
+        proof.write_text(f"1. {text} ; ax P1\n", encoding="utf-8")
+        args = ["prove-check", "--proof", str(proof)]
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("parse error: formula nested deeper than") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "~" * (MAX_DEPTH - 1) + "P0(c0)",
+    "(" * (MAX_DEPTH - 1) + "P0(c0)" + ")" * (MAX_DEPTH - 1),
+    " & ".join(["P0(c0)"] * MAX_DEPTH),
+], ids=["negations", "parentheses", "conjunction chain"])
+def test_formula_at_the_depth_limit_parses_and_evaluates(const_json, text):
+    assert run_cli(["parse", "--sentence", text])[0] == 0
+    assert run_cli(["eval", "--structure", const_json, "--oracle", "all",
+                    "--sentence", text])[0] == 0

@@ -9,6 +9,7 @@ from rsol.formulas import (
     quantifier_rank, substitute_fo, substitute_fo_many, substitute_so,
     validate,
 )
+import rsol.formulas as syntax
 
 SIG = Signature(predicates={"P0": 1, "P1": 2}, functions={"f0": 1},
                 constants=["c0", "c1"])
@@ -307,3 +308,37 @@ def test_alpha_key_reflexive_and_normalize_idempotent(f):
     n = normalize(f)
     assert normalize(n) == n
     assert alpha_eq(f, n)
+
+
+# one instance of every concrete node type, with distinct subformulas so
+# that the order of children shows
+_A, _B = PredApp("P0", (Var(x0),)), SOApp(X0, (Const("c0"),))
+NODES = [
+    PredApp("P1", (Var(x0), Const("c1"))), TermEq(Var(x0), Const("c0")),
+    SOApp(X0, (Var(x1),)), SOEq(X0, X1),
+    Not(_A), And(_A, _B), Or(_A, _B), Implies(_A, _B), Iff(_A, _B),
+    ForallFO(x0, _A), ExistsFO(x0, _A), ForallSO(X0, _B), ExistsSO(X0, _B),
+    InstAtom(X0, _B),
+]
+
+
+def test_shape_table_covers_every_node_type():
+    concrete = {cls for cls in vars(syntax).values()
+                if isinstance(cls, type) and issubclass(cls, syntax.Formula)
+                and cls is not syntax.Formula}
+    assert concrete == set(syntax.SUBFORMULAS) == {type(f) for f in NODES}
+
+
+@pytest.mark.parametrize("f", NODES, ids=lambda f: type(f).__name__)
+def test_rebuild_of_children_is_the_node(f):
+    kids = syntax.children(f)
+    assert kids == tuple(getattr(f, name) for name in syntax.SUBFORMULAS[type(f)])
+    assert syntax.rebuild(f, kids) == f
+    if len(kids) == 2:
+        assert syntax.rebuild(f, kids[::-1]) == type(f)(_B, _A)
+
+
+@pytest.mark.parametrize("thing", [Var(x0), X0, "P0(c0)", None, 3])
+def test_children_of_a_non_formula_raise(thing):
+    with pytest.raises(FormulaError, match="not a formula"):
+        syntax.children(thing)
