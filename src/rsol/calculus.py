@@ -15,6 +15,7 @@ revalidates everything from scratch.
 
 from __future__ import annotations
 
+import inspect
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -22,9 +23,9 @@ from typing import Iterable, Optional
 from .formulas import (
     BINDERS, SUBFORMULAS, And, ExistsSO, ForallFO, ForallSO, Formula,
     FormulaError, FOVar, Func, Iff, InstAtom, Not, Signature, SOApp, SOEq,
-    SOVar, Term, TermEq, Var, a6_instantiate, alpha_eq, as_implies, children,
-    free_variables, implies, is_sentence, normalize, parse,
-    substitute_fo, substitute_so, term_fo_vars, validate, CaptureError,
+    PredApp, SOVar, Term, TermEq, Var, _depth, a6_instantiate, alpha_eq,
+    as_implies, children, free_variables, implies, is_sentence, normalize,
+    parse, substitute_fo, substitute_so, term_fo_vars, validate, CaptureError,
 )
 from .theta import ThetaFamily
 
@@ -171,35 +172,28 @@ class Verdict:
 # Axiom builders (normalized output)
 # ---------------------------------------------------------------------------
 
+# The propositional schemata of the first-order base, in the notation of the
+# README's "Hilbert base" note.  Each entry is a function of its metavariables
+# and is the one definition of its schema: `build_schema` applies it to
+# normalized parts, and `_match_schema` unifies a line with it applied to
+# placeholder atoms.
+SCHEMATA = {
+    "P1": lambda a, b: implies(a, implies(b, a)),
+    "P2": lambda a, b, c: implies(implies(a, implies(b, c)),
+                                  implies(implies(a, b), implies(a, c))),
+    "P3": lambda a, b: implies(implies(Not(b), Not(a)), implies(a, b)),
+    "C1": lambda a, b: implies(And(a, b), a),
+    "C2": lambda a, b: implies(And(a, b), b),
+    "C3": lambda a, b: implies(a, implies(b, And(a, b))),
+}
+
+
+def build_schema(name: str, *parts):
+    return SCHEMATA[name](*map(normalize, parts))
+
+
 def build_p1(a, b):
-    a, b = normalize(a), normalize(b)
-    return implies(a, implies(b, a))
-
-
-def build_p2(a, b, c):
-    a, b, c = normalize(a), normalize(b), normalize(c)
-    return implies(implies(a, implies(b, c)),
-                   implies(implies(a, b), implies(a, c)))
-
-
-def build_p3(a, b):
-    a, b = normalize(a), normalize(b)
-    return implies(implies(Not(b), Not(a)), implies(a, b))
-
-
-def build_c1(a, b):
-    a, b = normalize(a), normalize(b)
-    return implies(And(a, b), a)
-
-
-def build_c2(a, b):
-    a, b = normalize(a), normalize(b)
-    return implies(And(a, b), b)
-
-
-def build_c3(a, b):
-    a, b = normalize(a), normalize(b)
-    return implies(a, implies(b, And(a, b)))
+    return build_schema("P1", a, b)
 
 
 def build_q1(x: FOVar, phi, t: Term):
@@ -208,12 +202,28 @@ def build_q1(x: FOVar, phi, t: Term):
     return implies(ForallFO(x, phi), inst)
 
 
-def build_q2(x: FOVar, a, b):
+_FORALL = {FOVar: ForallFO, SOVar: ForallSO}
+
+
+def _distribution(v, a, b):
+    forall = _FORALL[type(v)]
+    return implies(forall(v, implies(a, b)), implies(a, forall(v, b)))
+
+
+def _free_in(v, f) -> bool:
+    return any(v in vs for vs in free_variables(f))
+
+
+def build_distribution(v, a, b):
+    """Distribution over the universal quantifier on v: Q2 when v is a
+    first-order variable, A5 when it is a relation variable."""
     a, b = normalize(a), normalize(b)
-    fo, _ = free_variables(a)
-    if x in fo:
-        raise FormulaError(f"{x} must not be free in the antecedent")
-    return implies(ForallFO(x, implies(a, b)), implies(a, ForallFO(x, b)))
+    if _free_in(v, a):
+        raise FormulaError(f"{v} must not be free in the antecedent")
+    return _distribution(v, a, b)
+
+
+build_q2 = build_a5 = build_distribution
 
 
 def build_eq_refl(t: Term):
@@ -267,14 +277,6 @@ def build_a4(vm: SOVar, phi, vn: SOVar):
     return implies(ForallSO(vm, phi), inst)
 
 
-def build_a5(vm: SOVar, a, b):
-    a, b = normalize(a), normalize(b)
-    _, so = free_variables(a)
-    if vm in so:
-        raise FormulaError(f"{vm} must not be free in the antecedent")
-    return implies(ForallSO(vm, implies(a, b)), implies(a, ForallSO(vm, b)))
-
-
 def build_a6(v: SOVar, phi, member):
     phi = normalize(phi)
     return implies(ForallSO(v, phi), normalize(a6_instantiate(phi, v, member)))
@@ -284,82 +286,41 @@ def build_a6(v: SOVar, phi, member):
 # Recognizers
 # ---------------------------------------------------------------------------
 
-def _match_p1(f):
-    d = as_implies(f)
-    if d is None:
-        return None
-    a, rest = d
-    d2 = as_implies(rest)
-    if d2 is None or d2[1] != a:
-        return None
-    return {"a": a, "b": d2[0]}
+def _unify(pattern, f, binding: dict) -> bool:
+    """Whether f is pattern with each metavariable replaced by one formula,
+    recording the replacements in binding.  The atoms of a pattern are its
+    metavariables; a pattern is not itself one, and it has no binders."""
+    t = type(pattern)
+    if type(f) is not t:
+        return False
+    for name in SUBFORMULAS[t]:
+        p, g = getattr(pattern, name), getattr(f, name)
+        if type(p) is PredApp:
+            bound = binding.setdefault(p.name, g)
+            if bound is not g and bound != g:
+                return False
+        elif not _unify(p, g, binding):
+            return False
+    return True
 
 
-def _match_p2(f):
-    d = as_implies(f)
-    if d is None:
-        return None
-    lhs, rhs = d
-    dl = as_implies(lhs)
-    dr = as_implies(rhs)
-    if dl is None or dr is None:
-        return None
-    a, bc = dl
-    d_bc = as_implies(bc)
-    if d_bc is None:
-        return None
-    b, c = d_bc
-    d_ab = as_implies(dr[0])
-    d_ac = as_implies(dr[1])
-    if d_ab != (a, b) or d_ac != (a, c):
-        return None
-    return {"a": a, "b": b, "c": c}
+def _pattern(schema):
+    """The metavariable names of a SCHEMATA entry, and the entry applied to
+    placeholder atoms "?a", "?b", ..., which no parse can produce."""
+    params = tuple(inspect.signature(schema).parameters)
+    return params, schema(*(PredApp("?" + p, ()) for p in params))
 
 
-def _match_p3(f):
-    d = as_implies(f)
-    if d is None:
-        return None
-    lhs, rhs = d
-    dl = as_implies(lhs)
-    dr = as_implies(rhs)
-    if dl is None or dr is None:
-        return None
-    nb, na = dl
-    if not (isinstance(nb, Not) and isinstance(na, Not)):
-        return None
-    a, b = dr
-    if nb.body != b or na.body != a:
-        return None
-    return {"a": a, "b": b}
+_PATTERNS = {name: _pattern(schema) for name, schema in SCHEMATA.items()}
 
 
-def _match_c1(f):
-    d = as_implies(f)
-    if d is None or not isinstance(d[0], And) or d[0].left != d[1]:
+def _match_schema(name: str, f):
+    """The parts {"a": ..., ...} that build f from SCHEMATA[name], else None."""
+    params, pattern = _PATTERNS[name]
+    binding: dict = {}
+    if not _unify(pattern, f, binding):
         return None
-    return {"a": d[0].left, "b": d[0].right}
-
-
-def _match_c2(f):
-    d = as_implies(f)
-    if d is None or not isinstance(d[0], And) or d[0].right != d[1]:
-        return None
-    return {"a": d[0].left, "b": d[0].right}
-
-
-def _match_c3(f):
-    d = as_implies(f)
-    if d is None:
-        return None
-    a, rest = d
-    d2 = as_implies(rest)
-    if d2 is None:
-        return None
-    b, ab = d2
-    if not isinstance(ab, And) or ab.left != a or ab.right != b:
-        return None
-    return {"a": a, "b": b}
+    return {p: binding["?" + p] for p in params}
 
 
 def _atom_terms(a):
@@ -418,24 +379,16 @@ def _match_q1(f):
     return None
 
 
-def _match_q2(f):
+def _match_distribution(f, sort):
+    """The parts (v, a, b) that build f by `build_distribution`, where v is
+    of type sort (FOVar for Q2, SOVar for A5), else None."""
     d = as_implies(f)
-    if d is None or not isinstance(d[0], ForallFO):
+    if d is None or type(d[0]) is not _FORALL[sort]:
         return None
-    x, body = d[0].var, d[0].body
-    db = as_implies(body)
-    dr = as_implies(d[1])
-    if db is None or dr is None:
+    v, ab = d[0].var, as_implies(d[0].body)
+    if ab is None or f != _distribution(v, *ab) or _free_in(v, ab[0]):
         return None
-    a, b = db
-    if dr[0] != a or not isinstance(dr[1], ForallFO):
-        return None
-    if dr[1].var != x or dr[1].body != b:
-        return None
-    fo, _ = free_variables(a)
-    if x in fo:
-        return None
-    return {"x": x}
+    return (v, *ab)
 
 
 def _match_eq_refl(f):
@@ -569,31 +522,13 @@ def _match_a4(f):
     return None
 
 
-def _match_a5(f):
-    d = as_implies(f)
-    if d is None or not isinstance(d[0], ForallSO):
-        return None
-    vm, body = d[0].var, d[0].body
-    db = as_implies(body)
-    dr = as_implies(d[1])
-    if db is None or dr is None:
-        return None
-    a, b = db
-    if dr[0] != a or not isinstance(dr[1], ForallSO):
-        return None
-    if dr[1].var != vm or dr[1].body != b:
-        return None
-    _, so = free_variables(a)
-    if vm in so:
-        return None
-    return {"vm": vm}
+def _match_a2(f, arity: int) -> bool:
+    """Whether f is the extensionality instance at arity, up to the names of
+    bound variables.  That instance has more than arity levels, so a larger
+    arity is refused before the instance is built."""
+    return arity < _depth(f) and alpha_eq(f, build_a2(arity))
 
 
-_FO_MATCHERS = {
-    "P1": _match_p1, "P2": _match_p2, "P3": _match_p3,
-    "C1": _match_c1, "C2": _match_c2, "C3": _match_c3,
-    "Q1": _match_q1, "Q2": _match_q2,
-}
 _EQ_MATCHERS = {"refl": _match_eq_refl, "subst": _match_eq_subst}
 
 
@@ -624,17 +559,23 @@ def recognize_axiom(f: Formula, fam: Optional[ThetaFamily] = None,
     Family-indexed schemata are searched up to `search_bound` members.
     """
     f = normalize(f)
-    for name, matcher in _FO_MATCHERS.items():
-        got = matcher(f)
+    for name in SCHEMATA:
+        got = _match_schema(name, f)
         if got is not None:
             return (name, got)
+    got = _match_q1(f)
+    if got is not None:
+        return ("Q1", got)
+    got = _match_distribution(f, FOVar)
+    if got is not None:
+        return ("Q2", {"x": got[0]})
     for name, matcher in _EQ_MATCHERS.items():
         got = matcher(f)
         if got is not None:
             return ("eq-" + name, got)
     if isinstance(f, ForallSO) and isinstance(f.body, ForallSO):
         arity = f.var.arity
-        if alpha_eq(f, build_a2(arity)):
+        if _match_a2(f, arity):
             return ("A2", {"arity": arity})
         got = _match_a3(f)
         if got is not None:
@@ -642,9 +583,9 @@ def recognize_axiom(f: Formula, fam: Optional[ThetaFamily] = None,
     got = _match_a4(f)
     if got is not None:
         return ("A4", got)
-    got = _match_a5(f)
+    got = _match_distribution(f, SOVar)
     if got is not None:
-        return ("A5", got)
+        return ("A5", {"vm": got[0]})
     if fam is not None:
         for n in range(search_bound + 1):
             if _match_a1(f, fam, n):
@@ -686,10 +627,15 @@ def _check_justified_line(proof: Proof, lines, i: int, line: ProofLine,
             return "formula differs from the cited premise"
         return None
     if isinstance(j, FOAxiom):
-        matcher = _FO_MATCHERS.get(j.schema)
-        if matcher is None:
+        if j.schema in SCHEMATA:
+            got = _match_schema(j.schema, f)
+        elif j.schema == "Q1":
+            got = _match_q1(f)
+        elif j.schema == "Q2":
+            got = _match_distribution(f, FOVar)
+        else:
             return f"unknown schema {j.schema}"
-        if matcher(f) is None:
+        if got is None:
             return f"not an instance of {j.schema}"
         return None
     if isinstance(j, EqAxiom):
@@ -710,7 +656,7 @@ def _check_justified_line(proof: Proof, lines, i: int, line: ProofLine,
     if isinstance(j, A2):
         if not proof.sig.identity:
             return "extensionality needs identity"
-        if not alpha_eq(f, build_a2(j.arity)):
+        if not _match_a2(f, j.arity):
             return f"not the extensionality instance at arity {j.arity}"
         return None
     if isinstance(j, A3):
@@ -724,7 +670,7 @@ def _check_justified_line(proof: Proof, lines, i: int, line: ProofLine,
             return "not a universal-instance axiom"
         return None
     if isinstance(j, A5):
-        if _match_a5(f) is None:
+        if _match_distribution(f, SOVar) is None:
             return "not a distribution axiom"
         return None
     if isinstance(j, A6):
@@ -749,16 +695,11 @@ def _check_justified_line(proof: Proof, lines, i: int, line: ProofLine,
         if lines[j.implication].formula != implies(lines[j.antecedent].formula, f):
             return "implication line does not match antecedent and conclusion"
         return None
-    if isinstance(j, GenFO):
+    if isinstance(j, (GenFO, GenSO)):
         if not 0 <= j.line < i:
             return "generalization cites a line that is not strictly earlier"
-        if f != ForallFO(j.var, lines[j.line].formula):
-            return "not the generalization of the cited line"
-        return None
-    if isinstance(j, GenSO):
-        if not 0 <= j.line < i:
-            return "generalization cites a line that is not strictly earlier"
-        if f != ForallSO(j.var, lines[j.line].formula):
+        forall = ForallFO if isinstance(j, GenFO) else ForallSO
+        if f != forall(j.var, lines[j.line].formula):
             return "not the generalization of the cited line"
         return None
     if isinstance(j, R3):
@@ -919,29 +860,17 @@ class _LineBuilder:
     def premise(self, k: int) -> int:
         return self._emit(self.premises[k], Premise(k))
 
-    def p1(self, a, b) -> int:
-        return self._emit(build_p1(a, b), FOAxiom("P1"))
-
-    def p2(self, a, b, c) -> int:
-        return self._emit(build_p2(a, b, c), FOAxiom("P2"))
-
-    def p3(self, a, b) -> int:
-        return self._emit(build_p3(a, b), FOAxiom("P3"))
-
-    def c1(self, a, b) -> int:
-        return self._emit(build_c1(a, b), FOAxiom("C1"))
-
-    def c2(self, a, b) -> int:
-        return self._emit(build_c2(a, b), FOAxiom("C2"))
-
-    def c3(self, a, b) -> int:
-        return self._emit(build_c3(a, b), FOAxiom("C3"))
+    def schema(self, name: str, *parts) -> int:
+        return self._emit(build_schema(name, *parts), FOAxiom(name))
 
     def q1(self, x, phi, t) -> int:
         return self._emit(build_q1(x, phi, t), FOAxiom("Q1"))
 
-    def q2(self, x, a, b) -> int:
-        return self._emit(build_q2(x, a, b), FOAxiom("Q2"))
+    def distribution(self, v, a, b) -> int:
+        j = FOAxiom("Q2") if isinstance(v, FOVar) else A5()
+        return self._emit(build_distribution(v, a, b), j)
+
+    q2 = a5 = distribution
 
     def eq_refl(self, t) -> int:
         return self._emit(build_eq_refl(t), EqAxiom("refl"))
@@ -962,9 +891,6 @@ class _LineBuilder:
     def a4(self, vm, phi, vn) -> int:
         return self._emit(build_a4(vm, phi, vn), A4())
 
-    def a5(self, vm, a, b) -> int:
-        return self._emit(build_a5(vm, a, b), A5())
-
     def a6(self, v, phi, theta_index: int) -> int:
         member = self.family.arity_member(v.arity, theta_index)
         return self._emit(build_a6(v, phi, member), A6(theta_index))
@@ -980,15 +906,15 @@ class _LineBuilder:
     def imp_identity(self, a) -> int:
         a = normalize(a)
         aa = implies(a, a)
-        first = self.p1(a, aa)
-        second = self.p2(a, aa, a)
+        first = self.schema("P1", a, aa)
+        second = self.schema("P2", a, aa, a)
         third = self.mp(second, first)
-        fourth = self.p1(a, a)
+        fourth = self.schema("P1", a, a)
         return self.mp(third, fourth)
 
     def weaken(self, b_line: int, a) -> int:
         b = self.formula_at(b_line)
-        k = self.p1(b, a)
+        k = self.schema("P1", b, a)
         return self.mp(k, b_line)
 
     def syllogism(self, ab_line: int, bc_line: int) -> int:
@@ -997,7 +923,7 @@ class _LineBuilder:
         if b != b2:
             raise FormulaError("syllogism middle terms differ")
         abc = self.weaken(bc_line, a)
-        dist = self.p2(a, b, c)
+        dist = self.schema("P2", a, b, c)
         step = self.mp(dist, abc)
         return self.mp(step, ab_line)
 
@@ -1007,7 +933,7 @@ class _LineBuilder:
         x2, b2 = as_implies(self.formula_at(x_b_line))
         if x2 != x or b2 != b:
             raise FormulaError("contexts differ")
-        dist = self.p2(x, b, c)
+        dist = self.schema("P2", x, b, c)
         step = self.mp(dist, x_bc_line)
         return self.mp(step, x_b_line)
 
@@ -1019,7 +945,7 @@ class _LineBuilder:
         if c2 != c:
             raise FormulaError("middle terms differ")
         lifted = self.weaken(cd_line, b)
-        dist = self.p2(b, c, d)
+        dist = self.schema("P2", b, c, d)
         bridge = self.mp(dist, lifted)
         return self.syllogism(a_bc_line, bridge)
 
@@ -1098,15 +1024,10 @@ def apply_deduction(proof: Proof, premise_index: Optional[int] = None) -> Proof:
             return builder.weaken(base, phi)
         if isinstance(j, MP):
             return builder.under(mapping[j.implication], mapping[j.antecedent])
-        if isinstance(j, GenFO):
-            seed = builder.gen_fo(mapping[j.line], j.var)
-            body = lines[j.line].formula
-            dist = builder.q2(j.var, phi, body)
-            return builder.mp(dist, seed)
-        if isinstance(j, GenSO):
-            seed = builder.gen_so(mapping[j.line], j.var)
-            body = lines[j.line].formula
-            dist = builder.a5(j.var, phi, body)
+        if isinstance(j, (GenFO, GenSO)):
+            gen = builder.gen_fo if isinstance(j, GenFO) else builder.gen_so
+            seed = gen(mapping[j.line], j.var)
+            dist = builder.distribution(j.var, phi, lines[j.line].formula)
             return builder.mp(dist, seed)
         if isinstance(j, R3):
             template = proof.templates[j.template]
@@ -1116,15 +1037,15 @@ def apply_deduction(proof: Proof, premise_index: Optional[int] = None) -> Proof:
             for ti, tline in enumerate(template.lines):
                 tmap[ti] = transform(tb, template.lines, tmap, ti, tline)
             # strengthen phi -> (psi -> inst) into (phi /\ psi) -> inst
-            first = tb.c1(phi, psi)
-            second = tb.c2(phi, psi)
+            first = tb.schema("C1", phi, psi)
+            second = tb.schema("C2", phi, psi)
             chained = tb.syllogism(first, tmap[len(template.lines) - 1])
             final = tb.under(chained, second)
             tb.repeat_last(final)
             counter[0] += 1
             new_template = tb.build(f"{j.template}@ded{counter[0]}")
             r3_line = builder.r3(new_template)
-            pack = builder.c3(phi, psi)
+            pack = builder.schema("C3", phi, psi)
             return builder.compose_inner(pack, r3_line)
         raise FormulaError(f"cannot transform justification {j!r}")
 

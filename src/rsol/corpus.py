@@ -59,17 +59,17 @@ def proof_corpus() -> list:
     out.append(CorpusProof("chain", pb.build()))
 
     pb = ProofBuilder(CORPUS_SIG, premises=[a, b])
-    pair = pb.c3(a, b)
+    pair = pb.schema("C3", a, b)
     step = pb.mp(pair, pb.premise(0))
     pb.mp(step, pb.premise(1))
     out.append(CorpusProof("conjunction-intro", pb.build()))
 
     pb = ProofBuilder(CORPUS_SIG, premises=[And(a, b)])
-    pb.mp(pb.c1(a, b), pb.premise(0))
+    pb.mp(pb.schema("C1", a, b), pb.premise(0))
     out.append(CorpusProof("conjunction-left", pb.build()))
 
     pb = ProofBuilder(CORPUS_SIG, premises=[And(a, b)])
-    pb.mp(pb.c2(a, b), pb.premise(0))
+    pb.mp(pb.schema("C2", a, b), pb.premise(0))
     out.append(CorpusProof("conjunction-right", pb.build()))
 
     pb = ProofBuilder(CORPUS_SIG, premises=[_p("forall x0 P0(x0)")])
@@ -149,7 +149,7 @@ def proof_corpus() -> list:
     pb = ProofBuilder(CORPUS_SIG, family=weak)
     tb = pb.template_builder()
     body = ForallSO(X0, SOApp(X0, (Const("c0"),)))
-    start = tb.c1(body, body)
+    start = tb.schema("C1", body, body)
     meta = tb.a6_meta(X0, SOApp(X0, (Const("c0"),)))
     tb.repeat_last(tb.syllogism(start, meta))
     pb.r3(tb.build("t-conj"))

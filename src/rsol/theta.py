@@ -67,7 +67,6 @@ class ThetaFamily:
                  contains=None):
         self.name = name
         self.sig = sig
-        self._gen_factory = generator
         self._iter = generator()
         self._cache: list = []
         self._arity_cache: dict = {}

@@ -1,19 +1,24 @@
+import inspect
+import random
+
 import pytest
 
 from rsol.calculus import (
-    A1, A2, A3, A4, A5, A6, EqAxiom, FOAxiom, GenFO, GenSO, MP, OmegaTemplate,
-    Premise, Proof, ProofBuilder, ProofLine, R3, TemplateBuilder,
-    apply_deduction, build_a1, build_a2, build_a3, build_a4, build_a5,
-    build_a6, build_eq_refl, build_eq_subst, build_p1, build_q1, build_q2,
-    check_proof, check_template, instantiate_template, load_premises_text,
-    load_proof_text, recognize_axiom, spot_check_template,
+    A1, A2, A3, A4, A5, A6, SCHEMATA, EqAxiom, FOAxiom, GenFO, GenSO, MP,
+    OmegaTemplate, Premise, Proof, ProofBuilder, ProofLine, R3,
+    TemplateBuilder, _match_distribution, _match_schema, apply_deduction,
+    build_a1, build_a2, build_a3, build_a4, build_a5, build_a6,
+    build_distribution, build_eq_refl, build_eq_subst, build_p1, build_q1,
+    build_q2, build_schema, check_proof, check_template, instantiate_template,
+    load_premises_text, load_proof_text, recognize_axiom, spot_check_template,
 )
 from rsol.formulas import (
     And, Const, ExistsFO, ForallFO, ForallSO, FormulaError, FOVar, Implies,
     InstAtom, Not, PredApp, Signature, SOApp, SOVar, TermEq, Var, alpha_eq,
-    implies, normalize, parse,
+    children, implies, normalize, parse, rebuild,
 )
 from rsol.corpus import proof_corpus
+from rsol.sampling import random_formula
 from rsol.theta import dsl, weak_so
 
 SIG = Signature(predicates={"P0": 1, "P1": 2}, constants=["c0", "c1"])
@@ -297,7 +302,7 @@ def test_apply_deduction_r3_with_premise_inside_template():
     meta = tb.a6_meta(X0, phi)
     got = tb.mp(meta, prem)
     tb.gen_fo(got, FOVar(5))
-    lift = tb.p1(tb.formula_at(got), normalize(a))
+    lift = tb.schema("P1", tb.formula_at(got), normalize(a))
     tb.repeat_last(tb.mp(lift, got))
     template = tb.build("t-rich")
     pb.r3(template)
@@ -420,3 +425,75 @@ def test_deep_template_instances_check_within_the_recursion_limit(name, n):
     proof = {item.name: item.proof for item in proof_corpus()}[name]
     (template,) = proof.templates.values()
     accepted(instantiate_template(template, proof, n))
+
+
+def _one_line(f, justification):
+    return check_proof(Proof(SIG, None, [], [ProofLine(f, justification)]))
+
+
+def _fill(pattern, parts, skew=None):
+    """pattern with each placeholder ?p replaced by parts[p], except that
+    occurrence number skew = (p, k) of ?p gets a different formula."""
+    seen: dict = {}
+
+    def walk(f):
+        if isinstance(f, PredApp):
+            p = f.name[1:]
+            seen[p] = seen.get(p, 0) + 1
+            return Not(parts[p]) if skew == (p, seen[p]) else parts[p]
+        return rebuild(f, [walk(g) for g in children(f)])
+
+    return walk(pattern), seen
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMATA))
+def test_schema_round_trip(name):
+    params = tuple(inspect.signature(SCHEMATA[name]).parameters)
+    pattern = SCHEMATA[name](*(PredApp("?" + p, ()) for p in params))
+    rng = random.Random(f"schema/{name}")
+    for _ in range(20):
+        parts = {p: normalize(random_formula(rng, SIG, rng.randrange(1, 4)))
+                 for p in params}
+        f = build_schema(name, *parts.values())
+        assert _match_schema(name, f) == parts
+        assert _one_line(f, FOAxiom(name)).ok
+        filled, occurrences = _fill(pattern, parts)
+        assert filled == f
+        repeated = [(p, k) for p, count in occurrences.items() if count > 1
+                    for k in range(1, count + 1)]
+        assert repeated
+        for skew in repeated:
+            skewed, _ = _fill(pattern, parts, skew)
+            assert _match_schema(name, skewed) is None
+            assert _one_line(skewed, FOAxiom(name)).reason == f"not an instance of {name}"
+
+
+@pytest.mark.parametrize("v", [x0, X0], ids=["Q2", "A5"])
+def test_distribution_round_trip(v):
+    forall, other = (ForallFO, SOVar) if isinstance(v, FOVar) else (ForallSO, FOVar)
+    name, justification, witness = (("Q2", FOAxiom("Q2"), {"x": v}) if forall is ForallFO
+                                    else ("A5", A5(), {"vm": v}))
+    v_atom = PredApp("P0", (Var(v),)) if forall is ForallFO else SOApp(v, (Const("c0"),))
+    rng = random.Random(f"distribution/{name}")
+    for _ in range(20):
+        # a is drawn without v; b may contain it
+        a = normalize(random_formula(rng, SIG, rng.randrange(1, 4),
+                                     fo_pool=[x1, FOVar(2)], so_pool=[X1]))
+        b = normalize(random_formula(rng, SIG, rng.randrange(1, 4)))
+        f = build_distribution(v, a, b)
+        assert _match_distribution(f, type(v)) == (v, a, b)
+        assert _match_distribution(f, other) is None
+        assert recognize_axiom(f) == (name, witness)
+        assert _one_line(f, justification).ok
+        c = Not(a)
+        for skewed in (implies(forall(v, implies(a, b)), implies(c, forall(v, b))),
+                       implies(forall(v, implies(a, b)), implies(a, forall(v, c)))):
+            assert _match_distribution(skewed, type(v)) is None
+            assert not _one_line(skewed, justification).ok
+        free = And(a, v_atom)
+        with pytest.raises(FormulaError, match="must not be free"):
+            build_distribution(v, free, b)
+        bad = implies(forall(v, implies(free, b)), implies(free, forall(v, b)))
+        assert _match_distribution(bad, type(v)) is None
+        assert recognize_axiom(bad) is None
+        assert not _one_line(bad, justification).ok

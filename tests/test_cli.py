@@ -230,6 +230,21 @@ def test_justification_missing_its_argument_exits_3(tmp_path, capsys, justificat
         f"error: line 1: justification {justification!r} is missing an argument\n")
 
 
+@pytest.mark.parametrize("line", [
+    "1. P0(c0) ; A2 2000",
+    "1. forall X0^2000 forall X1^2000 (X0^2000 = X1^2000) ; A2 2000",
+], ids=["atom", "relation identity"])
+def test_extensionality_at_a_hostile_arity_exits_4(tmp_path, capsys, line):
+    # building the instance at arity 2000 would nest 2000 quantifiers; the
+    # line has fewer levels, so it is rejected before anything is built
+    proof = tmp_path / "a2.prf"
+    proof.write_text(line + "\n", encoding="utf-8")
+    code = main(["prove-check", "--proof", str(proof)])
+    out, err = capsys.readouterr()
+    assert code == 4 and err == ""
+    assert out == "rejected at line 1: not the extensionality instance at arity 2000\n"
+
+
 DEEP = {
     "negations": "~" * 1200 + "P0(c0)",
     "parentheses": "(" * 200 + "P0(c0)" + ")" * 200,
