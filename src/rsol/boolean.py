@@ -486,7 +486,7 @@ class UltrafilterApprox:
         return not self.membership(element)
 
 
-def rs_construct(alg: BooleanAlgebra, entries, avoid, enumeration=None,
+def rs_construct(alg: BooleanAlgebra, entries, avoid,
                  decide_steps: Optional[int] = None,
                  witness_budget: int = 10_000) -> UltrafilterApprox:
     """Build a decreasing chain deciding every entry and avoiding `avoid`.
@@ -495,9 +495,9 @@ def rs_construct(alg: BooleanAlgebra, entries, avoid, enumeration=None,
     either forces the bound's complement into the chain or commits to a
     member witness (one must overlap the chain when the chain sits below
     the bound, because the bound distributes over the chain element);
-    meet entries are dual.  Element decisions from `enumeration` are
-    interleaved one per entry, then continued until `decide_steps` is
-    exhausted.  Every chain element stays nonzero, so the emitted
+    meet entries are dual.  Element decisions, in the order of
+    `alg.enumerate_elements()`, are interleaved one per entry, then continued
+    until `decide_steps` is exhausted.  Every chain element stays nonzero, so the emitted
     membership procedure is an ultrafilter on the decided fragment.
     """
     if alg.eq(avoid, alg.one):
@@ -507,13 +507,10 @@ def rs_construct(alg: BooleanAlgebra, entries, avoid, enumeration=None,
     steps: list = []
     decided: dict = {}
 
-    if enumeration is None:
-        try:
-            enum_iter = alg.enumerate_elements()
-        except AlgebraError:
-            enum_iter = iter(())
-    else:
-        enum_iter = iter(enumeration)
+    try:
+        enum_iter = alg.enumerate_elements()
+    except AlgebraError:
+        enum_iter = iter(())
     if decide_steps is None:
         decide_steps = len(alg.elements() or []) or 64
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import inspect
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Optional
 
 from .formulas import (
@@ -25,7 +26,7 @@ from .formulas import (
     FormulaError, FOVar, Func, Iff, InstAtom, Not, Signature, SOApp, SOEq,
     PredApp, SOVar, Term, TermEq, Var, _depth, a6_instantiate, alpha_eq,
     as_implies, children, free_variables, implies, is_sentence, normalize,
-    parse, substitute_fo, substitute_so, term_fo_vars, validate, CaptureError,
+    parse, substitute_fo, substitute_so, term_fo_vars, validate,
 )
 from .theta import ThetaFamily
 
@@ -196,13 +197,29 @@ def build_p1(a, b):
     return build_schema("P1", a, b)
 
 
-def build_q1(x: FOVar, phi, t: Term):
-    phi = normalize(phi)
-    inst = substitute_fo(phi, x, t, on_capture="fail")
-    return implies(ForallFO(x, phi), inst)
-
-
 _FORALL = {FOVar: ForallFO, SOVar: ForallSO}
+
+
+def _instance(v, phi, t):
+    """phi with t for the free occurrences of v; FormulaError unless t is
+    free for v in phi."""
+    if isinstance(v, FOVar):
+        return substitute_fo(phi, v, t, on_capture="fail")
+    inst, clean = substitute_so(phi, v, t)
+    if not clean:
+        raise FormulaError(f"{t} is not free for {v}")
+    return inst
+
+
+def build_instance(v, phi, t):
+    """Universal instance, forall v phi -> phi[t/v]: Q1 when v is a
+    first-order variable and t a term, A4 when v is a relation variable and
+    t one of the same arity."""
+    phi = normalize(phi)
+    return implies(_FORALL[type(v)](v, phi), _instance(v, phi, t))
+
+
+build_q1 = build_a4 = build_instance
 
 
 def _distribution(v, a, b):
@@ -230,11 +247,16 @@ def build_eq_refl(t: Term):
     return TermEq(t, t)
 
 
-def build_eq_subst(t1: Term, t2: Term, phi, phi_prime):
+def _replacement(eq, phi, phi_prime, what: str):
+    """eq -> (phi -> phi'), where phi' replaces eq.left by eq.right in phi."""
     phi, phi_prime = normalize(phi), normalize(phi_prime)
-    if not _is_term_replacement(phi, phi_prime, t1, t2):
-        raise FormulaError("not a term replacement instance")
-    return implies(TermEq(t1, t2), implies(phi, phi_prime))
+    if not _replaces(phi, phi_prime, eq.left, eq.right):
+        raise FormulaError(f"not a {what}")
+    return implies(eq, implies(phi, phi_prime))
+
+
+def build_eq_subst(t1: Term, t2: Term, phi, phi_prime):
+    return _replacement(TermEq(t1, t2), phi, phi_prime, "term replacement instance")
 
 
 def build_a1(member, so_index: int = 0):
@@ -260,21 +282,10 @@ def build_a2(arity: int):
 
 
 def build_a3(vm: SOVar, vn: SOVar, phi, phi_prime):
-    phi, phi_prime = normalize(phi), normalize(phi_prime)
     if vm.arity != vn.arity or vm == vn:
         raise FormulaError("needs two distinct variables of equal arity")
-    if not _is_so_replacement(phi, phi_prime, vm, vn):
-        raise FormulaError("not a replacement instance")
-    return ForallSO(vm, ForallSO(vn, implies(SOEq(vm, vn),
-                                             implies(phi, phi_prime))))
-
-
-def build_a4(vm: SOVar, phi, vn: SOVar):
-    phi = normalize(phi)
-    inst, clean = substitute_so(phi, vm, vn)
-    if not clean:
-        raise FormulaError(f"{vn} is not free for {vm}")
-    return implies(ForallSO(vm, phi), inst)
+    return ForallSO(vm, ForallSO(vn, _replacement(SOEq(vm, vn), phi, phi_prime,
+                                                  "replacement instance")))
 
 
 def build_a6(v: SOVar, phi, member):
@@ -323,60 +334,57 @@ def _match_schema(name: str, f):
     return {p: binding["?" + p] for p in params}
 
 
-def _atom_terms(a):
-    return (a.left, a.right) if isinstance(a, TermEq) else getattr(a, "args", ())
+def _split(u):
+    """The head of a formula or term, and the parts of it that a lockstep
+    walk enters; a variable or a constant is its own head and has no parts."""
+    t = type(u)
+    if t is PredApp or t is Func:
+        return (t, u.name), u.args
+    if t is TermEq or t is SOEq:
+        return t, (u.left, u.right)
+    if t is SOApp:
+        return t, (u.var, *u.args)
+    if t in SUBFORMULAS:
+        return ((t, u.var) if t in BINDERS else t), children(u)
+    return u, ()
 
 
-def _first_diff(phi, psi, atom_diff):
-    """The first non-None atom_diff(a, b), left to right, over the pairs of
-    atoms where phi and psi differ, both walked in lockstep."""
-    if phi == psi or type(phi) is not type(psi):
-        return None
-    kids = children(phi)
-    if not kids:
-        return atom_diff(phi, psi)
-    for a, b in zip(kids, children(psi)):
-        got = _first_diff(a, b, atom_diff)
-        if got is not None:
-            return got
-    return None
-
-
-def _first_term_diff(phi, psi, x: FOVar):
-    """Candidate substituted term: the psi-side of the first difference at a
-    position where phi has the variable x."""
-    def terms(us, vs):
-        for u, v in zip(us, vs):
-            if u == v:
+def _diffs(a, b, old):
+    """The outermost places where a and b differ, left to right, as triples:
+    the part of a, the part of b, and the variables of both sorts bound above
+    them.  An occurrence of old in a, and binders of different variables,
+    are each one whole difference and are not entered."""
+    stack = [(a, b, frozenset())]
+    while stack:
+        a, b, bound = stack.pop()
+        if a == b:
+            continue
+        if a != old:
+            (ha, pa), (hb, pb) = _split(a), _split(b)
+            if ha == hb and len(pa) == len(pb):
+                if type(a) in BINDERS:
+                    bound = bound | {a.var}
+                stack.extend(zip(reversed(pa), reversed(pb), repeat(bound)))
                 continue
-            if isinstance(u, Var) and u.var == x:
-                return v
-            if isinstance(u, Func) and isinstance(v, Func) and u.name == v.name:
-                got = terms(u.args, v.args)
-                if got is not None:
-                    return got
-        return None
-
-    return _first_diff(phi, psi, lambda a, b: terms(_atom_terms(a), _atom_terms(b)))
+        yield a, b, bound
 
 
-def _match_q1(f):
+def _match_instance(f, sort):
+    """The parts (v, t) that build f by `build_instance`, where v is of type
+    sort (FOVar for Q1, SOVar for A4), else None."""
     d = as_implies(f)
-    if d is None or not isinstance(d[0], ForallFO):
+    if d is None or type(d[0]) is not _FORALL[sort]:
         return None
-    x, phi = d[0].var, d[0].body
-    psi = d[1]
+    v, phi, psi = d[0].var, d[0].body, d[1]
+    old = Var(v) if sort is FOVar else v
     if psi == phi:
-        return {"x": x, "t": Var(x)}
-    t = _first_term_diff(phi, psi, x)
-    if t is None:
-        return None
+        return v, old
+    # t is what psi has at the first place where phi has v
+    t = next((b for a, b, _ in _diffs(phi, psi, old) if a == old), None)
     try:
-        if substitute_fo(phi, x, t, on_capture="fail") == psi:
-            return {"x": x, "t": t}
-    except CaptureError:
+        return (v, t) if t is not None and _instance(v, phi, t) == psi else None
+    except FormulaError:
         return None
-    return None
 
 
 def _match_distribution(f, sort):
@@ -391,135 +399,33 @@ def _match_distribution(f, sort):
     return (v, *ab)
 
 
-def _match_eq_refl(f):
-    if isinstance(f, TermEq) and f.left == f.right:
-        return {"t": f.left}
-    return None
+def _replaces(a, b, old, new) -> bool:
+    """Whether b is a with some occurrences of old (a term or a relation
+    variable) replaced by new, none of them under a binder of a variable of
+    old or new."""
+    blocking = ({old, new} if isinstance(old, SOVar)
+                else term_fo_vars(old) | term_fo_vars(new))
+    return all(u == old and v == new and not blocking & bound
+               for u, v, bound in _diffs(a, b, old))
 
 
-def _is_replacement(a, b, atom_ok, bound=frozenset()):
-    """Whether b is a with some atoms replaced.  Both are walked in lockstep;
-    binders must agree on their variable, and each pair of differing atoms
-    must pass atom_ok(a, b, bound), where bound holds the variables of both
-    sorts bound above them."""
-    if a == b:
-        return True
-    if type(a) is not type(b):
-        return False
-    kids = children(a)
-    if not kids:
-        return atom_ok(a, b, bound)
-    if isinstance(a, BINDERS):
-        if a.var != b.var:
-            return False
-        bound = bound | {a.var}
-    for u, v in zip(kids, children(b)):
-        if not _is_replacement(u, v, atom_ok, bound):
-            return False
-    return True
-
-
-def _is_term_replacement(a, b, t1, t2):
-    """Whether b is a with some occurrences of the term t1 replaced by t2,
-    none of them under a binder of a variable of t1 or t2."""
-    fo = term_fo_vars(t1) | term_fo_vars(t2)
-
-    def term_ok(u, v, blocked):
-        if u == v:
-            return True
-        if u == t1 and v == t2:
-            return not blocked
-        if isinstance(u, Func) and isinstance(v, Func) and u.name == v.name:
-            return all(term_ok(uu, vv, blocked) for uu, vv in zip(u.args, v.args))
-        return False
-
-    def atom_ok(a, b, bound):
-        if isinstance(a, SOEq) or getattr(a, "name", None) != getattr(b, "name", None) \
-                or getattr(a, "var", None) != getattr(b, "var", None):
-            return False
-        blocked = fo & bound
-        return all(term_ok(u, v, blocked) for u, v in zip(_atom_terms(a), _atom_terms(b)))
-
-    return _is_replacement(a, b, atom_ok)
-
-
-def _match_eq_subst(f):
+def _match_replacement(f, eq):
+    """The parts (old, new) of f = (old = new) -> (phi -> phi'), where phi'
+    replaces old by new in phi, else None.  eq is the type of the identity:
+    TermEq for eq-subst, SOEq for A3, whose line closes it by forall old
+    forall new with old and new distinct."""
+    if eq is SOEq:
+        if type(f) is not ForallSO or type(f.body) is not ForallSO:
+            return None
+        closure, f = (f.var, f.body.var), f.body.body
     d = as_implies(f)
-    if d is None or not isinstance(d[0], TermEq):
+    if d is None or type(d[0]) is not eq:
         return None
-    t1, t2 = d[0].left, d[0].right
-    d2 = as_implies(d[1])
-    if d2 is None:
+    old, new = d[0].left, d[0].right
+    if eq is SOEq and (closure != (old, new) or old == new):
         return None
-    phi, phi_prime = d2
-    if _is_term_replacement(phi, phi_prime, t1, t2):
-        return {"t1": t1, "t2": t2}
-    return None
-
-
-def _is_so_replacement(a, b, vm, vn):
-    """Whether b is a with some free occurrences of vm replaced by vn, none
-    of them under a binder of vm or vn."""
-    def atom_ok(a, b, bound):
-        free = vm not in bound and vn not in bound
-        if isinstance(a, SOApp):
-            return a.var == vm and b.var == vn and a.args == b.args and free
-        if isinstance(a, SOEq):
-            return all(u == v or (u == vm and v == vn and free)
-                       for u, v in ((a.left, b.left), (a.right, b.right)))
-        return False
-
-    return _is_replacement(a, b, atom_ok)
-
-
-def _match_a3(f):
-    if not isinstance(f, ForallSO) or not isinstance(f.body, ForallSO):
-        return None
-    vm, vn = f.var, f.body.var
-    d = as_implies(f.body.body)
-    if d is None or not isinstance(d[0], SOEq):
-        return None
-    if (d[0].left, d[0].right) != (vm, vn) or vm.arity != vn.arity or vm == vn:
-        return None
-    d2 = as_implies(d[1])
-    if d2 is None:
-        return None
-    phi, phi_prime = d2
-    if _is_so_replacement(phi, phi_prime, vm, vn):
-        return {"vm": vm, "vn": vn}
-    return None
-
-
-def _first_so_diff(phi, psi, vm: SOVar):
-    """Candidate incoming variable: the psi-side of the first difference at
-    a position where phi has vm."""
-    def so_atoms(a, b):
-        if isinstance(a, SOApp):
-            return b.var if a.var == vm and b.var != vm and a.args == b.args else None
-        if isinstance(a, SOEq):
-            for u, v in ((a.left, b.left), (a.right, b.right)):
-                if u == vm and v != vm:
-                    return v
-        return None
-
-    return _first_diff(phi, psi, so_atoms)
-
-
-def _match_a4(f):
-    d = as_implies(f)
-    if d is None or not isinstance(d[0], ForallSO):
-        return None
-    vm, phi = d[0].var, d[0].body
-    psi = d[1]
-    if psi == phi:
-        return {"vm": vm, "vn": vm}
-    vn = _first_so_diff(phi, psi, vm)
-    if vn is None or not isinstance(vn, SOVar) or vn.arity != vm.arity:
-        return None
-    inst, clean = substitute_so(phi, vm, vn)
-    if clean and inst == psi:
-        return {"vm": vm, "vn": vn}
-    return None
+    d = as_implies(d[1])
+    return (old, new) if d is not None and _replaces(*d, old, new) else None
 
 
 def _match_a2(f, arity: int) -> bool:
@@ -529,17 +435,29 @@ def _match_a2(f, arity: int) -> bool:
     return arity < _depth(f) and alpha_eq(f, build_a2(arity))
 
 
-_EQ_MATCHERS = {"refl": _match_eq_refl, "subst": _match_eq_subst}
+def _match_a2_own_arity(f):
+    """(arity,) when f is the extensionality instance at the arity of its
+    first quantified variable, else None."""
+    if type(f) is ForallSO and type(f.body) is ForallSO and _match_a2(f, f.var.arity):
+        return (f.var.arity,)
+    return None
 
 
 def _match_a1(f, fam: ThetaFamily, n: int):
+    """Whether f is the comprehension instance for member n.  That instance
+    contains the member's formula, so a member at least as deep as f is
+    refused before the instance is built."""
     try:
-        return alpha_eq(f, build_a1(fam.member_at(n)))
+        member = fam.member_at(n)
+        return _depth(member.formula) < _depth(f) and alpha_eq(f, build_a1(member))
     except FormulaError:
         return False
 
 
 def _match_a6(f, fam: ThetaFamily, n: int):
+    """Whether f is the instantiation axiom for member n.  That instance has
+    one forall per member parameter on its right, so a member with at least
+    as many parameters as f has levels is refused before it is built."""
     d = as_implies(f)
     if d is None or not isinstance(d[0], ForallSO):
         return False
@@ -547,53 +465,50 @@ def _match_a6(f, fam: ThetaFamily, n: int):
     if not fam.arity_supported(v.arity):
         return False
     try:
-        return alpha_eq(f, build_a6(v, phi, fam.arity_member(v.arity, n)))
+        member = fam.arity_member(v.arity, n)
+        return len(member.params) < _depth(f) and alpha_eq(f, build_a6(v, phi, member))
     except FormulaError:
         return False
 
 
-def recognize_axiom(f: Formula, fam: Optional[ThetaFamily] = None,
-                    search_bound: int = 32):
-    """Identify f as an axiom instance; returns (name, witness) or None.
+# The schemata that a line is matched against directly, by the name that
+# `recognize_axiom` reports, in the order it tries them: the matcher, and
+# the keys of the witness it returns.
+_MATCHERS = {
+    "Q1": (lambda f: _match_instance(f, FOVar), ("x", "t")),
+    "Q2": (lambda f: _match_distribution(f, FOVar), ("x",)),
+    "eq-refl": (lambda f: (f.left,) if type(f) is TermEq and f.left == f.right
+                else None, ("t",)),
+    "eq-subst": (lambda f: _match_replacement(f, TermEq), ("t1", "t2")),
+    "A2": (_match_a2_own_arity, ("arity",)),
+    "A3": (lambda f: _match_replacement(f, SOEq), ("vm", "vn")),
+    "A4": (lambda f: _match_instance(f, SOVar), ("vm", "vn")),
+    "A5": (lambda f: _match_distribution(f, SOVar), ("vm",)),
+}
 
-    Family-indexed schemata are searched up to `search_bound` members.
-    """
+# Family-indexed schemata (A1, A6) are searched up to this member index.
+SEARCH_BOUND = 32
+
+
+def recognize_axiom(f: Formula, fam: Optional[ThetaFamily] = None):
+    """Identify f as an axiom instance; returns (name, witness) or None."""
     f = normalize(f)
     for name in SCHEMATA:
         got = _match_schema(name, f)
         if got is not None:
             return (name, got)
-    got = _match_q1(f)
-    if got is not None:
-        return ("Q1", got)
-    got = _match_distribution(f, FOVar)
-    if got is not None:
-        return ("Q2", {"x": got[0]})
-    for name, matcher in _EQ_MATCHERS.items():
-        got = matcher(f)
+    for name, (match, keys) in _MATCHERS.items():
+        got = match(f)
         if got is not None:
-            return ("eq-" + name, got)
-    if isinstance(f, ForallSO) and isinstance(f.body, ForallSO):
-        arity = f.var.arity
-        if _match_a2(f, arity):
-            return ("A2", {"arity": arity})
-        got = _match_a3(f)
-        if got is not None:
-            return ("A3", got)
-    got = _match_a4(f)
-    if got is not None:
-        return ("A4", got)
-    got = _match_distribution(f, SOVar)
-    if got is not None:
-        return ("A5", {"vm": got[0]})
+            return (name, dict(zip(keys, got)))
     if fam is not None:
-        for n in range(search_bound + 1):
+        for n in range(SEARCH_BOUND + 1):
             if _match_a1(f, fam, n):
                 return ("A1", {"theta_index": n})
         d = as_implies(f)
         if d is not None and isinstance(d[0], ForallSO) \
                 and fam.arity_supported(d[0].var.arity):
-            for n in range(search_bound + 1):
+            for n in range(SEARCH_BOUND + 1):
                 if _match_a6(f, fam, n):
                     return ("A6", {"theta_index": n})
     return None
@@ -629,10 +544,8 @@ def _check_justified_line(proof: Proof, lines, i: int, line: ProofLine,
     if isinstance(j, FOAxiom):
         if j.schema in SCHEMATA:
             got = _match_schema(j.schema, f)
-        elif j.schema == "Q1":
-            got = _match_q1(f)
-        elif j.schema == "Q2":
-            got = _match_distribution(f, FOVar)
+        elif j.schema in ("Q1", "Q2"):
+            got = _MATCHERS[j.schema][0](f)
         else:
             return f"unknown schema {j.schema}"
         if got is None:
@@ -641,10 +554,9 @@ def _check_justified_line(proof: Proof, lines, i: int, line: ProofLine,
     if isinstance(j, EqAxiom):
         if not proof.sig.identity:
             return "identity axioms are disabled for this signature"
-        matcher = _EQ_MATCHERS.get(j.schema)
-        if matcher is None:
+        if j.schema not in ("refl", "subst"):
             return f"unknown identity schema {j.schema}"
-        if matcher(f) is None:
+        if _MATCHERS["eq-" + j.schema][0](f) is None:
             return f"not an instance of identity {j.schema}"
         return None
     if isinstance(j, A1):
@@ -662,11 +574,11 @@ def _check_justified_line(proof: Proof, lines, i: int, line: ProofLine,
     if isinstance(j, A3):
         if not proof.sig.identity:
             return "replacement needs identity"
-        if _match_a3(f) is None:
+        if _match_replacement(f, SOEq) is None:
             return "not a replacement instance"
         return None
     if isinstance(j, A4):
-        if _match_a4(f) is None:
+        if _match_instance(f, SOVar) is None:
             return "not a universal-instance axiom"
         return None
     if isinstance(j, A5):
@@ -863,8 +775,11 @@ class _LineBuilder:
     def schema(self, name: str, *parts) -> int:
         return self._emit(build_schema(name, *parts), FOAxiom(name))
 
-    def q1(self, x, phi, t) -> int:
-        return self._emit(build_q1(x, phi, t), FOAxiom("Q1"))
+    def instance(self, v, phi, t) -> int:
+        j = FOAxiom("Q1") if isinstance(v, FOVar) else A4()
+        return self._emit(build_instance(v, phi, t), j)
+
+    q1 = a4 = instance
 
     def distribution(self, v, a, b) -> int:
         j = FOAxiom("Q2") if isinstance(v, FOVar) else A5()
@@ -887,9 +802,6 @@ class _LineBuilder:
 
     def a3(self, vm, vn, phi, phi_prime) -> int:
         return self._emit(build_a3(vm, vn, phi, phi_prime), A3())
-
-    def a4(self, vm, phi, vn) -> int:
-        return self._emit(build_a4(vm, phi, vn), A4())
 
     def a6(self, v, phi, theta_index: int) -> int:
         member = self.family.arity_member(v.arity, theta_index)

@@ -666,17 +666,15 @@ class WeakSOExactK:
 
 
 class RankBoundedDslK:
-    """Bounded-enumeration range for the one-free-variable family."""
+    """Bounded-enumeration range for the one-free-variable family, at rank
+    |A| + 1."""
 
-    def __init__(self, rank: Optional[int] = None):
-        self.rank = rank
-        self.name = f"dsl-rank:{rank if rank is not None else 'auto'}"
+    name = "dsl-rank:auto"
 
     def relations(self, s: FiniteStructure, arity: int) -> list:
         if arity != 1:
             return []
-        rank = self.rank if self.rank is not None else s.size + 1
-        return rank_bounded_unary_family(s, rank).relations(1)
+        return rank_bounded_unary_family(s, s.size + 1).relations(1)
 
 
 class StandardModel:

@@ -6,16 +6,17 @@ import pytest
 from rsol.calculus import (
     A1, A2, A3, A4, A5, A6, SCHEMATA, EqAxiom, FOAxiom, GenFO, GenSO, MP,
     OmegaTemplate, Premise, Proof, ProofBuilder, ProofLine, R3,
-    TemplateBuilder, _match_distribution, _match_schema, apply_deduction,
+    TemplateBuilder, _match_distribution, _match_instance, _match_replacement,
+    _match_schema, apply_deduction, build_instance,
     build_a1, build_a2, build_a3, build_a4, build_a5, build_a6,
     build_distribution, build_eq_refl, build_eq_subst, build_p1, build_q1,
     build_q2, build_schema, check_proof, check_template, instantiate_template,
     load_premises_text, load_proof_text, recognize_axiom, spot_check_template,
 )
 from rsol.formulas import (
-    And, Const, ExistsFO, ForallFO, ForallSO, FormulaError, FOVar, Implies,
+    And, Const, ExistsFO, ForallFO, ForallSO, FormulaError, FOVar, Implies, SOEq,
     InstAtom, Not, PredApp, Signature, SOApp, SOVar, TermEq, Var, alpha_eq,
-    children, implies, normalize, parse, rebuild,
+    as_implies, children, implies, normalize, parse, rebuild, term_fo_vars,
 )
 from rsol.corpus import proof_corpus
 from rsol.sampling import random_formula
@@ -497,3 +498,110 @@ def test_distribution_round_trip(v):
         assert _match_distribution(bad, type(v)) is None
         assert recognize_axiom(bad) is None
         assert not _one_line(bad, justification).ok
+
+
+def _rebind(f):
+    """f with its first binder, in preorder, binding a fresh variable."""
+    if isinstance(f, (ForallFO, ForallSO)):
+        fresh = FOVar(9) if isinstance(f.var, FOVar) else SOVar(9, f.var.arity)
+        return type(f)(fresh, f.body)
+    kids = list(children(f))
+    for i, g in enumerate(kids):
+        kids[i] = _rebind(g)
+        if kids[i] is not g:
+            return rebuild(f, kids)
+    return f
+
+
+@pytest.mark.parametrize("v", [x0, X0], ids=["Q1", "A4"])
+def test_instance_round_trip(v):
+    fo = isinstance(v, FOVar)
+    forall, sort = (ForallFO, FOVar) if fo else (ForallSO, SOVar)
+    name, justification, keys, reason = (
+        ("Q1", FOAxiom("Q1"), ("x", "t"), "not an instance of Q1") if fo
+        else ("A4", A4(), ("vm", "vn"), "not a universal-instance axiom"))
+    at = (lambda w: PredApp("P0", (Var(w),))) if fo else (lambda w: SOApp(w, (Const("c0"),)))
+    rng = random.Random(f"instance/{name}")
+    for _ in range(20):
+        # phi has v free at two places and binds only x0, x1 (X0, X1); t is
+        # drawn from outside those, so it is free for v
+        inner = (random_formula(rng, SIG, rng.randrange(1, 4), fo_pool=[x0, x1])
+                 if fo else random_formula(rng, SIG, rng.randrange(1, 4), so_pool=[X0, X1]))
+        phi = normalize(And(at(v), And(at(v), forall(x1 if fo else X1, inner))))
+        t = rng.choice([Var(FOVar(2)), Const("c0"), Const("c1")]) if fo else SOVar(2, 1)
+        f = build_instance(v, phi, t)
+        assert _match_instance(f, sort) == (v, t)
+        assert _match_instance(f, SOVar if fo else FOVar) is None
+        assert recognize_axiom(f) == (name, dict(zip(keys, (v, t))))
+        assert _one_line(f, justification).ok
+        psi = as_implies(f)[1]
+        other = at(FOVar(5)) if fo else at(SOVar(5, 1))
+        for bad in (implies(forall(v, phi), _rebind(psi)),   # binders differ
+                    # the second place of v gets something other than t
+                    implies(forall(v, phi), And(psi.left, And(other, psi.right.right)))):
+            assert _match_instance(bad, sort) is None
+            assert _one_line(bad, justification).reason == reason
+    # a captured term, a relation variable that is not free for v
+    w = x1 if fo else X1
+    phi = normalize(forall(w, And(at(v), at(w))))
+    with pytest.raises(FormulaError):
+        build_instance(v, phi, Var(w) if fo else w)
+    captured = implies(forall(v, phi), forall(w, And(at(w), at(w))))
+    assert _match_instance(captured, sort) is None
+    assert recognize_axiom(captured) is None
+    assert _one_line(captured, justification).reason == reason
+
+
+@pytest.mark.parametrize("sort", [FOVar, SOVar], ids=["eq-subst", "A3"])
+def test_replacement_round_trip(sort):
+    fo = sort is FOVar
+    name, justification, keys, reason = (
+        ("eq-subst", EqAxiom("subst"), ("t1", "t2"), "not an instance of identity subst")
+        if fo else ("A3", A3(), ("vm", "vn"), "not a replacement instance"))
+    if fo:
+        places = (lambda u: PredApp("P0", (u,)), lambda u: PredApp("P1", (u, Const("c0"))),
+                  lambda u: TermEq(Const("c1"), u))
+        build, forall, eq = build_eq_subst, ForallFO, TermEq
+        olds, new, stray = [Const("c0"), Var(x0)], Var(FOVar(3)), Var(FOVar(8))
+    else:
+        places = (lambda u: SOApp(u, (Const("c0"),)), lambda u: SOApp(u, (Var(x0),)),
+                  lambda u: SOEq(SOVar(2, 1), u))
+        build, forall, eq = build_a3, ForallSO, SOEq
+        olds, new, stray = [X0], X1, SOVar(8, 1)
+    blocker = new.var if fo else new
+    rng = random.Random(f"replacement/{name}")
+    for _ in range(20):
+        old = rng.choice(olds)
+        # the random part binds neither old's nor new's variables
+        rest = normalize(random_formula(rng, SIG, rng.randrange(1, 4), fo_pool=[x1, FOVar(2)],
+                                        so_pool=[SOVar(2, 1)]))
+        picks = [rng.random() < 0.5 for _ in places]
+        picks[rng.randrange(len(picks))] = True
+
+        def side(chosen):
+            out = rest
+            for place, u in zip(places, chosen):
+                out = And(place(u), out)
+            return out
+
+        phi = side([old] * len(places))
+        phi_prime = side([new if p else old for p in picks])
+        f = build(old, new, phi, phi_prime)
+        assert _match_replacement(f, eq) == (old, new)
+        assert _match_replacement(f, SOEq if fo else TermEq) is None
+        assert recognize_axiom(f) == (name, dict(zip(keys, (old, new))))
+        assert _one_line(f, justification).ok
+        # a place rewritten to something other than new; binders of
+        # different variables; replacements under a binder of a variable of
+        # old or new
+        bads = [(phi, side([stray if p else old for p in picks])),
+                (And(forall(blocker, rest), phi), And(_rebind(forall(blocker, rest)), phi_prime))]
+        bads += [(forall(w, phi), forall(w, phi_prime))
+                 for w in ([blocker, *term_fo_vars(old)] if fo else [new, old])]
+        for a, b in bads:
+            with pytest.raises(FormulaError):
+                build(old, new, a, b)
+            line = implies(eq(old, new), implies(a, b))
+            line = normalize(line if fo else ForallSO(old, ForallSO(new, line)))
+            assert _match_replacement(line, eq) is None
+            assert _one_line(line, justification).reason == reason

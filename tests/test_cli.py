@@ -245,6 +245,23 @@ def test_extensionality_at_a_hostile_arity_exits_4(tmp_path, capsys, line):
     assert out == "rejected at line 1: not the extensionality instance at arity 2000\n"
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("1. P0(c0) ; A1 300", "not the comprehension instance for member 300"),
+    ("1. forall X0 X0(c0) -> X0(c0) ; A6 300",
+     "not the instantiation axiom for member 300"),
+], ids=["A1", "A6"])
+def test_family_axiom_at_a_hostile_member_exits_4(tmp_path, capsys, line, reason):
+    # weak-so member 300 is a disjunction about 300 levels deep with as many
+    # parameters; the line has fewer levels, so it is rejected before the
+    # instance is built
+    proof = tmp_path / "member.prf"
+    proof.write_text(line + "\n", encoding="utf-8")
+    code = main(["prove-check", "--theta", "weak-so:1", "--proof", str(proof)])
+    out, err = capsys.readouterr()
+    assert code == 4 and err == ""
+    assert out == f"rejected at line 1: {reason}\n"
+
+
 DEEP = {
     "negations": "~" * 1200 + "P0(c0)",
     "parentheses": "(" * 200 + "P0(c0)" + ")" * 200,
