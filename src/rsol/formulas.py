@@ -318,11 +318,13 @@ def term_fo_vars(t: Term) -> frozenset:
 
 
 def free_variables(f: Formula) -> tuple:
-    """Free first-order and second-order variables, as a pair of frozensets."""
+    """Free first-order and second-order variables, as a pair of frozensets.
+    The walk keeps its own stack, so a deep formula needs no recursion."""
     fo: set = set()
     so: set = set()
-
-    def walk(g, bound_fo, bound_so):
+    stack = [(f, frozenset(), frozenset())]
+    while stack:
+        g, bound_fo, bound_so = stack.pop()
         t = type(g)
         if t is PredApp:
             for a in g.args:
@@ -344,9 +346,7 @@ def free_variables(f: Formula) -> tuple:
             elif t in BINDERS:
                 bound_so = bound_so | {g.var}
             for name in SUBFORMULAS[t]:
-                walk(getattr(g, name), bound_fo, bound_so)
-
-    walk(f, frozenset(), frozenset())
+                stack.append((getattr(g, name), bound_fo, bound_so))
     return frozenset(fo), frozenset(so)
 
 
@@ -364,12 +364,15 @@ def is_sentence(f: Formula) -> bool:
 
 
 def is_first_order(f: Formula) -> bool:
-    t = type(f)
-    if t in _SECOND_ORDER:
-        return False
-    for name in SUBFORMULAS[t]:
-        if not is_first_order(getattr(f, name)):
+    """Whether f has no relation variable, on an explicit stack."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t in _SECOND_ORDER:
             return False
+        for name in SUBFORMULAS[t]:
+            stack.append(getattr(g, name))
     return True
 
 

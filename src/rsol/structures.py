@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from .boolean import PowersetAlgebra
@@ -190,69 +192,152 @@ def load_structure(path: str):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _term_value(s: FiniteStructure, t: Term, env: dict) -> int:
-    if isinstance(t, Var):
-        if t.var not in env:
-            raise EvalError(f"{t.var} is unassigned")
-        return env[t.var]
-    if isinstance(t, Const):
-        return s.constants[t.name]
-    if isinstance(t, Func):
-        return s.functions[t.name][tuple(_term_value(s, a, env) for a in t.args)]
-    raise EvalError(f"not a term: {t!r}")
-
-
-def _eval(s: FiniteStructure, f: Formula, env: dict, senv: dict,
-          relations=None) -> bool:
-    """Evaluation of a normalized formula.  `relations(arity)` is the range
-    of the relation quantifiers; first-order formulas need none.  The
-    first-order node types come first: they dominate materialization."""
-    if isinstance(f, PredApp):
-        return tuple(_term_value(s, t, env) for t in f.args) in s.predicates[f.name]
-    if isinstance(f, TermEq):
-        return _term_value(s, f.left, env) == _term_value(s, f.right, env)
-    if isinstance(f, Not):
-        return not _eval(s, f.body, env, senv, relations)
-    if isinstance(f, And):
-        return _eval(s, f.left, env, senv, relations) and \
-            _eval(s, f.right, env, senv, relations)
-    if isinstance(f, ForallFO):
-        store, values = env, s.elements
-    elif isinstance(f, SOApp):
-        if f.var not in senv:
-            raise EvalError(f"{f.var} is unassigned")
-        return tuple(_term_value(s, t, env) for t in f.args) in senv[f.var]
-    elif isinstance(f, SOEq):
-        for v in (f.left, f.right):
-            if v not in senv:
-                raise EvalError(f"{v} is unassigned")
-        return senv[f.left] == senv[f.right]
-    elif isinstance(f, ForallSO) and relations is not None:
-        store, values = senv, relations(f.var.arity)
-    else:
-        raise EvalError(f"unexpected node in evaluation: {f!r}")
-    saved = store.get(f.var, _MISSING)
+def _masks(s: FiniteStructure, arity: int, relations) -> list:
+    """Each relation (a set of rows) as an int whose bit i is set when the
+    i-th row of A^arity, in row-major order, belongs to it."""
+    bit = {row: 1 << i for i, row in
+           enumerate(itertools.product(range(s.size), repeat=arity))}
     try:
-        for value in values:
-            store[f.var] = value
-            if not _eval(s, f.body, env, senv, relations):
-                return False
-        return True
-    finally:
-        if saved is _MISSING:
-            store.pop(f.var, None)
+        return [sum(map(bit.__getitem__, frozenset(rel))) for rel in relations]
+    except KeyError as err:
+        raise EvalError(f"row {err.args[0]} is outside A^{arity}") from None
+
+
+def _elements(s: FiniteStructure, fo: Mapping) -> list:
+    for var, value in fo.items():
+        if value not in s.elements:
+            raise EvalError(f"{var} is assigned {value!r}, outside the domain")
+    return list(fo.values())
+
+
+def _fail(message: str):
+    """Code that raises EvalError(message) when it runs."""
+    def fail(*_):
+        raise EvalError(message)
+    return fail
+
+
+def _compile(s: FiniteStructure, f: Formula, fo_vars=(), rels=None, masks=None):
+    """Normalized f as `run(values) -> bool`, values in the order of fo_vars;
+    `rels` maps relation variables to masks, and `masks(arity)`, read when a
+    relation quantifier runs, is its range (first-order f needs none).
+    f becomes nested closures `code(e, r)` over lists of elements and of
+    relations, with a slot for each free variable, predicate and binder: no
+    binding is saved or restored, and a shadowed binder has its own slot.
+    Unassigned variables and nodes outside the primitives compile to
+    `_fail`, which raises only where evaluation reaches it."""
+    n, domain = s.size, range(s.size)
+    r0: list = []                    # the initial r
+    width = len(fo_vars)             # e slots taken
+
+    def r_slot(value=0):
+        r0.append(value)
+        return len(r0) - 1
+
+    preds: dict = {}                 # predicate name -> its r slot
+    senv = {var: r_slot(mask) for var, mask in (rels or {}).items()}
+
+    def term(t, fenv):
+        """The value of t, or of the row t lists in A^k: an int when it is
+        fixed at compile time, else e -> int."""
+        if type(t) is tuple:
+            c, parts = 0, []
+            for j, a in enumerate(t):
+                w, v = n ** (len(t) - 1 - j), term(a, fenv)
+                if type(v) is int:
+                    c += w * v
+                else:
+                    parts.append((w, v))
+            if not parts:
+                return c
+            if len(parts) == 1 and parts[0][0] == 1 and not c:
+                return parts[0][1]
+            if len(parts) == 2:
+                (w, g), (v, h) = parts
+                return lambda e: g(e) * w + h(e) * v + c
+            return lambda e: c + sum(w * g(e) for w, g in parts)
+        if type(t) is Var:
+            return itemgetter(fenv[t.var]) if t.var in fenv \
+                else _fail(f"{t.var} is unassigned")
+        if type(t) is Const:
+            return s.constants[t.name]
+        if type(t) is Func and len(t.args) == s.sig.functions[t.name]:
+            table = s.functions[t.name]
+            image = [table[row] for row in itertools.product(domain, repeat=len(t.args))]
+            i = term(t.args, fenv)
+            return image[i] if type(i) is int else lambda e: image[i(e)]
+        return _fail(f"not a term: {t!r}")
+
+    def atom(j, args, fenv):
+        i = term(args, fenv)
+        if type(i) is int:
+            return lambda e, r: r[j] >> i & 1
+        return lambda e, r: r[j] >> i(e) & 1
+
+    def quantifier(g, body, fenv, senv, exists):
+        nonlocal width
+        so = type(g) is ForallSO
+        if not so:
+            slot, width = width, width + 1
+            fenv, values = {**fenv, g.var: slot}, lambda: domain
+        elif masks is None:
+            return _fail(f"unexpected node in evaluation: {g!r}")
         else:
-            store[f.var] = saved
+            slot = r_slot()
+            senv, values = {**senv, g.var: slot}, partial(masks, g.var.arity)
+        code = comp(body, fenv, senv)
 
+        def run(e, r):               # every code returns 0, 1, False or True
+            store = r if so else e
+            for store[slot] in values():
+                if code(e, r) == exists:
+                    return exists
+            return not exists
+        return run
 
-_MISSING = object()
+    def comp(g, fenv, senv):
+        t = type(g)
+        if t is Not:
+            b = g.body
+            if type(b) in (ForallFO, ForallSO) and type(b.body) is Not:
+                return quantifier(b, b.body.body, fenv, senv, True)
+            code = comp(b, fenv, senv)
+            return lambda e, r: not code(e, r)
+        if t is And:
+            left, right = comp(g.left, fenv, senv), comp(g.right, fenv, senv)
+            return lambda e, r: left(e, r) and right(e, r)
+        if t is ForallFO or t is ForallSO:
+            return quantifier(g, g.body, fenv, senv, False)
+        if t is PredApp and len(g.args) == s.sig.predicates[g.name]:
+            if g.name not in preds:
+                preds[g.name] = r_slot(*_masks(s, len(g.args), [s.predicates[g.name]]))
+            return atom(preds[g.name], g.args, fenv)
+        if t is SOApp:
+            return atom(senv[g.var], g.args, fenv) if g.var in senv \
+                else _fail(f"{g.var} is unassigned")
+        if t is TermEq:
+            a, b = (v if callable(v) else (lambda e, v=v: v)
+                    for v in (term(g.left, fenv), term(g.right, fenv)))
+            return lambda e, r: a(e) == b(e)
+        if t is SOEq:
+            for v in (g.left, g.right):
+                if v not in senv:
+                    return _fail(f"{v} is unassigned")
+            i, k = senv[g.left], senv[g.right]
+            return lambda e, r: r[i] == r[k]
+        return _fail(f"unexpected node in evaluation: {g!r}")
+
+    code = comp(f, {v: i for i, v in enumerate(fo_vars)}, senv)
+    pad = [0] * (width - len(fo_vars))
+    return lambda values: bool(code([*values, *pad], r0.copy()))
 
 
 def eval_fo(s: FiniteStructure, f: Formula, assignment: Mapping | None = None) -> bool:
     """Tarskian truth of a first-order formula under an assignment."""
     if not is_first_order(f):
         raise EvalError("eval_fo is for first-order formulas")
-    return _eval(s, normalize(f), dict(assignment or {}), {})
+    fo = dict(assignment or {})
+    return _compile(s, normalize(f), fo)(_elements(s, fo))
 
 
 # ---------------------------------------------------------------------------
@@ -334,34 +419,32 @@ def materialize_k_arity(s: FiniteStructure, fam: ThetaFamily, arity: int,
 
 def _materialize_member(s: FiniteStructure, m: ThetaMember,
                         family: DefinableFamily) -> None:
-    body = normalize(m.formula)
+    define = _definer(s, m)
     for params in itertools.product(range(s.size), repeat=len(m.params)):
-        family.add(m.arity, _defined_relation(s, m, body, params),
+        family.add(m.arity, define(params),
                    Provenance("theta", theta_index=m.index, params=params))
 
 
-def _defined_relation(s: FiniteStructure, m: ThetaMember, body: Formula,
-                      params: tuple) -> frozenset:
-    """The relation member m (normalized body) defines at the parameters."""
-    env = dict(zip(m.params, params))
-    rows = []
-    for row in itertools.product(range(s.size), repeat=m.arity):
-        env.update(zip(m.slots, row))
-        if _eval(s, body, env, {}):
-            rows.append(row)
-    return frozenset(rows)
+def _definer(s: FiniteStructure, m: ThetaMember):
+    """Member m, compiled once, as params -> the relation it defines there."""
+    run = _compile(s, normalize(m.formula), m.params + m.slots)
+    rows = list(itertools.product(range(s.size), repeat=m.arity))
+    return lambda params: frozenset(row for row in rows if run(params + row))
 
 
 def verify_provenance(s: FiniteStructure, fam: ThetaFamily,
                       family: DefinableFamily) -> bool:
     """Re-evaluate every recorded witness and compare with the stored relation."""
+    definers: dict = {}               # member index -> its definer, for this call
     for arity in family.arities():
         for rel in family.relations(arity):
             prov = family.provenance(arity, rel)
             if prov.kind != "theta":
                 return False
             m = fam.member_at(prov.theta_index)
-            if _defined_relation(s, m, normalize(m.formula), prov.params) != rel:
+            if m.index not in definers:
+                definers[m.index] = _definer(s, m)
+            if definers[m.index](prov.params) != rel:
                 return False
     return True
 
@@ -682,17 +765,18 @@ class StandardModel:
         self.structure = structure
         self.provider = provider
         self._cache: dict = {}
-        self._sets: dict = {}
+        self._masks: dict = {}
 
     def relations(self, arity: int) -> list:
         if arity not in self._cache:
             self._cache[arity] = list(self.provider.relations(self.structure, arity))
         return self._cache[arity]
 
-    def contains(self, arity: int, relation: frozenset) -> bool:
-        if arity not in self._sets:
-            self._sets[arity] = frozenset(self.relations(arity))
-        return relation in self._sets[arity]
+    def masks(self, arity: int) -> list:
+        """relations(arity) as bitmasks, converted once per model."""
+        if arity not in self._masks:
+            self._masks[arity] = _masks(self.structure, arity, self.relations(arity))
+        return self._masks[arity]
 
 
 def exact_provider_for(fam: ThetaFamily):
@@ -718,23 +802,23 @@ def eval_so(m: StandardModel, f: Formula, assignment: Assignment | None = None) 
     """Truth over the standard model; relation quantifiers range over the
     provider's family, and free relation variables must be assigned inside it."""
     a = assignment or Assignment()
+    s, rels = m.structure, {}
     for var, rel in a.so.items():
-        if not m.contains(var.arity, frozenset(rel)):
+        rels[var], = _masks(s, var.arity, [rel])
+        if rels[var] not in m.masks(var.arity):
             raise EvalError(
                 f"assignment for {var} is outside the definable family")
-    return _eval(m.structure, normalize(f), dict(a.fo),
-                 {k: frozenset(v) for k, v in a.so.items()}, m.relations)
+    return _compile(s, normalize(f), list(a.fo), rels, m.masks)(_elements(s, a.fo))
 
 
 def eval_so_closure(m: StandardModel, f: Formula) -> bool:
     """Truth of the universal closure (both sorts) over the model."""
-    nf = normalize(f)
-    fo, so = free_variables(nf)
+    fo, so = free_variables(f)
     for v in sorted(so):
-        nf = ForallSO(v, nf)
+        f = ForallSO(v, f)
     for v in sorted(fo):
-        nf = ForallFO(v, nf)
-    return eval_so(m, nf)
+        f = ForallFO(v, f)
+    return eval_so(m, f)
 
 
 def _all_relations(s: FiniteStructure, arity: int):
@@ -747,22 +831,28 @@ def _all_relations(s: FiniteStructure, arity: int):
         yield frozenset(rows[i] for i in range(cells) if mask >> i & 1)
 
 
+def _term_value(s: FiniteStructure, t: Term, env: dict) -> int:
+    if isinstance(t, Var):
+        if t.var not in env:
+            raise EvalError(f"{t.var} is unassigned")
+        return env[t.var]
+    if isinstance(t, Const):
+        return s.constants[t.name]
+    if isinstance(t, Func):
+        return s.functions[t.name][tuple(_term_value(s, a, env) for a in t.args)]
+    raise EvalError(f"not a term: {t!r}")
+
+
 def _eval_full_prim(s: FiniteStructure, f: Formula, env: dict, senv: dict) -> bool:
+    """The reference: a tree walk over dict environments that shares no code
+    with `_compile`."""
     if isinstance(f, ForallSO):
-        saved = senv.get(f.var, _MISSING)
-        try:
-            for rel in _all_relations(s, f.var.arity):
-                senv[f.var] = rel
-                if not _eval_full_prim(s, f.body, env, senv):
-                    return False
-            return True
-        finally:
-            if saved is _MISSING:
-                senv.pop(f.var, None)
-            else:
-                senv[f.var] = saved
-    if isinstance(f, (PredApp, TermEq)):
-        return _eval(s, f, env, senv)
+        return all(_eval_full_prim(s, f.body, env, {**senv, f.var: rel})
+                   for rel in _all_relations(s, f.var.arity))
+    if isinstance(f, PredApp):
+        return tuple(_term_value(s, t, env) for t in f.args) in s.predicates[f.name]
+    if isinstance(f, TermEq):
+        return _term_value(s, f.left, env) == _term_value(s, f.right, env)
     if isinstance(f, SOApp):
         if f.var not in senv:
             raise EvalError(f"{f.var} is unassigned")
@@ -775,18 +865,10 @@ def _eval_full_prim(s: FiniteStructure, f: Formula, env: dict, senv: dict) -> bo
         return _eval_full_prim(s, f.left, env, senv) and \
             _eval_full_prim(s, f.right, env, senv)
     if isinstance(f, ForallFO):
-        saved = env.get(f.var, _MISSING)
-        try:
-            for e in s.elements:
-                env[f.var] = e
-                if not _eval_full_prim(s, f.body, env, senv):
-                    return False
-            return True
-        finally:
-            if saved is _MISSING:
-                env.pop(f.var, None)
-            else:
-                env[f.var] = saved
+        for e in s.elements:
+            if not _eval_full_prim(s, f.body, {**env, f.var: e}, senv):
+                return False
+        return True
     raise EvalError(f"unexpected node in evaluation: {f!r}")
 
 
@@ -794,8 +876,7 @@ def eval_full_so(s: FiniteStructure, f: Formula,
                  assignment: Assignment | None = None) -> bool:
     """Brute-force truth with relation quantifiers over all relations."""
     a = assignment or Assignment()
-    return _eval_full_prim(s, normalize(f), dict(a.fo),
-                           {k: frozenset(v) for k, v in a.so.items()})
+    return _eval_full_prim(s, normalize(f), a.fo, a.so)
 
 
 # ---------------------------------------------------------------------------
@@ -825,12 +906,11 @@ class TruthAlgebra:
                     f"{var} is outside the variable budget v={self.v}")
         if model is None and not is_first_order(nf):
             raise EvalError("a model is needed for second-order classes")
-        senv = {k: frozenset(rows) for k, rows in (so_assignment or {}).items()}
-        relations = model.relations if model is not None else None
-        variables = [FOVar(i) for i in range(self.v)]
-        return frozenset(row for row in self.tuples
-                         if _eval(self.structure, nf, dict(zip(variables, row)),
-                                  senv, relations))
+        rels = {var: _masks(self.structure, var.arity, [rows])[0]
+                for var, rows in (so_assignment or {}).items()}
+        run = _compile(self.structure, nf, [FOVar(i) for i in range(self.v)],
+                       rels, model.masks if model is not None else None)
+        return frozenset(row for row in self.tuples if run(row))
 
 
 def truth_algebra(s: FiniteStructure, v: int) -> TruthAlgebra:

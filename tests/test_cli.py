@@ -249,11 +249,15 @@ def test_extensionality_at_a_hostile_arity_exits_4(tmp_path, capsys, line):
     ("1. P0(c0) ; A1 300", "not the comprehension instance for member 300"),
     ("1. forall X0 X0(c0) -> X0(c0) ; A6 300",
      "not the instantiation axiom for member 300"),
-], ids=["A1", "A6"])
+    ("1. P0(c0) ; A1 1200", "not the comprehension instance for member 1200"),
+    ("1. forall X0 X0(c0) -> X0(c0) ; A6 1200",
+     "not the instantiation axiom for member 1200"),
+], ids=["A1", "A6", "A1-1200", "A6-1200"])
 def test_family_axiom_at_a_hostile_member_exits_4(tmp_path, capsys, line, reason):
-    # weak-so member 300 is a disjunction about 300 levels deep with as many
+    # weak-so member n is a disjunction about n levels deep with as many
     # parameters; the line has fewer levels, so it is rejected before the
-    # instance is built
+    # instance is built.  At 1200 levels, building and checking the member
+    # itself must not recurse.
     proof = tmp_path / "member.prf"
     proof.write_text(line + "\n", encoding="utf-8")
     code = main(["prove-check", "--theta", "weak-so:1", "--proof", str(proof)])

@@ -6,8 +6,9 @@ import pytest
 
 from rsol.corpus import orbit_catalog
 from rsol.formulas import (
-    And, Const, ExistsFO, ExistsSO, ForallFO, ForallSO, FOVar, Iff, Implies,
-    Not, PredApp, Signature, SOApp, SOEq, SOVar, TermEq, Var, parse,
+    And, Const, ExistsFO, ExistsSO, ForallFO, ForallSO, FOVar, Func, Iff,
+    Implies, InstAtom, Not, Or, PredApp, Signature, SOApp, SOEq, SOVar, TermEq,
+    Var, free_variables, normalize, parse,
 )
 from rsol.structures import (
     AllRelationsK, Assignment, DefinableFamily, EvalError, FeasibilityError,
@@ -18,6 +19,7 @@ from rsol.structures import (
     rank_bounded_unary_family, structure_from_json, truth_algebra,
     truth_class_entries, tuple_orbits, verify_provenance,
 )
+from rsol.structures import _compile, _masks
 from rsol.sampling import random_structure
 from rsol.theta import all_fo, dsl, weak_so
 
@@ -613,3 +615,183 @@ def test_truth_class_entries_are_exact():
     ta = truth_algebra(s, 1)
     for e in entries:
         assert verify_entry(ta.algebra, e).status == "exact"
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator: lazy errors, bitmask rows, and the reference
+# ---------------------------------------------------------------------------
+
+c0 = Const("c0")
+C_SIG = Signature(predicates={"P0": 1, "E": 2}, constants=["c0"])
+
+
+def c_structure(holds: bool):
+    """Two elements, c0 = 0, P0(c0) iff holds, E = {(0, 1)}."""
+    return FiniteStructure(C_SIG, 2, predicates={"P0": [(0,)] if holds else [],
+                                                 "E": [(0, 1)]},
+                           constants={"c0": 0})
+
+
+def _raises(message, call, *args):
+    with pytest.raises(EvalError) as err:
+        call(*args)
+    assert str(err.value) == message
+
+
+def test_unassigned_variable_raises_only_where_reached():
+    f = Or(PredApp("P0", (c0,)), PredApp("P0", (Var(FOVar(5)),)))
+    assert eval_fo(c_structure(True), f) is True
+    _raises("x5 is unassigned", eval_fo, c_structure(False), f)
+    g = Or(PredApp("P0", (c0,)), TermEq(Var(FOVar(5)), c0))
+    assert eval_fo(c_structure(True), g) is True
+    _raises("x5 is unassigned", eval_fo, c_structure(False), g)
+
+
+@pytest.mark.parametrize("node", [
+    SOApp(X0, (c0,)),
+    SOEq(X0, SOVar(1, 1)),
+], ids=["SOApp", "SOEq"])
+def test_unassigned_relation_raises_only_where_reached(node):
+    f = Or(PredApp("P0", (c0,)), node)
+    for holds in (True, False):
+        model = StandardModel(c_structure(holds), AllRelationsK())
+        if holds:
+            assert eval_so(model, f) is True
+        else:
+            _raises("X0 is unassigned", eval_so, model, f)
+
+
+FORALL_X0 = ForallSO(X0, SOApp(X0, (c0,)))
+
+
+@pytest.mark.parametrize("node, reached", [
+    (FORALL_X0, FORALL_X0),
+    (ExistsSO(X0, SOApp(X0, (c0,))), ForallSO(X0, Not(SOApp(X0, (c0,))))),
+], ids=["forall", "exists"])
+def test_relation_quantifier_without_range_raises_only_where_reached(node, reached):
+    # compiled with no range, as a first-order formula is; exists X is
+    # reached as the forall X of its normal form ~forall X ~
+    f = normalize(Or(PredApp("P0", (c0,)), node))
+    assert _compile(c_structure(True), f)([]) is True
+    _raises(f"unexpected node in evaluation: {reached!r}",
+            _compile(c_structure(False), f), [])
+
+
+def test_inst_atom_raises_only_where_reached():
+    inst = InstAtom(X0, SOApp(X0, (c0,)))
+    f = Or(PredApp("P0", (c0,)), inst)
+    assert eval_so(StandardModel(c_structure(True), AllRelationsK()), f) is True
+    _raises(f"unexpected node in evaluation: {inst!r}",
+            eval_so, StandardModel(c_structure(False), AllRelationsK()), f)
+
+
+def test_rows_outside_the_domain_never_alias():
+    s = c_structure(True)
+    # (0, 2) would be bit 0 * 2 + 2, the bit of (1, 0)
+    _raises("row (0, 2) is outside A^2", _masks, s, 2, [{(0, 2)}])
+    _raises("row (2,) is outside A^1", _masks, s, 1, [{(2,)}])
+    _raises("row (0,) is outside A^2", _masks, s, 2, [{(0,)}])
+    assert _masks(s, 2, [set(), {(1, 0)}, {(0, 0), (1, 1)}]) == [0, 4, 9]
+    X2 = SOVar(2, 2)
+    ta, model = truth_algebra(s, 1), StandardModel(s, AllRelationsK())
+    f = SOApp(X2, (Var(x0), Var(x0)))
+    _raises("row (0, 2) is outside A^2",
+            ta.class_of, f, model, {X2: {(0, 2)}})
+    assert ta.class_of(f, model, {X2: {(1, 1)}}) == {(1,)}
+    with pytest.raises(EvalError):
+        eval_so(StandardModel(s, AllRelationsK()), f,
+                Assignment.of(fo={x0: 1}, so={X2: {(0, 2)}}))
+    # a variable outside the domain would alias too: E(x0, x1) at (0, 2)
+    # reads the bit of (1, 0)
+    _raises("x1 is assigned 2, outside the domain",
+            eval_fo, s, PredApp("E", (Var(x0), Var(x1))), {x0: 0, x1: 2})
+
+
+def test_shadowed_binders_read_their_own_slot():
+    s = FiniteStructure(P_SIG, 2, predicates={"P0": [(0,)]})
+    # the inner x0 ends its loop at 1; the outer x0 must still be 0
+    f = parse("exists x0 (~(forall x0 P0(x0)) & P0(x0))", P_SIG)
+    assert eval_fo(s, f) and eval_full_so(s, f)
+    g = parse("exists X0 (X0(c0) & ~(forall X0 X0(c0)) & X0(c0))",
+              Signature(constants=["c0"]))
+    t = FiniteStructure(Signature(constants=["c0"]), 2, constants={"c0": 0})
+    assert eval_so(StandardModel(t, AllRelationsK()), g) and eval_full_so(t, g)
+
+
+DIFF_SIG = Signature(predicates={"P": 1, "E": 2, "R": 3}, functions={"f": 1, "g": 2},
+                     constants=["c0", "c1"])
+DIFF_FO = [FOVar(0), FOVar(1)]
+DIFF_SO = [SOVar(0, 1), SOVar(1, 1), SOVar(2, 2)]
+
+
+def _diff_term(rng, depth):
+    roll = rng.random()
+    if depth > 0 and roll < 0.3:
+        name = rng.choice(["f", "g"])
+        return Func(name, tuple(_diff_term(rng, depth - 1)
+                                for _ in range(DIFF_SIG.functions[name])))
+    if roll < 0.5:
+        return Const(rng.choice(["c0", "c1"]))
+    return Var(rng.choice(DIFF_FO))
+
+
+def _diff_formula(rng, depth, so_pool):
+    """Random formula with function terms, relation identities, and binders
+    drawn from two-variable pools, so that binders are often shadowed."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.2:
+        kind = rng.choice(["P", "E", "R", "eq", "so", "soeq"] if so_pool
+                          else ["P", "E", "R", "eq"])
+        if kind in DIFF_SIG.predicates:
+            return PredApp(kind, tuple(_diff_term(rng, 2)
+                                       for _ in range(DIFF_SIG.predicates[kind])))
+        if kind == "eq":
+            return TermEq(_diff_term(rng, 2), _diff_term(rng, 2))
+        v = rng.choice(so_pool)
+        if kind == "so":
+            return SOApp(v, tuple(_diff_term(rng, 1) for _ in range(v.arity)))
+        return SOEq(v, rng.choice([w for w in so_pool if w.arity == v.arity]))
+    sub = lambda: _diff_formula(rng, depth - 1, so_pool)  # noqa: E731
+    if roll < 0.35:
+        return Not(sub())
+    if roll < 0.6:
+        return rng.choice([And, Or, Implies, Iff])(sub(), sub())
+    if roll < 0.85 or not so_pool:
+        return rng.choice([ForallFO, ExistsFO])(rng.choice(DIFF_FO), sub())
+    return rng.choice([ForallSO, ExistsSO])(rng.choice(so_pool), sub())
+
+
+def test_compiled_evaluator_agrees_with_the_reference():
+    rng = random.Random(8)
+    for _ in range(400):
+        binary = rng.random() < 0.25
+        so_pool = DIFF_SO if binary else DIFF_SO[:2]
+        s = random_structure(rng, DIFF_SIG, max_size=2 if binary else 3)
+        f = _diff_formula(rng, 4, so_pool)
+        assert eval_so_closure(StandardModel(s, AllRelationsK()), f) \
+            == eval_full_so(s, _closure(f)), f
+
+
+def _closure(f):
+    fo, so = free_variables(f)
+    for v in sorted(so):
+        f = ForallSO(v, f)
+    for v in sorted(fo):
+        f = ForallFO(v, f)
+    return f
+
+
+def test_truth_classes_agree_with_per_row_evaluation():
+    rng = random.Random(12)
+    X = DIFF_SO[0]
+    for _ in range(150):
+        s = random_structure(rng, DIFF_SIG, max_size=3)
+        ta = truth_algebra(s, 2)
+        f = _diff_formula(rng, 3, [])
+        assert ta.class_of(f) == {row for row in ta.tuples
+                                  if eval_fo(s, f, dict(zip(DIFF_FO, row)))}, f
+        g = _diff_formula(rng, 3, [X])
+        rel = {(a,) for a in range(s.size) if rng.random() < 0.5}
+        rows = {row for row in ta.tuples if eval_full_so(
+            s, g, Assignment.of(fo=dict(zip(DIFF_FO, row)), so={X: rel}))}
+        assert ta.class_of(g, StandardModel(s, AllRelationsK()), {X: rel}) == rows, g
