@@ -209,12 +209,15 @@ def cmd_prove_check(args, rep) -> int:
 
 
 def _make_algebra(spec: str):
-    if ":" in spec:
-        kind, _, arg = spec.partition(":")
-        return ba.builtin_algebras()[kind](int(arg))
-    if spec == "fincof":
-        return ba.FiniteCofiniteAlgebra()
-    raise FormulaError(f"unknown algebra {spec!r}")
+    kind, colon, arg = spec.partition(":")
+    factory = ba.builtin_algebras().get(kind)
+    if factory is None:
+        raise FormulaError(f"unknown algebra {spec!r}")
+    sized = factory is not ba.FiniteCofiniteAlgebra
+    if bool(colon) != sized:
+        raise FormulaError(f"algebra {kind!r} takes a size, as in {kind}:N" if sized
+                           else f"algebra {kind!r} takes no argument, got {spec!r}")
+    return factory(int(arg)) if sized else factory()
 
 
 def _parse_element(alg, text: str):
@@ -226,12 +229,21 @@ def _parse_element(alg, text: str):
     if isinstance(alg, ba.PowersetAlgebra):
         if text in ("", "{}"):
             return frozenset()
-        return frozenset(int(x) for x in text.split(","))
+        items = frozenset(int(x) for x in text.split(","))
+        if not items <= alg.one:
+            raise FormulaError(f"element {text!r} is not a subset of the atoms "
+                               f"{sorted(alg.one)}")
+        return items
     if isinstance(alg, ba.FreeBooleanAlgebra):
-        return int(text)
+        value = int(text)
+        if not 0 <= value <= alg.one:
+            raise FormulaError(f"element {text!r} is outside 0..{alg.one}")
+        return value
     if isinstance(alg, ba.FiniteCofiniteAlgebra):
         kind, _, rest = text.partition(":")
         items = [int(x) for x in rest.split(",") if x.strip()]
+        if any(x < 0 for x in items):
+            raise FormulaError(f"element {text!r} names a negative number")
         if kind == "fin":
             return alg.fin(items)
         if kind == "cof":

@@ -16,7 +16,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
-from .boolean import PowersetAlgebra
+from .boolean import PowersetAlgebra, RegularEntry, verify_entry
 from .formulas import (
     And, Const, ExistsFO, ExistsSO, ForallFO, ForallSO, Formula, FOVar, Func,
     Not, PredApp, Signature, SOApp, SOEq, SOVar, Term, TermEq, Var,
@@ -403,17 +403,6 @@ def materialize_k(s: FiniteStructure, fam: ThetaFamily, bound: int) -> Definable
     family = DefinableFamily()
     for m in members:
         _materialize_member(s, m, family)
-    return family
-
-
-def materialize_k_arity(s: FiniteStructure, fam: ThetaFamily, arity: int,
-                        bound: int) -> DefinableFamily:
-    """Like materialize_k but over the per-arity member view."""
-    family = DefinableFamily()
-    if not fam.arity_supported(arity):
-        return family
-    for n in range(bound + 1):
-        _materialize_member(s, fam.arity_member(arity, n), family)
     return family
 
 
@@ -921,63 +910,76 @@ def truth_algebra(s: FiniteStructure, v: int) -> TruthAlgebra:
 # Quantifiers as meets and joins, at finite scale
 # ---------------------------------------------------------------------------
 
-def lemma_reg_check(s: FiniteStructure, v: int, body: Formula, which: str,
-                    var, fam: ThetaFamily | None = None,
-                    bound: int | None = None) -> bool:
-    """Finite analogs of the quantifier/meet identities in the truth algebra.
+# item -> (kind of the designated bound, quantifier, entry name)
+_ITEMS = {
+    "i": ("meet", ForallFO, "fo-meet"), "ii": ("join", ExistsFO, "fo-join"),
+    "iii": ("meet", ForallSO, "so-meet"), "iv": ("join", ExistsSO, "so-join"),
+    "v": ("meet", ForallSO, "inst-meet"), "vi": ("join", ExistsSO, "inst-join"),
+}
 
-    i/ii:  the class of a first-order-quantified formula equals the
-           meet/join of its element instantiations (via fresh constants).
-    iii/iv: the class of a relation-quantified formula equals the
-           meet/join over the materialized family.
-    v/vi:  the same class equals the meet/join of the family-member
-           instantiations with their parameter prefixes evaluated,
-           using the per-arity member view up to the bound.
+
+def _quantifier_entry(s: FiniteStructure, v: int, body: Formula, which: str,
+                      var, fam: ThetaFamily | None = None,
+                      bound: int | None = None) -> RegularEntry:
+    """Item `which` of the quantifier identities as a regular entry over the
+    truth algebra on A^v: the bound is the class of the quantified formula,
+    the members are the classes of its instances.
+
+    i/ii:  the element instantiations, via fresh constants;
+    iii/iv: the body under each relation of the materialized family;
+    v/vi:  the family-member instantiations with their parameter prefixes
+           evaluated (vi through the complement of the instances of ¬body).
+    Items iii-vi read members 0..bound of the per-arity view of the family.
     """
-    ta = truth_algebra(s, v)
-    alg = ta.algebra
+    if which not in _ITEMS:
+        raise EvalError(f"unknown item {which!r}")
+    kind, quantifier, name = _ITEMS[which]
+    model = None
     if which in ("i", "ii"):
         if not isinstance(var, FOVar):
             raise EvalError("items i/ii quantify a first-order variable")
-        ext, consts = s.with_element_constants()
-        ta2 = truth_algebra(ext, v)
-        model = None
+        s, consts = s.with_element_constants()
         if not is_first_order(body):
             if fam is None or bound is None:
                 raise EvalError("second-order bodies need a family and bound")
-            model = StandardModel(ext, MaterializedK(fam, bound))
-        quant = ForallFO(var, body) if which == "i" else ExistsFO(var, body)
-        lhs = ta2.class_of(quant, model)
-        sides = [ta2.class_of(substitute_fo(body, var, c), model) for c in consts]
-        rhs = alg.meet_all(sides) if which == "i" else alg.join_all(sides)
-        return lhs == rhs
-    if not isinstance(var, SOVar):
-        raise EvalError("items iii-vi quantify a relation variable")
-    if fam is None or bound is None:
-        raise EvalError("items iii-vi need a family and a bound")
-    family = materialize_k_arity(s, fam, var.arity, bound)
-    model = StandardModel(s, _FixedFamilyK(family))
-    if which in ("iii", "iv"):
-        quant = ForallSO(var, body) if which == "iii" else ExistsSO(var, body)
-        lhs = ta.class_of(quant, model)
-        sides = [ta.class_of(body, model, so_assignment={var: rel})
-                 for rel in family.relations(var.arity)]
-        rhs = alg.meet_all(sides) if which == "iii" else alg.join_all(sides)
-        return lhs == rhs
-    if which in ("v", "vi"):
-        members = []
+            model = StandardModel(s, MaterializedK(fam, bound))
+    else:
+        if not isinstance(var, SOVar):
+            raise EvalError("items iii-vi quantify a relation variable")
+        if fam is None or bound is None:
+            raise EvalError("items iii-vi need a family and a bound")
+        thetas = []
         if fam.arity_supported(var.arity):
-            members = [fam.arity_member(var.arity, n) for n in range(bound + 1)]
-        if which == "v":
-            lhs = ta.class_of(ForallSO(var, body), model)
-            sides = [ta.class_of(a6_instantiate(body, var, m), model)
-                     for m in members]
-            return lhs == alg.meet_all(sides)
-        lhs = ta.class_of(ExistsSO(var, body), model)
-        sides = [alg.complement(ta.class_of(a6_instantiate(Not(body), var, m), model))
-                 for m in members]
-        return lhs == alg.join_all(sides)
-    raise EvalError(f"unknown item {which!r}")
+            thetas = [fam.arity_member(var.arity, n) for n in range(bound + 1)]
+        family = DefinableFamily()
+        for m in thetas:
+            _materialize_member(s, m, family)
+        model = StandardModel(s, _FixedFamilyK(family))
+    ta = truth_algebra(s, v)
+    top = ta.class_of(quantifier(var, body), model)
+    if which in ("i", "ii"):
+        members = [ta.class_of(substitute_fo(body, var, c), model) for c in consts]
+    elif which in ("iii", "iv"):
+        members = [ta.class_of(body, model, so_assignment={var: rel})
+                   for rel in family.relations(var.arity)]
+    elif which == "v":
+        members = [ta.class_of(a6_instantiate(body, var, m), model) for m in thetas]
+    else:
+        members = [ta.algebra.complement(
+                       ta.class_of(a6_instantiate(Not(body), var, m), model))
+                   for m in thetas]
+    return RegularEntry(kind, top, members=members, name=name)
+
+
+def lemma_reg_check(s: FiniteStructure, v: int, body: Formula, which: str,
+                    var, fam: ThetaFamily | None = None,
+                    bound: int | None = None) -> bool:
+    """Finite analogs of the quantifier/meet identities in the truth algebra:
+    the class of the quantified formula is exactly the meet (items i, iii,
+    v) or join (ii, iv, vi) of the classes of its instances, checked on the
+    entry `_quantifier_entry` builds."""
+    entry = _quantifier_entry(s, v, body, which, var, fam, bound)
+    return verify_entry(truth_algebra(s, v).algebra, entry).status == "exact"
 
 
 class _FixedFamilyK:
@@ -1077,37 +1079,10 @@ def truth_class_entries(s: FiniteStructure, v: int, formulas, fam: ThetaFamily,
     quantifier families: element instances, family relations, and member
     instantiations.  All bounds are exact by the finite quantifier
     identities, so the entries feed straight into the chain construction."""
-    from .boolean import RegularEntry
-
-    ta = truth_algebra(s, v)
-    ext, consts = s.with_element_constants()
-    ta2 = truth_algebra(ext, v)
     entries = []
     for i, (body, var) in enumerate(formulas):
-        if isinstance(var, FOVar):
-            members = tuple(ta2.class_of(substitute_fo(body, var, c)) for c in consts)
-            entries.append(RegularEntry(
-                "join", ta2.class_of(ExistsFO(var, body)), members=members,
-                name=f"fo-join{i}"))
-            entries.append(RegularEntry(
-                "meet", ta2.class_of(ForallFO(var, body)), members=members,
-                name=f"fo-meet{i}"))
-        else:
-            family = materialize_k_arity(s, fam, var.arity, bound)
-            model = StandardModel(s, _FixedFamilyK(family))
-            members = tuple(ta.class_of(body, model, so_assignment={var: rel})
-                            for rel in family.relations(var.arity))
-            entries.append(RegularEntry(
-                "join", ta.class_of(ExistsSO(var, body), model), members=members,
-                name=f"so-join{i}"))
-            entries.append(RegularEntry(
-                "meet", ta.class_of(ForallSO(var, body), model), members=members,
-                name=f"so-meet{i}"))
-            insts = tuple(
-                ta.class_of(a6_instantiate(body, var, fam.arity_member(var.arity, n)),
-                            model)
-                for n in range(bound + 1))
-            entries.append(RegularEntry(
-                "meet", ta.class_of(ForallSO(var, body), model), members=insts,
-                name=f"inst-meet{i}"))
+        for which in ("ii", "i") if isinstance(var, FOVar) else ("iv", "iii", "v"):
+            entry = _quantifier_entry(s, v, body, which, var, fam, bound)
+            entry.name += str(i)
+            entries.append(entry)
     return entries

@@ -61,24 +61,26 @@ class ThetaMember:
 
 
 class ThetaFamily:
-    """Deterministic total enumerator n -> member, with cached prefixes."""
+    """Deterministic total enumerator n -> member, built from `parts(n)` =
+    (formula, slots, params) once and cached by index."""
 
-    def __init__(self, name: str, sig: Signature, generator, arities=None,
+    def __init__(self, name: str, sig: Signature, parts, arities=None,
                  contains=None):
         self.name = name
         self.sig = sig
-        self._iter = generator()
-        self._cache: list = []
+        self._parts = parts
+        self._members: dict = {}
         self._arity_cache: dict = {}
         self.arities = arities  # None means every arity >= 1 occurs
         self._contains = contains
 
     def member_at(self, n: int) -> ThetaMember:
-        while len(self._cache) <= n:
-            formula, slots, params = next(self._iter)
-            self._cache.append(ThetaMember(len(self._cache), formula,
-                                           tuple(slots), tuple(params)))
-        return self._cache[n]
+        if n not in self._members:
+            if n < 0:
+                raise FormulaError(f"family {self.name} has no member {n}")
+            formula, slots, params = self._parts(n)
+            self._members[n] = ThetaMember(n, formula, tuple(slots), tuple(params))
+        return self._members[n]
 
     def enumerate_up_to(self, n: int) -> list:
         return [self.member_at(i) for i in range(n + 1)]
@@ -90,6 +92,8 @@ class ThetaFamily:
         """n-th member of the given arity (the per-arity view of the family)."""
         if not self.arity_supported(arity):
             raise FormulaError(f"family {self.name} has no members of arity {arity}")
+        if self.arities == {arity} or n < 0:     # member_at refuses n < 0
+            return self.member_at(n)
         found = self._arity_cache.setdefault(arity, [])
         i = found[-1] + 1 if found else 0
         while len(found) <= n:
@@ -117,6 +121,19 @@ def enumerate_up_to(fam: ThetaFamily, n: int) -> list:
     return fam.enumerate_up_to(n)
 
 
+def _memo(generator):
+    """parts(n) for a family whose members come from one generator: the
+    first n + 1 items, kept."""
+    it, seen = generator(), []
+
+    def parts(n: int):
+        while len(seen) <= n:
+            seen.append(next(it))
+        return seen[n]
+
+    return parts
+
+
 # ---------------------------------------------------------------------------
 # weak second-order logic
 # ---------------------------------------------------------------------------
@@ -133,10 +150,6 @@ def weak_so(sig: Signature, k: int = 1) -> ThetaFamily:
     if k < 1:
         raise FormulaError("relation arity must be >= 1")
 
-    def gen():
-        for n in itertools.count():
-            yield _weak_member_parts(k, n)
-
     def member_test(formula, slots, params):
         if len(slots) != k or len(params) % k != 0 or not params:
             return False
@@ -145,7 +158,8 @@ def weak_so(sig: Signature, k: int = 1) -> ThetaFamily:
         want = ThetaMember(0, *_weak_member_parts(k, n))
         return probe.key() == want.key()
 
-    return ThetaFamily(f"weak-so:{k}", sig, gen, arities={k}, contains=member_test)
+    return ThetaFamily(f"weak-so:{k}", sig, lambda n: _weak_member_parts(k, n),
+                       arities={k}, contains=member_test)
 
 
 def _weak_member_parts(k: int, n: int):
@@ -310,7 +324,7 @@ def dsl(sig: Signature) -> ThetaFamily:
         fo, so = free_variables(formula)
         return not so and fo == {slots[0]}
 
-    return ThetaFamily("dsl", sig, gen, arities={1}, contains=member_test)
+    return ThetaFamily("dsl", sig, _memo(gen), arities={1}, contains=member_test)
 
 
 def all_fo(sig: Signature, parameters: bool = True) -> ThetaFamily:
@@ -356,7 +370,7 @@ def all_fo(sig: Signature, parameters: bool = True) -> ThetaFamily:
         return not so and fo == set(slots) | set(params)
 
     name = "all-fo" if parameters else "all-fo-noparams"
-    return ThetaFamily(name, sig, gen, arities=None, contains=member_test)
+    return ThetaFamily(name, sig, _memo(gen), arities=None, contains=member_test)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +440,7 @@ def prefix_family(sig: Signature, kind: str, level: int) -> ThetaFamily:
         return bool(ok) and in_prefix_class(formula, kind, level)
 
     short = "exists-n" if kind == "exists" else "forall-n"
-    return ThetaFamily(f"{short}:{level}", sig, gen, arities=None,
+    return ThetaFamily(f"{short}:{level}", sig, _memo(gen), arities=None,
                        contains=member_test)
 
 
@@ -457,12 +471,8 @@ def load_family(path: str, sig: Signature, name: str = None) -> ThetaFamily:
     if not members:
         raise FormulaError(f"{path}: no members")
     arities = {len(s) for _, s, _ in members}
-
-    def gen():
-        for i in itertools.count():
-            yield members[i % len(members)]
-
-    return ThetaFamily(name or f"file:{path}", sig, gen, arities=arities)
+    return ThetaFamily(name or f"file:{path}", sig,
+                       lambda n: members[n % len(members)], arities=arities)
 
 
 _XVAR = re.compile(r"^x(\d+)$")

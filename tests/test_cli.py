@@ -134,6 +134,59 @@ def test_rs_cli_avoid_unit_precondition():
     assert code == 3
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("fincof:3", "algebra 'fincof' takes no argument, got 'fincof:3'"),
+    (":3", "unknown algebra ':3'"),
+    ("nope:2", "unknown algebra 'nope:2'"),
+    ("powerset", "algebra 'powerset' takes a size, as in powerset:N"),
+], ids=["fincof-with-argument", "no-kind", "unknown-kind", "powerset-without-size"])
+def test_rs_cli_bad_algebra_exits_3(capsys, spec, message):
+    code = main(["rs", "--algebra", spec, "--family", "atoms", "--avoid", "zero"])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("algebra, family, avoid, message", [
+    ("powerset:3", "complete", "7", "element '7' is not a subset of the atoms [0, 1, 2]"),
+    ("powerset:3", "complete", "-1", "element '-1' is not a subset of the atoms [0, 1, 2]"),
+    ("powerset:3", "join : 0,7 : 0 1", "1",
+     "element '0,7' is not a subset of the atoms [0, 1, 2]"),
+    ("powerset:3", "meet : 0 : 0 5", "1", "element '5' is not a subset of the atoms [0, 1, 2]"),
+    ("free:2", "join : 15 : 3 12", "99", "element '99' is outside 0..15"),
+    ("free:2", "join : 15 : 3 12", "-1", "element '-1' is outside 0..15"),
+    ("free:2", "join : 15 : 3 99", "3", "element '99' is outside 0..15"),
+    ("fincof", "atoms", "cof:-5", "element 'cof:-5' names a negative number"),
+    ("fincof", "atoms", "fin:1,-2", "element 'fin:1,-2' names a negative number"),
+], ids=["powerset-7", "powerset-negative", "powerset-bound", "powerset-member",
+        "free-99", "free-negative", "free-member", "cof-negative", "fin-negative"])
+def test_rs_cli_element_outside_the_carrier_exits_3(tmp_path, capsys, algebra, family,
+                                                   avoid, message):
+    if family not in ("complete", "atoms"):
+        path = tmp_path / "fam.txt"
+        path.write_text(family + "\n", encoding="utf-8")
+        family = str(path)
+    code = main(["rs", "--algebra", algebra, "--family", family, "--avoid", avoid])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_lemma_check_exits_4_when_the_identity_fails(two_json, monkeypatch):
+    # an entry whose bound is the complement of the true class must fail
+    import rsol.structures as st
+    true_entry = st._quantifier_entry
+
+    def complemented(s, v, *args):
+        entry = true_entry(s, v, *args)
+        entry.bound = st.truth_algebra(s, v).algebra.complement(entry.bound)
+        return entry
+
+    monkeypatch.setattr(st, "_quantifier_entry", complemented)
+    for which, body in (("i", "x0 = x0"), ("vi", "X0(x0)")):
+        code, out = run_cli(["lemma-check", "--structure", two_json,
+                             "--which", which, "--body", body, "--bound", "1"])
+        assert code == 4 and f"item ({which}): fails" in out
+
+
 def test_suite_exit_status():
     code, out = run_cli(["suite", "weakso"])
     assert code == 0 and "7/7" in out
@@ -252,7 +305,10 @@ def test_extensionality_at_a_hostile_arity_exits_4(tmp_path, capsys, line):
     ("1. P0(c0) ; A1 1200", "not the comprehension instance for member 1200"),
     ("1. forall X0 X0(c0) -> X0(c0) ; A6 1200",
      "not the instantiation axiom for member 1200"),
-], ids=["A1", "A6", "A1-1200", "A6-1200"])
+    ("1. P0(c0) ; A1 -1", "not the comprehension instance for member -1"),
+    ("1. forall X0 X0(c0) -> X0(c0) ; A6 -1",
+     "not the instantiation axiom for member -1"),
+], ids=["A1", "A6", "A1-1200", "A6-1200", "A1-negative", "A6-negative"])
 def test_family_axiom_at_a_hostile_member_exits_4(tmp_path, capsys, line, reason):
     # weak-so member n is a disjunction about n levels deep with as many
     # parameters; the line has fewer levels, so it is rejected before the

@@ -15,7 +15,7 @@ from rsol.structures import (
     FiniteStructure, MaterializedK, OrbitK, RankBoundedDslK, StandardModel,
     WeakSOExactK, automorphisms, eval_fo, eval_full_so, eval_so,
     eval_so_closure, exact_provider_for, k_exact_orbits, leibniz_reduce,
-    lemma_reg_check, load_structure, materialize_k, materialize_k_arity,
+    lemma_reg_check, load_structure, materialize_k,
     rank_bounded_unary_family, structure_from_json, truth_algebra,
     truth_class_entries, tuple_orbits, verify_provenance,
 )
@@ -603,6 +603,49 @@ def test_substitution_lemma_semantically():
         lhs = eval_fo(s, substitute_fo(f, var, t), env)
         rhs = eval_fo(s, f, {**env, var: tval})
         assert lhs == rhs
+
+
+def test_lemma_check_fails_on_a_wrong_bound(monkeypatch):
+    # the check decides on the entry, so an entry whose bound is the
+    # complement of the true class must make every item fail
+    import rsol.structures as st
+    true_entry = st._quantifier_entry
+
+    def complemented(s, v, *args):
+        entry = true_entry(s, v, *args)
+        entry.bound = truth_algebra(s, v).algebra.complement(entry.bound)
+        return entry
+
+    monkeypatch.setattr(st, "_quantifier_entry", complemented)
+    s, fam = pred_structure(), weak_so(P_SIG, 1)
+    assert not lemma_reg_check(s, 1, parse("P0(x0)", P_SIG), "i", x0)
+    assert not lemma_reg_check(s, 1, parse("P0(x0)", P_SIG), "ii", x0)
+    for which in ("iii", "iv", "v", "vi"):
+        assert not lemma_reg_check(s, 1, SOApp(X0, (Var(x0),)), which, X0, fam, 1)
+
+
+def test_truth_class_entries_on_the_chain_suite_input():
+    # the input of `suite rs`: one entry per item, built by the same
+    # builder that lemma_reg_check verifies
+    from rsol.structures import _quantifier_entry
+    s, fam = pred_structure(), weak_so(P_SIG, 1)
+    body, fo_body = SOApp(X0, (Var(x0),)), parse("P0(x0)", P_SIG)
+    entries = truth_class_entries(s, 1, [(fo_body, x1), (body, X0)], fam, 1)
+    assert [(e.name, e.kind) for e in entries] == [
+        ("fo-join0", "join"), ("fo-meet0", "meet"), ("so-join1", "join"),
+        ("so-meet1", "meet"), ("inst-meet1", "meet")]
+    items = [("ii", fo_body, x1), ("i", fo_body, x1), ("iv", body, X0),
+             ("iii", body, X0), ("v", body, X0)]
+    for e, (which, b, var), i in zip(entries, items, (0, 0, 1, 1, 1)):
+        want = _quantifier_entry(s, 1, b, which, var, fam, 1)
+        want.name += str(i)
+        assert e == want
+    # the classes themselves: P0 holds of 0 only and x1 is vacuous; X0
+    # ranges over {0}, {1} and {0, 1}, the relations of members 0 and 1
+    zero, one, both = frozenset({(0,)}), frozenset({(1,)}), frozenset({(0,), (1,)})
+    assert [e.bound for e in entries] == [zero, zero, both, frozenset(), frozenset()]
+    assert entries[0].members == (zero, zero)
+    assert entries[2].members == (zero, one, both)
 
 
 def test_truth_class_entries_are_exact():

@@ -121,6 +121,24 @@ def test_arity_member_view():
         dsl(SIG).arity_member(2, 0)
 
 
+def test_weak_so_member_is_built_alone(monkeypatch):
+    # member n of weak-so depends on no earlier member, so building it
+    # builds exactly one member
+    import rsol.theta as th
+    calls = []
+    parts = th._weak_member_parts
+
+    def counted(k, n):
+        calls.append(n)
+        return parts(k, n)
+
+    monkeypatch.setattr(th, "_weak_member_parts", counted)
+    fam = weak_so(SIG, 1)
+    assert fam.member_at(40).index == 40 and len(fam.member_at(40).params) == 41
+    assert fam.arity_member(1, 40) is fam.member_at(40)
+    assert calls == [40]
+
+
 def test_weak_so_cardinality_property():
     """Member n defines, over any domain and parameters, a set of size 1..n+1."""
     fam = weak_so(SIG, 1)
