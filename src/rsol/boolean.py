@@ -260,17 +260,16 @@ class RegularEntry:
     """A subset with a designated join or meet.
 
     Finite entries carry their members; infinite ones an enumerator
-    factory.  `trusted` marks bounds that were only prefix-verified.
-    `members_all_finite` is a structural note used on the finite-cofinite
-    carrier: it certifies that every member is a finite element, which
-    makes some incompatibilities provable without exhausting the entry.
+    factory.  `members_all_finite` is a structural note used on the
+    finite-cofinite carrier: it certifies that every member is a finite
+    element, which makes some incompatibilities provable without
+    exhausting the entry.
     """
     kind: str                     # 'join' | 'meet'
     bound: object
     members: Optional[tuple] = None
     enumerator: Optional[Callable[[], Iterator]] = None
     name: str = ""
-    trusted: bool = False
     members_all_finite: bool = False
 
     def __post_init__(self):
@@ -596,4 +595,4 @@ def fincof_atoms_entry(alg: FiniteCofiniteAlgebra) -> RegularEntry:
         return (alg.atom(n) for n in itertools.count())
 
     return RegularEntry("join", alg.one, enumerator=atoms, name="atoms",
-                        trusted=True, members_all_finite=True)
+                        members_all_finite=True)

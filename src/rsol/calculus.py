@@ -24,9 +24,10 @@ from typing import Iterable, Optional
 from .formulas import (
     BINDERS, SUBFORMULAS, And, ExistsSO, ForallFO, ForallSO, Formula,
     FormulaError, FOVar, Func, Iff, InstAtom, Not, Signature, SOApp, SOEq,
-    PredApp, SOVar, Term, TermEq, Var, _depth, a6_instantiate, alpha_eq,
-    as_implies, children, free_variables, implies, is_sentence, normalize,
-    parse, substitute_fo, substitute_so, term_fo_vars, validate,
+    PredApp, SOVar, Term, TermEq, Var, _CANON_FO, _CANON_SO, _depth,
+    a6_instantiate, alpha_eq, as_implies, children, free_variables, implies,
+    is_sentence, normalize, parse, substitute_fo, substitute_so, term_fo_vars,
+    validate,
 )
 from .theta import ThetaFamily
 
@@ -973,8 +974,6 @@ def apply_deduction(proof: Proof, premise_index: Optional[int] = None) -> Proof:
 # ---------------------------------------------------------------------------
 
 _LINE_RX = re.compile(r"^\s*(\d+)\s*\.\s*(.+?)\s*;\s*(.+?)\s*$")
-_FOVAR_RX = re.compile(r"^x(\d+)$")
-_SOVAR_RX = re.compile(r"^X(\d+)(\^(\d+))?$")
 
 
 def load_premises_text(text: str, sig: Signature) -> list:
@@ -1015,12 +1014,12 @@ def _parse_justification(text: str, in_template: bool):
     if kind == "mp":
         return MP(int(words[1]) - 1, int(words[2]) - 1)
     if kind == "gen":
-        m = _FOVAR_RX.match(words[1])
+        m = _CANON_FO.match(words[1])
         if not m:
             raise FormulaError(f"bad variable {words[1]!r}")
         return GenFO(int(words[2]) - 1, FOVar(int(m.group(1))))
     if kind == "genso":
-        m = _SOVAR_RX.match(words[1])
+        m = _CANON_SO.match(words[1])
         if not m:
             raise FormulaError(f"bad variable {words[1]!r}")
         arity = int(m.group(3)) if m.group(3) else 1

@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import sys
 
 from . import boolean as ba
@@ -251,6 +252,9 @@ def _parse_element(alg, text: str):
     raise FormulaError(f"cannot read element {text!r}")
 
 
+_ENTRY_SEP = re.compile(r"(?<!fin)(?<!cof):")
+
+
 def _load_family_entries(alg, spec: str):
     if spec == "complete":
         if not isinstance(alg, ba.PowersetAlgebra):
@@ -267,7 +271,8 @@ def _load_family_entries(alg, spec: str):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = [p.strip() for p in line.split(":")]
+            # the colon of a `fin:`/`cof:` element does not separate fields
+            parts = [p.strip() for p in _ENTRY_SEP.split(line)]
             if len(parts) < 3:
                 raise FormulaError(f"{spec}:{lineno}: expected "
                                    f"'join|meet : bound : members'")
@@ -278,8 +283,7 @@ def _load_family_entries(alg, spec: str):
                 entries.append(ba.RegularEntry(
                     kind, bound, enumerator=lambda alg=alg: (
                         alg.atom(n) for n in itertools.count()),
-                    name=f"entry{lineno}", trusted=True,
-                    members_all_finite=True))
+                    name=f"entry{lineno}", members_all_finite=True))
             else:
                 members = tuple(_parse_element(alg, t)
                                 for t in member_text.split() if t)

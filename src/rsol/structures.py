@@ -346,10 +346,11 @@ def eval_fo(s: FiniteStructure, f: Formula, assignment: Mapping | None = None) -
 
 @dataclass(frozen=True)
 class Provenance:
+    """Where a relation of a family came from; a θ-member's relation also
+    records the member index and the parameter tuple that define it."""
     kind: str                     # 'theta' | 'orbit' | 'all' | 'weak-so' | 'rank-enum'
     theta_index: Optional[int] = None
     params: Optional[tuple] = None
-    note: str = ""
 
 
 class DefinableFamily:
@@ -393,25 +394,23 @@ def _relation_key(rel: frozenset):
 
 def materialize_k(s: FiniteStructure, fam: ThetaFamily, bound: int) -> DefinableFamily:
     """All relations defined by members 0..bound over every parameter tuple."""
-    total_tuples = 0
-    members = fam.enumerate_up_to(bound)
-    for m in members:
-        total_tuples += s.size ** len(m.params)
+    return _materialize(s, fam.enumerate_up_to(bound))
+
+
+def _materialize(s: FiniteStructure, members: list) -> DefinableFamily:
+    """The relations the members define over every parameter tuple, refused
+    before any is evaluated when the tuples would exceed the guard."""
+    total_tuples = sum(s.size ** len(m.params) for m in members)
     if total_tuples > MATERIALIZE_TUPLE_GUARD:
         raise FeasibilityError(
             f"materialization would scan {total_tuples} parameter tuples")
     family = DefinableFamily()
     for m in members:
-        _materialize_member(s, m, family)
+        define = _definer(s, m)
+        for params in itertools.product(range(s.size), repeat=len(m.params)):
+            family.add(m.arity, define(params),
+                       Provenance("theta", theta_index=m.index, params=params))
     return family
-
-
-def _materialize_member(s: FiniteStructure, m: ThetaMember,
-                        family: DefinableFamily) -> None:
-    define = _definer(s, m)
-    for params in itertools.product(range(s.size), repeat=len(m.params)):
-        family.add(m.arity, define(params),
-                   Provenance("theta", theta_index=m.index, params=params))
 
 
 def _definer(s: FiniteStructure, m: ThetaMember):
@@ -583,11 +582,17 @@ def k_exact_orbits(s: FiniteStructure, with_parameters: bool,
             raise FeasibilityError(f"2^{s.size ** arity} relations exceed the guard")
         blocks = [frozenset([row]) for row in
                   itertools.product(range(s.size), repeat=arity)]
-        prov, what = Provenance("orbit", note="with-parameters"), "relations"
+        what = "relations"
     else:
+        # tuples with different equality patterns lie in different orbits,
+        # so |A| >= 2 gives at least 2^(arity-1) of them: refuse before the
+        # rows exist once that count passes the guard
+        if s.size >= 2 and arity > RELATION_GUARD.bit_length():
+            raise FeasibilityError(
+                f"2^(2^{arity - 1}) or more orbit unions exceed the guard")
         blocks = tuple_orbits(s, arity)
-        prov, what = Provenance("orbit"), "orbit unions"
-    family = DefinableFamily()
+        what = "orbit unions"
+    family, prov = DefinableFamily(), Provenance("orbit")
     for rel in _unions(blocks, what):
         family.add(arity, rel, prov)
     return family
@@ -676,7 +681,7 @@ def rank_bounded_unary_family(s: FiniteStructure, rank: int) -> DefinableFamily:
         if set(blocks) == orbits:
             break
     family = DefinableFamily()
-    prov = Provenance("rank-enum", note=f"rank<={rank}")
+    prov = Provenance("rank-enum")
     for rel in _unions(blocks):
         family.add(1, rel, prov)
     return family
@@ -882,6 +887,11 @@ class TruthAlgebra:
     def __init__(self, s: FiniteStructure, v: int):
         self.structure = s
         self.v = v
+        # |A| >= 2 passes the guard long before 64 variables, and the cap
+        # keeps a hostile v from building a huge power
+        if s.size ** min(v, 64) > MATERIALIZE_TUPLE_GUARD:
+            raise FeasibilityError(f"the truth algebra on A^{v} would list "
+                                   f"more than {MATERIALIZE_TUPLE_GUARD} tuples")
         self.tuples = list(itertools.product(range(s.size), repeat=v))
         self.algebra = PowersetAlgebra(self.tuples)
 
@@ -951,9 +961,7 @@ def _quantifier_entry(s: FiniteStructure, v: int, body: Formula, which: str,
         thetas = []
         if fam.arity_supported(var.arity):
             thetas = [fam.arity_member(var.arity, n) for n in range(bound + 1)]
-        family = DefinableFamily()
-        for m in thetas:
-            _materialize_member(s, m, family)
+        family = _materialize(s, thetas)
         model = StandardModel(s, _FixedFamilyK(family))
     ta = truth_algebra(s, v)
     top = ta.class_of(quantifier(var, body), model)

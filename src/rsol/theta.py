@@ -17,12 +17,11 @@ defines) and parameters.  Four built-ins are provided:
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 
 from .formulas import (
     And, Const, ForallFO, FormulaError, FOVar, Func, Not, Or, PredApp,
-    Formula, Signature, TermEq, Var, alpha_key, free_variables,
+    Formula, Signature, TermEq, Var, _CANON_FO, alpha_key, free_variables,
     is_first_order, normalize, parse,
 )
 
@@ -53,26 +52,27 @@ class ThetaMember:
         return len(self.slots)
 
     def key(self):
-        """Alpha key that also fixes the slot/parameter split."""
-        closed = self.formula
-        for v in reversed(self.slots + self.params):
-            closed = ForallFO(v, closed)
-        return (len(self.slots), len(self.params), alpha_key(closed))
+        return _key(self.formula, self.slots, self.params)
+
+
+def _key(formula: Formula, slots: tuple, params: tuple):
+    """Alpha key that also fixes the slot/parameter split."""
+    for v in reversed(slots + params):
+        formula = ForallFO(v, formula)
+    return (len(slots), len(params), alpha_key(formula))
 
 
 class ThetaFamily:
     """Deterministic total enumerator n -> member, built from `parts(n)` =
     (formula, slots, params) once and cached by index."""
 
-    def __init__(self, name: str, sig: Signature, parts, arities=None,
-                 contains=None):
+    def __init__(self, name: str, sig: Signature, parts, arities=None):
         self.name = name
         self.sig = sig
         self._parts = parts
         self._members: dict = {}
         self._arity_cache: dict = {}
         self.arities = arities  # None means every arity >= 1 occurs
-        self._contains = contains
 
     def member_at(self, n: int) -> ThetaMember:
         if n not in self._members:
@@ -103,12 +103,6 @@ class ThetaFamily:
             i += 1
         return self.member_at(found[n])
 
-    def contains(self, formula: Formula, slots, params):
-        """Optional membership test; None when the family cannot decide."""
-        if self._contains is None:
-            return None
-        return self._contains(formula, tuple(slots), tuple(params))
-
     def __repr__(self):
         return f"ThetaFamily({self.name!r})"
 
@@ -121,10 +115,10 @@ def enumerate_up_to(fam: ThetaFamily, n: int) -> list:
     return fam.enumerate_up_to(n)
 
 
-def _memo(generator):
-    """parts(n) for a family whose members come from one generator: the
+def _memo(it):
+    """parts(n) for a family whose members come from one iterator: the
     first n + 1 items, kept."""
-    it, seen = generator(), []
+    seen = []
 
     def parts(n: int):
         while len(seen) <= n:
@@ -149,17 +143,8 @@ def weak_so(sig: Signature, k: int = 1) -> ThetaFamily:
         raise FormulaError("this family needs identity in the signature")
     if k < 1:
         raise FormulaError("relation arity must be >= 1")
-
-    def member_test(formula, slots, params):
-        if len(slots) != k or len(params) % k != 0 or not params:
-            return False
-        probe = ThetaMember(0, formula, tuple(slots), tuple(params))
-        n = len(params) // k - 1
-        want = ThetaMember(0, *_weak_member_parts(k, n))
-        return probe.key() == want.key()
-
     return ThetaFamily(f"weak-so:{k}", sig, lambda n: _weak_member_parts(k, n),
-                       arities={k}, contains=member_test)
+                       arities={k})
 
 
 def _weak_member_parts(k: int, n: int):
@@ -300,77 +285,46 @@ def _term_key(t):
 # dsl / all_fo / prefix families
 # ---------------------------------------------------------------------------
 
+def _members(sig: Signature, splits):
+    """(formula, slots, params) for every formula of `sig` in enumeration
+    order under each split that `splits(fv)` gives for its free variables
+    `fv` (sorted), skipping those equal to an earlier one up to renaming."""
+    seen = set()
+    for f in FormulaEnumerator(sig):
+        fo, _ = free_variables(f)
+        for slots, params in splits(tuple(sorted(fo))):
+            key = _key(f, slots, params)
+            if key not in seen:
+                seen.add(key)
+                yield f, slots, params
+
+
 def dsl(sig: Signature) -> ThetaFamily:
     """All parameter-free formulas in exactly one free variable, deduplicated
     up to renaming."""
-
-    def gen():
-        seen = set()
-        for f in FormulaEnumerator(sig):
-            fo, _ = free_variables(f)
-            if len(fo) != 1:
-                continue
-            slot = next(iter(fo))
-            member = ThetaMember(0, f, (slot,), ())
-            k = member.key()
-            if k in seen:
-                continue
-            seen.add(k)
-            yield f, (slot,), ()
-
-    def member_test(formula, slots, params):
-        if params or len(slots) != 1 or not is_first_order(formula):
-            return False
-        fo, so = free_variables(formula)
-        return not so and fo == {slots[0]}
-
-    return ThetaFamily("dsl", sig, _memo(gen), arities={1}, contains=member_test)
+    return ThetaFamily("dsl", sig, _memo(_members(
+        sig, lambda fv: [(fv, ())] if len(fv) == 1 else [])), arities={1})
 
 
 def all_fo(sig: Signature, parameters: bool = True) -> ThetaFamily:
     """Every first-order formula under every slot/parameter split.
 
     Slots are a nonempty subset of the free variables in increasing index
-    order, parameters the rest; with parameters=False only the full-slot
-    split is emitted.  Converse relations are still covered because the
-    enumeration contains every variable permutation of every formula.
+    order, parameters the rest, subsets by size and then lexicographically;
+    with parameters=False only the full-slot split is emitted.  Converse
+    relations are still covered because the enumeration contains every
+    variable permutation of every formula.
     """
 
-    def gen():
-        seen = set()
-        for f in FormulaEnumerator(sig):
-            fo, _ = free_variables(f)
-            if not fo:
-                continue
-            fv = tuple(sorted(fo))
-            splits = []
-            if parameters:
-                for r in range(1, len(fv) + 1):
-                    for slots in itertools.combinations(fv, r):
-                        params = tuple(v for v in fv if v not in slots)
-                        splits.append((slots, params))
-                splits.sort(key=lambda sp: (len(sp[0]),
-                                            tuple(v.index for v in sp[0])))
-            else:
-                splits.append((fv, ()))
-            for slots, params in splits:
-                member = ThetaMember(0, f, slots, params)
-                k = member.key()
-                if k in seen:
-                    continue
-                seen.add(k)
-                yield f, slots, params
-
-    def member_test(formula, slots, params):
-        if not is_first_order(formula) or not slots:
-            return False
-        if not parameters and params:
-            return False
-        fo, so = free_variables(formula)
-        return not so and fo == set(slots) | set(params)
+    def splits(fv):
+        if not parameters:
+            return [(fv, ())] if fv else []
+        return [(slots, tuple(v for v in fv if v not in slots))
+                for r in range(1, len(fv) + 1)
+                for slots in itertools.combinations(fv, r)]
 
     name = "all-fo" if parameters else "all-fo-noparams"
-    return ThetaFamily(name, sig, _memo(gen), arities=None, contains=member_test)
+    return ThetaFamily(name, sig, _memo(_members(sig, splits)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,21 +381,11 @@ def in_prefix_class(f: Formula, kind: str, level: int) -> bool:
 
 def prefix_family(sig: Signature, kind: str, level: int) -> ThetaFamily:
     """all_fo filtered to the formulas within one prenex level."""
-    base = all_fo(sig)
-
-    def gen():
-        for i in itertools.count():
-            m = base.member_at(i)
-            if in_prefix_class(m.formula, kind, level):
-                yield m.formula, m.slots, m.params
-
-    def member_test(formula, slots, params):
-        ok = base.contains(formula, slots, params)
-        return bool(ok) and in_prefix_class(formula, kind, level)
-
+    members = map(all_fo(sig).member_at, itertools.count())
     short = "exists-n" if kind == "exists" else "forall-n"
-    return ThetaFamily(f"{short}:{level}", sig, _memo(gen), arities=None,
-                       contains=member_test)
+    return ThetaFamily(f"{short}:{level}", sig, _memo(
+        (m.formula, m.slots, m.params) for m in members
+        if in_prefix_class(m.formula, kind, level)))
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +419,10 @@ def load_family(path: str, sig: Signature, name: str = None) -> ThetaFamily:
                        lambda n: members[n % len(members)], arities=arities)
 
 
-_XVAR = re.compile(r"^x(\d+)$")
-
-
 def _parse_vars(text: str, path, lineno) -> tuple:
     out = []
     for word in text.split():
-        m = _XVAR.match(word)
+        m = _CANON_FO.match(word)
         if not m:
             raise FormulaError(
                 f"{path}:{lineno}: {word!r} is not a canonical variable (use x<n>)")

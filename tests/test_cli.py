@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,15 @@ def test_rs_cli_family_file(tmp_path):
     assert code == 0
 
 
+def test_rs_cli_fincof_family_file(tmp_path):
+    # the colon inside a `fin:` element does not split the fields
+    fam = tmp_path / "fam.txt"
+    fam.write_text("join : fin:1,2 : fin:1 fin:2\n", encoding="utf-8")
+    code, out = run_cli(["rs", "--algebra", "fincof", "--family", str(fam),
+                         "--avoid", "zero"])
+    assert code == 0 and "entries compatible: 1/1" in out
+
+
 def test_rs_cli_avoid_unit_precondition():
     code, _ = run_cli(["rs", "--algebra", "powerset:2", "--family", "complete",
                        "--avoid", "unit"])
@@ -157,8 +167,11 @@ def test_rs_cli_bad_algebra_exits_3(capsys, spec, message):
     ("free:2", "join : 15 : 3 99", "3", "element '99' is outside 0..15"),
     ("fincof", "atoms", "cof:-5", "element 'cof:-5' names a negative number"),
     ("fincof", "atoms", "fin:1,-2", "element 'fin:1,-2' names a negative number"),
+    ("fincof", "join : fin:1,-2 : fin:1", "zero",
+     "element 'fin:1,-2' names a negative number"),
 ], ids=["powerset-7", "powerset-negative", "powerset-bound", "powerset-member",
-        "free-99", "free-negative", "free-member", "cof-negative", "fin-negative"])
+        "free-99", "free-negative", "free-member", "cof-negative", "fin-negative",
+        "fin-bound-negative"])
 def test_rs_cli_element_outside_the_carrier_exits_3(tmp_path, capsys, algebra, family,
                                                    avoid, message):
     if family not in ("complete", "atoms"):
@@ -185,6 +198,23 @@ def test_lemma_check_exits_4_when_the_identity_fails(two_json, monkeypatch):
         code, out = run_cli(["lemma-check", "--structure", two_json,
                              "--which", which, "--body", body, "--bound", "1"])
         assert code == 4 and f"item ({which}): fails" in out
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["--which", "iii", "--body", "X0(x0)", "--theta", "weak-so:1", "--bound", "12"],
+     "materialization would scan 89478484 parameter tuples"),
+    (["--which", "i", "--body", "x0 = x0", "--budget-vars", "40"],
+     "the truth algebra on A^40 would list more than 10000000 tuples"),
+], ids=["materialization", "truth-algebra"])
+def test_lemma_check_past_a_guard_exits_5_at_once(tmp_path, capsys, args, reason):
+    four = tmp_path / "four.json"
+    four.write_text(TWO.replace('"domain_size": 2', '"domain_size": 4'),
+                    encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["lemma-check", "--structure", str(four)] + args)
+    assert time.perf_counter() - start < 1.0
+    assert code == 5
+    assert capsys.readouterr().err == f"feasibility guard: {reason}\n"
 
 
 def test_suite_exit_status():

@@ -52,6 +52,12 @@ GOLDEN = {
         ["ktheta", "--structure", "{two}", "--theta", "weak-so:1",
          "--bound", "2"], 0,
         "ae9e10d13fc50277349c537584c51108241da66ad0894796217a69819ced7917"),
+    "ktheta-dsl": (
+        ["ktheta", "--structure", "{two}", "--theta", "dsl", "--bound", "60"], 0,
+        "c2f7e0ab7f83c0cb710d8b39c7d887446c017cad020978459a91112ad5ce5d0a"),
+    "ktheta-all-fo": (
+        ["ktheta", "--structure", "{two}", "--theta", "all-fo", "--bound", "60"], 0,
+        "283f87c6932dc25d1234868a8115b5aa8e8b4eb857de6ea190317653e148da4b"),
     "orbits": (
         ["orbits", "--structure", "{two}", "--arity", "1"], 0,
         "a2e2104fa78eca2394494cac7d57c5c6d95efaa3d0ccddd3bfe85fd66148a365"),
@@ -66,6 +72,9 @@ GOLDEN = {
     "orbits-rows-infeasible": (
         ["orbits", "--structure", "{two}", "--arity", "30",
          "--with-parameters"], 5,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "orbits-rows-infeasible-no-parameters": (
+        ["orbits", "--structure", "{two}", "--arity", "30"], 5,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "compare-so": (
         ["compare-so", "--structure", "{two}", "--sentence", SENTENCE], 0,

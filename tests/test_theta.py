@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 
 import pytest
 
+from rsol.cli import DEMO_SIG
+from rsol.corpus import COLLAPSE_SIG
 from rsol.formulas import (
     And, ForallFO, FormulaError, FOVar, Not, PredApp, Signature, TermEq, Var,
-    alpha_eq, free_variables, parse,
+    alpha_eq, format_formula, free_variables, parse,
 )
 from rsol.theta import (
     FormulaEnumerator, ThetaMember, all_fo, classify_prefix, dsl,
@@ -213,11 +216,46 @@ def test_family_from_cli():
         family_from_cli("nope", SIG)
 
 
-def test_membership_tests():
-    wfam = weak_so(SIG, 1)
-    m = theta_at(wfam, 1)
-    assert wfam.contains(m.formula, m.slots, m.params) is True
-    assert wfam.contains(parse("P0(x0)", SIG), (FOVar(0),), ()) is False
-    dfam = dsl(SIG)
-    assert dfam.contains(parse("~P0(x0)", SIG), (FOVar(0),), ()) is True
-    assert dfam.contains(parse("x0 = x1", SIG), (FOVar(0),), (FOVar(1),)) is False
+def member_sequence_digest(fam, count):
+    """sha256 over the printed formula, slots and parameters of members
+    0..count-1, in order."""
+    h = hashlib.sha256()
+    for m in enumerate_up_to(fam, count - 1):
+        h.update(repr((format_formula(m.formula, unicode=False),
+                       [v.index for v in m.slots],
+                       [v.index for v in m.params])).encode("utf-8"))
+    return h.hexdigest()
+
+
+# frozen member sequences of the generated families: a change to the
+# enumerator, the splits or the deduplication that reorders, drops or adds
+# a member changes a digest (DEMO_SIG has a function symbol)
+MEMBER_DIGESTS = {
+    ("collapse", "dsl"):
+        "c6bcd1cecc799fce81185a56e77754bae993f67a3d56a6d8a0dccd1038d66a6c",
+    ("collapse", "all-fo"):
+        "cd0c06c22e86686b40a19b854aeb74d0dbf1101e64dbe23d65941b7324c28929",
+    ("collapse", "all-fo-noparams"):
+        "829d67c6d82f69cf7a4ad5aa9d5ab66162d25562d8da324f5fc06df225345b4a",
+    ("collapse", "exists-n:1"):
+        "6a1527342ca710bc91905a849153d1fe3cefaf67059afda268d1c1fb3ee94b52",
+    ("collapse", "forall-n:2"):
+        "a79831a27881496bada0d93047b401aa0b7d230d132b17bf2d668f27c451bb74",
+    ("demo", "dsl"):
+        "4f25256cffaee28227f1c96182a6881da03bfd891829460b114ecf40026ec5f9",
+    ("demo", "all-fo"):
+        "5be0bd9660c6fa81b87b008927a8fe96baf58fbb1246088b61a5c487b04d680c",
+    ("demo", "all-fo-noparams"):
+        "785cdd3e1e065c101442618e99d86a43b72dff5ee6e6d489c9521947c8aaa9af",
+    ("demo", "exists-n:1"):
+        "83ee1d7533df9ba5b9b8e1062f0e0fc9c01067618ded7262e36d37bbef0c4fd2",
+    ("demo", "forall-n:2"):
+        "5be0bd9660c6fa81b87b008927a8fe96baf58fbb1246088b61a5c487b04d680c",
+}
+
+
+@pytest.mark.parametrize("sig_name, spec", sorted(MEMBER_DIGESTS))
+def test_member_sequence_digest(sig_name, spec):
+    sig = {"collapse": COLLAPSE_SIG, "demo": DEMO_SIG}[sig_name]
+    got = member_sequence_digest(family_from_cli(spec, sig), 300)
+    assert got == MEMBER_DIGESTS[sig_name, spec]
