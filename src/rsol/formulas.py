@@ -515,46 +515,46 @@ def _term_alpha(t: Term, env: dict):
     return ("t", t.name, tuple(_term_alpha(a, env) for a in t.args))
 
 
+def _alpha_walk(g: Formula, env: dict, depth: int):
+    """The alpha key of a normalized formula under `env`, which maps
+    ("fo", v) / ("so", V) to the depth of the binder that binds v / V;
+    `depth` binders enclose g."""
+    if isinstance(g, PredApp):
+        return ("P", g.name, tuple(_term_alpha(t, env) for t in g.args))
+    if isinstance(g, TermEq):
+        return ("=", _term_alpha(g.left, env), _term_alpha(g.right, env))
+    if isinstance(g, SOApp):
+        b = env.get(("so", g.var))
+        head = ("b", b) if b is not None else ("f", g.var.index, g.var.arity)
+        return ("S", head, tuple(_term_alpha(t, env) for t in g.args))
+    if isinstance(g, SOEq):
+        sides = []
+        for v in (g.left, g.right):
+            b = env.get(("so", v))
+            sides.append(("b", b) if b is not None else ("f", v.index, v.arity))
+        return ("E", tuple(sides))
+    if isinstance(g, Not):
+        return ("~", _alpha_walk(g.body, env, depth))
+    if isinstance(g, And):
+        return ("&", _alpha_walk(g.left, env, depth), _alpha_walk(g.right, env, depth))
+    if isinstance(g, ForallFO):
+        return ("Ax", _alpha_walk(g.body, {**env, ("fo", g.var): depth}, depth + 1))
+    if isinstance(g, ForallSO):
+        return ("AX", g.var.arity,
+                _alpha_walk(g.body, {**env, ("so", g.var): depth}, depth + 1))
+    if isinstance(g, InstAtom):
+        return ("I", g.var.arity,
+                _alpha_walk(g.body, {**env, ("so", g.var): depth}, depth + 1))
+    raise FormulaError(f"unexpected node in normalized formula: {g!r}")
+
+
 def alpha_key(f: Formula):
     """Canonical de Bruijn-style key; equal keys mean alpha-equivalent.
 
     Computed on the normalized form, so sugared variants of the same
     formula compare equal.
     """
-    def walk(g, env, depth):
-        if isinstance(g, PredApp):
-            return ("P", g.name, tuple(_term_alpha(t, env) for t in g.args))
-        if isinstance(g, TermEq):
-            return ("=", _term_alpha(g.left, env), _term_alpha(g.right, env))
-        if isinstance(g, SOApp):
-            b = env.get(("so", g.var))
-            head = ("b", b) if b is not None else ("f", g.var.index, g.var.arity)
-            return ("S", head, tuple(_term_alpha(t, env) for t in g.args))
-        if isinstance(g, SOEq):
-            sides = []
-            for v in (g.left, g.right):
-                b = env.get(("so", v))
-                sides.append(("b", b) if b is not None else ("f", v.index, v.arity))
-            return ("E", tuple(sides))
-        if isinstance(g, Not):
-            return ("~", walk(g.body, env, depth))
-        if isinstance(g, And):
-            return ("&", walk(g.left, env, depth), walk(g.right, env, depth))
-        if isinstance(g, ForallFO):
-            env2 = dict(env)
-            env2[("fo", g.var)] = depth
-            return ("Ax", walk(g.body, env2, depth + 1))
-        if isinstance(g, ForallSO):
-            env2 = dict(env)
-            env2[("so", g.var)] = depth
-            return ("AX", g.var.arity, walk(g.body, env2, depth + 1))
-        if isinstance(g, InstAtom):
-            env2 = dict(env)
-            env2[("so", g.var)] = depth
-            return ("I", g.var.arity, walk(g.body, env2, depth + 1))
-        raise FormulaError(f"unexpected node in normalized formula: {g!r}")
-
-    return walk(normalize(f), {}, 0)
+    return _alpha_walk(normalize(f), {}, 0)
 
 
 def alpha_eq(f: Formula, g: Formula) -> bool:

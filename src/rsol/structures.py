@@ -9,6 +9,7 @@ with parameters), or the full powerset for collapse testing.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -578,8 +579,9 @@ def k_exact_orbits(s: FiniteStructure, with_parameters: bool,
     coordinatewise matches), so the family is the full powerset.
     """
     if with_parameters:
-        if s.size ** arity > RELATION_GUARD:  # refuse before the rows exist
-            raise FeasibilityError(f"2^{s.size ** arity} relations exceed the guard")
+        # refuse before the rows exist; the cap skips the power of a hostile arity
+        if s.size ** min(arity, 64) > RELATION_GUARD:
+            raise FeasibilityError(f"2^({s.size}^{arity}) relations exceed the guard")
         blocks = [frozenset([row]) for row in
                   itertools.product(range(s.size), repeat=arity)]
         what = "relations"
@@ -816,10 +818,10 @@ def eval_so_closure(m: StandardModel, f: Formula) -> bool:
 
 
 def _all_relations(s: FiniteStructure, arity: int):
-    cells = s.size ** arity
-    if cells > RELATION_GUARD:
+    if s.size ** min(arity, 64) > RELATION_GUARD:
         raise FeasibilityError(
-            f"full second-order range needs 2^{cells} relations")
+            f"full second-order range needs 2^({s.size}^{arity}) relations")
+    cells = s.size ** arity
     rows = list(itertools.product(range(s.size), repeat=arity))
     for mask in range(1 << cells):
         yield frozenset(rows[i] for i in range(cells) if mask >> i & 1)
@@ -887,11 +889,11 @@ class TruthAlgebra:
     def __init__(self, s: FiniteStructure, v: int):
         self.structure = s
         self.v = v
-        # |A| >= 2 passes the guard long before 64 variables, and the cap
-        # keeps a hostile v from building a huge power
-        if s.size ** min(v, 64) > MATERIALIZE_TUPLE_GUARD:
+        # |A|^v tuples of v entries each; the cap keeps a hostile v from
+        # building a huge power
+        if s.size ** min(v, 64) * v > MATERIALIZE_TUPLE_GUARD:
             raise FeasibilityError(f"the truth algebra on A^{v} would list "
-                                   f"more than {MATERIALIZE_TUPLE_GUARD} tuples")
+                                   f"more than {MATERIALIZE_TUPLE_GUARD} tuple entries")
         self.tuples = list(itertools.product(range(s.size), repeat=v))
         self.algebra = PowersetAlgebra(self.tuples)
 
@@ -930,7 +932,8 @@ _ITEMS = {
 
 def _quantifier_entry(s: FiniteStructure, v: int, body: Formula, which: str,
                       var, fam: ThetaFamily | None = None,
-                      bound: int | None = None) -> RegularEntry:
+                      bound: int | None = None,
+                      ta: TruthAlgebra | None = None) -> RegularEntry:
     """Item `which` of the quantifier identities as a regular entry over the
     truth algebra on A^v: the bound is the class of the quantified formula,
     the members are the classes of its instances.
@@ -940,6 +943,7 @@ def _quantifier_entry(s: FiniteStructure, v: int, body: Formula, which: str,
     v/vi:  the family-member instantiations with their parameter prefixes
            evaluated (vi through the complement of the instances of ¬body).
     Items iii-vi read members 0..bound of the per-arity view of the family.
+    `ta`, if given, is the truth algebra on A^v to build the classes in.
     """
     if which not in _ITEMS:
         raise EvalError(f"unknown item {which!r}")
@@ -948,7 +952,10 @@ def _quantifier_entry(s: FiniteStructure, v: int, body: Formula, which: str,
     if which in ("i", "ii"):
         if not isinstance(var, FOVar):
             raise EvalError("items i/ii quantify a first-order variable")
+        # the same algebra over s expanded by one constant per element
         s, consts = s.with_element_constants()
+        ta = copy.copy(ta or truth_algebra(s, v))
+        ta.structure = s
         if not is_first_order(body):
             if fam is None or bound is None:
                 raise EvalError("second-order bodies need a family and bound")
@@ -958,12 +965,12 @@ def _quantifier_entry(s: FiniteStructure, v: int, body: Formula, which: str,
             raise EvalError("items iii-vi quantify a relation variable")
         if fam is None or bound is None:
             raise EvalError("items iii-vi need a family and a bound")
+        ta = ta or truth_algebra(s, v)
         thetas = []
         if fam.arity_supported(var.arity):
             thetas = [fam.arity_member(var.arity, n) for n in range(bound + 1)]
         family = _materialize(s, thetas)
         model = StandardModel(s, _FixedFamilyK(family))
-    ta = truth_algebra(s, v)
     top = ta.class_of(quantifier(var, body), model)
     if which in ("i", "ii"):
         members = [ta.class_of(substitute_fo(body, var, c), model) for c in consts]
@@ -986,8 +993,9 @@ def lemma_reg_check(s: FiniteStructure, v: int, body: Formula, which: str,
     the class of the quantified formula is exactly the meet (items i, iii,
     v) or join (ii, iv, vi) of the classes of its instances, checked on the
     entry `_quantifier_entry` builds."""
-    entry = _quantifier_entry(s, v, body, which, var, fam, bound)
-    return verify_entry(truth_algebra(s, v).algebra, entry).status == "exact"
+    ta = truth_algebra(s, v)
+    entry = _quantifier_entry(s, v, body, which, var, fam, bound, ta)
+    return verify_entry(ta.algebra, entry).status == "exact"
 
 
 class _FixedFamilyK:

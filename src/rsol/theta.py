@@ -12,16 +12,21 @@ defines) and parameters.  Four built-ins are provided:
   (or parameter-free splits only, with ``parameters=False``).
 * ``prefix_family(sig, kind, n)``  the members of ``all_fo`` whose prenex
   class is within the n-th existential (resp. universal) level.
+
+"Every formula" means every formula in x0..x3: ``FormulaEnumerator.POOL_CAP``
+(4) limits ``dsl``, ``all_fo`` and the prefix families to these variables
+until ROADMAP item 3 (rank and unrank without the cap) lands.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .formulas import (
     And, Const, ForallFO, FormulaError, FOVar, Func, Not, Or, PredApp,
-    Formula, Signature, TermEq, Var, _CANON_FO, alpha_key, free_variables,
+    Formula, Signature, TermEq, Var, _CANON_FO, _alpha_walk, free_variables,
     is_first_order, normalize, parse,
 )
 
@@ -52,14 +57,19 @@ class ThetaMember:
         return len(self.slots)
 
     def key(self):
-        return _key(self.formula, self.slots, self.params)
+        return _key(normalize(self.formula), self.slots, self.params)
 
 
 def _key(formula: Formula, slots: tuple, params: tuple):
-    """Alpha key that also fixes the slot/parameter split."""
-    for v in reversed(slots + params):
-        formula = ForallFO(v, formula)
-    return (len(slots), len(params), alpha_key(formula))
+    """Alpha key that also fixes the slot/parameter split: the alpha key of
+    the normalized formula under binders for slots + params, outermost first,
+    put in the walk's environment at depths 0, 1, ... instead of built."""
+    bound = slots + params
+    key = _alpha_walk(formula, {("fo", v): i for i, v in enumerate(bound)},
+                      len(bound))
+    for _ in bound:
+        key = ("Ax", key)
+    return (len(slots), len(params), key)
 
 
 class ThetaFamily:
@@ -168,117 +178,95 @@ def _weak_member_parts(k: int, n: int):
 # ---------------------------------------------------------------------------
 
 class FormulaEnumerator:
-    """All first-order formulas over a signature, by size then lexicographic.
+    """All first-order formulas over a signature in the variables x0..x3,
+    by size then by a structural order.
 
     Size counts AST nodes (quantifiers count one, their variable none).
-    The variable pool grows with the size so the enumeration is total; at
-    the scales this project runs, sizes stay small.
+    A size class holds (formula, key, free variables) triples sorted by
+    key, and each formula's key and free variables are built from those of
+    its parts.  The key orders atoms before negations, conjunctions and
+    quantifiers, in that order, then compares the parts.
     """
 
-    #: hard cap on the variable pool per size class; a formula of size s
-    #: mentions at most s distinct variables anyway, the min keeps the
-    #: small size classes small.
+    #: the variable pool of size class s is x0..x(min(s, POOL_CAP) - 1), so
+    #: every formula the enumerator yields lies within x0..x3 until ROADMAP
+    #: item 3 lands; a formula of size s mentions at most s variables anyway.
     POOL_CAP = 4
 
     def __init__(self, sig: Signature):
         self.sig = sig
         self._terms: dict = {}
         self._formulas: dict = {}
+        # one object per variable, so the sets of variables compare by identity
+        self._vars = [FOVar(i) for i in range(self.POOL_CAP)]
 
-    def _pool(self, size: int) -> list:
-        return [FOVar(i) for i in range(min(size, self.POOL_CAP))]
-
-    def terms_of_size(self, size: int, pool) -> list:
-        key = (size, len(pool))
-        if key in self._terms:
-            return self._terms[key]
+    def _keyed_terms(self, size: int, pool) -> list:
+        """(term, key, variables) for every term of the size over the pool."""
+        if (size, len(pool)) in self._terms:
+            return self._terms[size, len(pool)]
         out = []
         if size == 1:
-            out.extend(Var(v) for v in pool)
-            out.extend(Const(c) for c in sorted(self.sig.constants))
-        elif size > 1:
+            out.extend((Var(v), (0, v.index), frozenset((v,))) for v in pool)
+            out.extend((Const(c), (1, c), frozenset())
+                       for c in sorted(self.sig.constants))
+        else:
             for name in sorted(self.sig.functions):
                 arity = self.sig.functions[name]
-                for split in _compositions(size - 1, arity):
-                    for args in itertools.product(
-                            *(self.terms_of_size(s, pool) for s in split)):
-                        out.append(Func(name, args))
-        self._terms[key] = out
+                for args, keys, fv in self._keyed_args(size - 1, arity, pool):
+                    out.append((Func(name, args), (2, name, keys), fv))
+        self._terms[size, len(pool)] = out
         return out
 
+    def _keyed_args(self, size: int, arity: int, pool):
+        """(terms, keys, variables) for every argument tuple of the arity
+        whose terms' sizes sum to `size`."""
+        for split in _compositions(size, arity):
+            for args in itertools.product(
+                    *(self._keyed_terms(s, pool) for s in split)):
+                yield (tuple(a[0] for a in args), tuple(a[1] for a in args),
+                       frozenset().union(*(a[2] for a in args)))
+
     def formulas_of_size(self, size: int) -> list:
+        """(formula, key, free variables) for every formula of the size, in
+        key order."""
         if size in self._formulas:
             return self._formulas[size]
-        pool = self._pool(size)
+        pool = self._vars[:size]
         out = []
         for name in sorted(self.sig.predicates):
             arity = self.sig.predicates[name]
-            if arity >= size:
-                continue
-            for split in _compositions(size - 1, arity):
-                for args in itertools.product(
-                        *(self.terms_of_size(s, pool) for s in split)):
-                    out.append(PredApp(name, args))
+            if arity < size:
+                for args, keys, fv in self._keyed_args(size - 1, arity, pool):
+                    out.append((PredApp(name, args), (0, name, keys), fv))
         if self.sig.identity:
-            for split in _compositions(size - 1, 2):
-                for left in self.terms_of_size(split[0], pool):
-                    for right in self.terms_of_size(split[1], pool):
-                        out.append(TermEq(left, right))
+            for (left, right), keys, fv in self._keyed_args(size - 1, 2, pool):
+                out.append((TermEq(left, right), (1,) + keys, fv))
         if size >= 2:
-            for body in self.formulas_of_size(size - 1):
-                out.append(Not(body))
+            smaller = self.formulas_of_size(size - 1)
+            out.extend((Not(f), (2, k), fv) for f, k, fv in smaller)
             for v in pool:
-                for body in self.formulas_of_size(size - 1):
-                    out.append(ForallFO(v, body))
-        if size >= 3:
-            for ls in range(1, size - 1):
-                for left in self.formulas_of_size(ls):
-                    for right in self.formulas_of_size(size - 1 - ls):
-                        out.append(And(left, right))
-        out.sort(key=_struct_key)
+                drop = frozenset((v,))
+                out.extend((ForallFO(v, f), (4, v.index, k), fv - drop)
+                           for f, k, fv in smaller)
+        for ls in range(1, size - 1):
+            for left, lk, lv in self.formulas_of_size(ls):
+                for right, rk, rv in self.formulas_of_size(size - 1 - ls):
+                    out.append((And(left, right), (3, lk, rk), lv | rv))
+        out.sort(key=itemgetter(1))
         self._formulas[size] = out
         return out
 
     def __iter__(self):
         for size in itertools.count(1):
-            yield from self.formulas_of_size(size)
+            yield from (f for f, _, _ in self.formulas_of_size(size))
 
 
 def _compositions(total: int, parts: int):
-    """Ordered compositions of `total` into `parts` positive summands."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _struct_key(f):
-    if isinstance(f, PredApp):
-        return (0, f.name, tuple(_term_key(t) for t in f.args))
-    if isinstance(f, TermEq):
-        return (1, _term_key(f.left), _term_key(f.right))
-    if isinstance(f, Not):
-        return (2, _struct_key(f.body))
-    if isinstance(f, And):
-        return (3, _struct_key(f.left), _struct_key(f.right))
-    if isinstance(f, ForallFO):
-        return (4, f.var.index, _struct_key(f.body))
-    raise FormulaError(f"enumerator produced unexpected node {f!r}")
-
-
-def _term_key(t):
-    if isinstance(t, Var):
-        return (0, t.var.index)
-    if isinstance(t, Const):
-        return (1, t.name)
-    return (2, t.name, tuple(_term_key(a) for a in t.args))
+    """Ordered compositions of `total` >= 1 into `parts` >= 1 positive
+    summands, lexicographically: one per choice of parts - 1 cut points."""
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        ends = (0,) + cuts + (total,)
+        yield tuple(b - a for a, b in zip(ends, ends[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +278,28 @@ def _members(sig: Signature, splits):
     order under each split that `splits(fv)` gives for its free variables
     `fv` (sorted), skipping those equal to an earlier one up to renaming."""
     seen = set()
-    for f in FormulaEnumerator(sig):
-        fo, _ = free_variables(f)
-        for slots, params in splits(tuple(sorted(fo))):
-            key = _key(f, slots, params)
-            if key not in seen:
-                seen.add(key)
-                yield f, slots, params
+    enumerator = FormulaEnumerator(sig)
+    for size in itertools.count(1):
+        # the enumerator builds only primitive nodes: f is already normalized
+        for f, _, fo in enumerator.formulas_of_size(size):
+            for slots, params in splits(tuple(sorted(fo))):
+                key = _key(f, slots, params)
+                if key not in seen:
+                    seen.add(key)
+                    yield f, slots, params
 
 
 def dsl(sig: Signature) -> ThetaFamily:
-    """All parameter-free formulas in exactly one free variable, deduplicated
-    up to renaming."""
+    """All parameter-free formulas in x0..x3 (`FormulaEnumerator.POOL_CAP`)
+    with exactly one free variable, deduplicated up to renaming."""
     return ThetaFamily("dsl", sig, _memo(_members(
         sig, lambda fv: [(fv, ())] if len(fv) == 1 else [])), arities={1})
 
 
 def all_fo(sig: Signature, parameters: bool = True) -> ThetaFamily:
-    """Every first-order formula under every slot/parameter split.
+    """Every first-order formula in the variables x0..x3 under every
+    slot/parameter split (`FormulaEnumerator.POOL_CAP` = 4 sets that limit
+    until ROADMAP item 3 lands).
 
     Slots are a nonempty subset of the free variables in increasing index
     order, parameters the rest, subsets by size and then lexicographically;

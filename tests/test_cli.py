@@ -204,7 +204,7 @@ def test_lemma_check_exits_4_when_the_identity_fails(two_json, monkeypatch):
     (["--which", "iii", "--body", "X0(x0)", "--theta", "weak-so:1", "--bound", "12"],
      "materialization would scan 89478484 parameter tuples"),
     (["--which", "i", "--body", "x0 = x0", "--budget-vars", "40"],
-     "the truth algebra on A^40 would list more than 10000000 tuples"),
+     "the truth algebra on A^40 would list more than 10000000 tuple entries"),
 ], ids=["materialization", "truth-algebra"])
 def test_lemma_check_past_a_guard_exits_5_at_once(tmp_path, capsys, args, reason):
     four = tmp_path / "four.json"
@@ -212,6 +212,28 @@ def test_lemma_check_past_a_guard_exits_5_at_once(tmp_path, capsys, args, reason
                     encoding="utf-8")
     start = time.perf_counter()
     code = main(["lemma-check", "--structure", str(four)] + args)
+    assert time.perf_counter() - start < 1.0
+    assert code == 5
+    assert capsys.readouterr().err == f"feasibility guard: {reason}\n"
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["orbits", "--arity", "10000", "--with-parameters"],
+     "2^(3^10000) relations exceed the guard"),
+    (["compare-so", "--sentence", "forall X0^10000 X0^10000 = X0^10000"],
+     "2^(3^10000) relations exceed the guard"),
+    # 3^14 assignments pass a guard on their count, not on their 14 entries
+    (["lemma-check", "--which", "i", "--body", "x0 = x0", "--budget-vars", "14"],
+     "the truth algebra on A^14 would list more than 10000000 tuple entries"),
+], ids=["orbits-with-parameters", "compare-so", "truth-algebra-entries"])
+def test_guards_on_three_elements_exit_5_at_once(tmp_path, capsys, args, reason):
+    # the guard names a power too large to print in full, and refuses it
+    # before any work: exit 5 and one line on stderr, not a traceback
+    three = tmp_path / "three.json"
+    three.write_text(TWO.replace('"domain_size": 2', '"domain_size": 3'),
+                     encoding="utf-8")
+    start = time.perf_counter()
+    code = main(args[:1] + ["--structure", str(three)] + args[1:])
     assert time.perf_counter() - start < 1.0
     assert code == 5
     assert capsys.readouterr().err == f"feasibility guard: {reason}\n"

@@ -302,18 +302,23 @@ RIGID = FiniteStructure(RIGID_SIG, 3, constants={"c0": 0, "c1": 1, "c2": 2})
     pytest.param(_full_so_past_guard, "full second-order range needs 2^",
                  id="eval_full_so"),
     pytest.param(lambda: k_exact_orbits(FiniteStructure(EMPTY_SIG, 3), True, 3),
-                 "2^27 relations exceed the guard", id="orbits-with-parameters"),
+                 "2^(3^3) relations exceed the guard", id="orbits-with-parameters"),
     pytest.param(lambda: k_exact_orbits(RIGID, False, 3),
                  "2^27 orbit unions exceed the guard", id="orbits"),
     pytest.param(lambda: WeakSOExactK(3).relations(FiniteStructure(EMPTY_SIG, 3), 3),
-                 "2^27 relations exceed the guard", id="weak-so-exact"),
+                 "2^(3^3) relations exceed the guard", id="weak-so-exact"),
     # 2^40 rows: the guard must refuse before any row is built
     pytest.param(lambda: k_exact_orbits(FiniteStructure(EMPTY_SIG, 2), True, 40),
-                 "2^1099511627776 relations exceed the guard",
+                 "2^(2^40) relations exceed the guard",
                  id="orbits-with-parameters-rows-infeasible"),
     pytest.param(lambda: WeakSOExactK(40).relations(FiniteStructure(EMPTY_SIG, 2), 40),
-                 "2^1099511627776 relations exceed the guard",
+                 "2^(2^40) relations exceed the guard",
                  id="weak-so-exact-rows-infeasible"),
+    # 3^10000 has more digits than an int may print: the message stays symbolic
+    pytest.param(lambda: eval_full_so(FiniteStructure(EMPTY_SIG, 3), ForallSO(
+                     SOVar(0, 10000), SOEq(SOVar(0, 10000), SOVar(0, 10000)))),
+                 "full second-order range needs 2^(3^10000) relations",
+                 id="eval_full_so-rows-infeasible"),
 ])
 def test_feasibility_guards(compute, message):
     # every range here has more than 2^20 relations

@@ -6,8 +6,8 @@ import pytest
 from rsol.cli import DEMO_SIG
 from rsol.corpus import COLLAPSE_SIG
 from rsol.formulas import (
-    And, ForallFO, FormulaError, FOVar, Not, PredApp, Signature, TermEq, Var,
-    alpha_eq, format_formula, free_variables, parse,
+    And, Const, ForallFO, FormulaError, FOVar, Not, PredApp, Signature, TermEq,
+    Var, alpha_eq, alpha_key, format_formula, free_variables, parse,
 )
 from rsol.theta import (
     FormulaEnumerator, ThetaMember, all_fo, classify_prefix, dsl,
@@ -55,6 +55,76 @@ def brute_force_smallest_single_free_var(sig):
         if len(fo) == 1:
             return f
     raise AssertionError("unreachable")
+
+
+def _struct_key(f):
+    """Reference structural order, recomputed by a recursive walk: atoms,
+    then negations, conjunctions and quantifiers, each by their parts."""
+    if isinstance(f, PredApp):
+        return (0, f.name, tuple(_term_key(t) for t in f.args))
+    if isinstance(f, TermEq):
+        return (1, _term_key(f.left), _term_key(f.right))
+    if isinstance(f, Not):
+        return (2, _struct_key(f.body))
+    if isinstance(f, And):
+        return (3, _struct_key(f.left), _struct_key(f.right))
+    if isinstance(f, ForallFO):
+        return (4, f.var.index, _struct_key(f.body))
+    raise AssertionError(f"unexpected node {f!r}")
+
+
+def _term_key(t):
+    if isinstance(t, Var):
+        return (0, t.var.index)
+    if isinstance(t, Const):
+        return (1, t.name)
+    return (2, t.name, tuple(_term_key(a) for a in t.args))
+
+
+@pytest.mark.parametrize("sig", [COLLAPSE_SIG, DEMO_SIG], ids=["collapse", "demo"])
+def test_size_classes_follow_the_reference_order(sig):
+    # each size class is its formulas sorted by the recursive key, and the
+    # key and free variables stored with each formula are the ones a walk
+    # over the formula gives (DEMO_SIG has a function symbol)
+    enumerator = FormulaEnumerator(sig)
+    for size in range(1, 7):
+        triples = enumerator.formulas_of_size(size)
+        formulas = [f for f, _, _ in triples]
+        assert formulas == sorted(formulas, key=_struct_key)
+        assert len(set(formulas)) == len(formulas)
+        for f, key, fv in triples:
+            assert key == _struct_key(f)
+            assert fv == free_variables(f)[0]
+
+
+def _old_member_key(m):
+    """The member key by its definition: the alpha key of the formula under
+    built binders for the slots, then the parameters."""
+    f = m.formula
+    for v in reversed(m.slots + m.params):
+        f = ForallFO(v, f)
+    return (len(m.slots), len(m.params), alpha_key(f))
+
+
+@pytest.mark.parametrize("spec", ["dsl", "all-fo", "all-fo-noparams"])
+def test_member_keys_keep_their_definition(spec):
+    for m in enumerate_up_to(family_from_cli(spec, COLLAPSE_SIG), 299):
+        assert m.key() == _old_member_key(m)
+
+
+def test_member_keys_of_sugared_file_members(tmp_path):
+    p = tmp_path / "sugar.txt"
+    p.write_text("x0 ; x1 ; x0 = x1 | P0(x1)\n"
+                 "x1 ; x0 ; P0(x0) -> exists x2 (x2 = x1 & P0(x2))\n"
+                 "x0 x1 ; ; P0(x0) <-> ~P0(x1)\n"
+                 "x0 ; ; exists x1 (x0 = x1 | ~(P0(x1) -> P0(x0)))\n",
+                 encoding="utf-8")
+    fam = load_family(str(p), SIG)
+    for m in enumerate_up_to(fam, 3):
+        assert m.key() == _old_member_key(m)
+    # sugar and its normal form share a key
+    assert fam.member_at(0).key() == ThetaMember(
+        0, parse("~(~x0 = x1 & ~P0(x1))", SIG), (FOVar(0),), (FOVar(1),)).key()
 
 
 def test_dsl_first_member_matches_bruteforce():
