@@ -26,8 +26,8 @@ from .formulas import (
     FormulaError, FOVar, Func, Iff, InstAtom, Not, Signature, SOApp, SOEq,
     PredApp, SOVar, Term, TermEq, Var, _CANON_FO, _CANON_SO, _depth,
     a6_instantiate, alpha_eq, as_implies, children, free_variables, implies,
-    is_sentence, normalize, parse, substitute_fo, substitute_so, term_fo_vars,
-    validate,
+    is_sentence, normalize, parse, rebuild, substitute_fo, substitute_so,
+    term_fo_vars, validate,
 )
 from .theta import ThetaFamily
 
@@ -673,16 +673,10 @@ def instantiate_template(t: OmegaTemplate, proof: Proof, n: int) -> Proof:
     fam = proof.family
 
     def replace(f):
-        t = type(f)
-        if t is InstAtom:
+        if type(f) is InstAtom:
             member = fam.arity_member(f.var.arity, n)
             return normalize(a6_instantiate(f.body, f.var, member))
-        kids = []
-        for name in SUBFORMULAS[t]:
-            kids.append(replace(getattr(f, name)))
-        if not kids:
-            return f
-        return t(f.var, *kids) if t in BINDERS else t(*kids)
+        return rebuild(f, [replace(k) for k in children(f)])
 
     lines = []
     for line in t.lines:

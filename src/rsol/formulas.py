@@ -10,6 +10,7 @@ code operates on normalized formulas only.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -255,7 +256,6 @@ class InstAtom(Formula):
     body: Formula
 
 
-BINARY = (And, Or, Implies, Iff)
 FO_QUANT = (ForallFO, ExistsFO)
 SO_QUANT = (ForallSO, ExistsSO)
 BINDERS = FO_QUANT + SO_QUANT + (InstAtom,)
@@ -293,11 +293,14 @@ def children(f: Formula) -> tuple:
 
 
 def rebuild(f: Formula, kids) -> Formula:
-    """The node f with its immediate subformulas replaced by kids."""
+    """The node f with its immediate subformulas replaced by the sequence
+    kids: f itself when each kid is the subformula it replaces, so that a
+    rewrite through rebuild returns every subtree it does not change."""
     t = type(f)
-    if not SUBFORMULAS[t]:
-        return f
-    return t(f.var, *kids) if t in BINDERS else t(*kids)
+    for kid, name in zip(kids, SUBFORMULAS[t]):
+        if kid is not getattr(f, name):
+            return t(f.var, *kids) if t in BINDERS else t(*kids)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -467,30 +470,29 @@ def _validate_term(t: Term, sig: Signature) -> None:
 # ---------------------------------------------------------------------------
 
 def normalize(f: Formula) -> Formula:
-    """Rewrite sugar (|, ->, <->, exists) into the ~ /\\ forall primitives."""
-    if isinstance(f, (PredApp, TermEq, SOApp, SOEq)):
+    """Rewrite sugar (|, ->, <->, exists) into the ~ /\\ forall primitives.
+    A primitive node whose parts come back unchanged is returned as it is,
+    so normalize(g) is g for a normalized g."""
+    t = type(f)
+    if t is PredApp or t is TermEq or t is SOApp or t is SOEq:
         return f
-    if isinstance(f, Not):
-        return Not(normalize(f.body))
-    if isinstance(f, And):
-        return And(normalize(f.left), normalize(f.right))
-    if isinstance(f, Or):
+    if t is Not or t is ForallFO or t is ForallSO or t is InstAtom:
+        body = normalize(f.body)
+        return f if body is f.body else rebuild(f, (body,))
+    if t is And:
+        a, b = normalize(f.left), normalize(f.right)
+        return f if a is f.left and b is f.right else And(a, b)
+    if t is Or:
         return Not(And(Not(normalize(f.left)), Not(normalize(f.right))))
-    if isinstance(f, Implies):
+    if t is Implies:
         return Not(And(normalize(f.left), Not(normalize(f.right))))
-    if isinstance(f, Iff):
+    if t is Iff:
         a, b = normalize(f.left), normalize(f.right)
         return And(Not(And(a, Not(b))), Not(And(b, Not(a))))
-    if isinstance(f, ForallFO):
-        return ForallFO(f.var, normalize(f.body))
-    if isinstance(f, ExistsFO):
+    if t is ExistsFO:
         return Not(ForallFO(f.var, Not(normalize(f.body))))
-    if isinstance(f, ForallSO):
-        return ForallSO(f.var, normalize(f.body))
-    if isinstance(f, ExistsSO):
+    if t is ExistsSO:
         return Not(ForallSO(f.var, Not(normalize(f.body))))
-    if isinstance(f, InstAtom):
-        return InstAtom(f.var, normalize(f.body))
     raise FormulaError(f"not a formula: {f!r}")
 
 
@@ -570,7 +572,14 @@ def _subst_term(t: Term, mapping: Mapping[FOVar, Term]) -> Term:
         return mapping.get(t.var, t)
     if isinstance(t, Const):
         return t
-    return Func(t.name, tuple(_subst_term(a, mapping) for a in t.args))
+    args = _subst_args(t.args, mapping)
+    return t if args is t.args else Func(t.name, args)
+
+
+def _subst_args(args: tuple, mapping: Mapping[FOVar, Term]) -> tuple:
+    """args under the mapping: args itself when no term changes."""
+    new = tuple(_subst_term(a, mapping) for a in args)
+    return args if all(map(operator.is_, new, args)) else new
 
 
 def substitute_fo_many(f: Formula, mapping: Mapping[FOVar, Term],
@@ -586,12 +595,12 @@ def substitute_fo_many(f: Formula, mapping: Mapping[FOVar, Term],
 
     def walk(g, mapping):
         t = type(g)
-        if t is PredApp:
-            return PredApp(g.name, tuple(_subst_term(a, mapping) for a in g.args))
+        if t is PredApp or t is SOApp:
+            args = _subst_args(g.args, mapping)
+            return g if args is g.args else t(g.name if t is PredApp else g.var, args)
         if t is TermEq:
-            return TermEq(_subst_term(g.left, mapping), _subst_term(g.right, mapping))
-        if t is SOApp:
-            return SOApp(g.var, tuple(_subst_term(a, mapping) for a in g.args))
+            left, right = _subst_term(g.left, mapping), _subst_term(g.right, mapping)
+            return g if left is g.left and right is g.right else TermEq(left, right)
         if t in FO_QUANT:
             live = {k: v for k, v in mapping.items() if k != g.var}
             free_body, _ = free_variables(g.body)
@@ -609,13 +618,8 @@ def substitute_fo_many(f: Formula, mapping: Mapping[FOVar, Term],
                 fresh = FOVar(top + 1)
                 body = walk(g.body, {g.var: Var(fresh)})
                 return t(fresh, walk(body, live))
-            return t(g.var, walk(g.body, live))
-        kids = []
-        for name in SUBFORMULAS[t]:
-            kids.append(walk(getattr(g, name), mapping))
-        if not kids:
-            return g
-        return t(g.var, *kids) if t in BINDERS else t(*kids)
+            return rebuild(g, (walk(g.body, live),))
+        return rebuild(g, [walk(getattr(g, name), mapping) for name in SUBFORMULAS[t]])
 
     return walk(f, dict(mapping))
 
@@ -640,10 +644,8 @@ def substitute_so(f: Formula, vm: SOVar, vn: SOVar) -> tuple:
         nonlocal clean
         if isinstance(g, SOApp):
             return SOApp(vn, g.args) if g.var == vm else g
-        if isinstance(g, SOEq):
-            left = vn if g.left == vm else g.left
-            right = vn if g.right == vm else g.right
-            return SOEq(left, right)
+        if isinstance(g, SOEq) and vm in (g.left, g.right):
+            return SOEq(vn if g.left == vm else g.left, vn if g.right == vm else g.right)
         if isinstance(g, BINDERS) and g.var == vm:
             return g
         if isinstance(g, SO_QUANT) and g.var == vn and vm in free_variables(g.body)[1]:
@@ -673,20 +675,12 @@ def a6_instantiate(f: Formula, var: SOVar, member) -> Formula:
     theta = substitute_fo_many(
         member.formula, {p: Var(q) for p, q in zip(member.params, fresh_params)})
 
-    def occurs_in_soeq(g):
-        if isinstance(g, SOEq):
-            return var in (g.left, g.right)
-        if isinstance(g, BINDERS) and g.var == var:
-            return False
-        return any(map(occurs_in_soeq, children(g)))
-
-    if occurs_in_soeq(f):
-        raise FormulaError(
-            f"{var} occurs free in a second-order identity; instantiation is undefined")
-
     def walk(g):
         if isinstance(g, SOApp) and g.var == var:
             return substitute_fo_many(theta, dict(zip(member.slots, g.args)))
+        if isinstance(g, SOEq) and var in (g.left, g.right):
+            raise FormulaError(
+                f"{var} occurs free in a second-order identity; instantiation is undefined")
         if isinstance(g, BINDERS) and g.var == var:
             return g
         return rebuild(g, tuple(map(walk, children(g))))
@@ -729,9 +723,6 @@ def format_formula(f: Formula, unicode: bool = True, resugar: bool = False) -> s
     if resugar:
         f = resugar_formula(f)
 
-    def quant(sylab, varstr, body):
-        return f"{sym[sylab]}{varstr} {go(body, _PREC_UNARY)}"
-
     def go(g, ctx):
         if isinstance(g, PredApp):
             return f"{g.name}({', '.join(format_term(t) for t in g.args)})"
@@ -755,17 +746,9 @@ def format_formula(f: Formula, unicode: bool = True, resugar: bool = False) -> s
         if isinstance(g, Iff):
             s = f"{go(g.left, _PREC_IFF)} {sym['iff']} {go(g.right, _PREC_IFF + 1)}"
             return s if ctx <= _PREC_IFF else f"({s})"
-        if isinstance(g, ForallFO):
-            s = quant("forall", str(g.var), g.body)
-            return s if ctx <= _PREC_UNARY else f"({s})"
-        if isinstance(g, ExistsFO):
-            s = quant("exists", str(g.var), g.body)
-            return s if ctx <= _PREC_UNARY else f"({s})"
-        if isinstance(g, ForallSO):
-            s = quant("forall", str(g.var), g.body)
-            return s if ctx <= _PREC_UNARY else f"({s})"
-        if isinstance(g, ExistsSO):
-            s = quant("exists", str(g.var), g.body)
+        if isinstance(g, FO_QUANT) or isinstance(g, SO_QUANT):
+            word = "forall" if isinstance(g, (ForallFO, ForallSO)) else "exists"
+            s = f"{sym[word]}{g.var} {go(g.body, _PREC_UNARY)}"
             return s if ctx <= _PREC_UNARY else f"({s})"
         if isinstance(g, InstAtom):
             return f"inst({g.var}, {go(g.body, 0)})"
@@ -776,31 +759,21 @@ def format_formula(f: Formula, unicode: bool = True, resugar: bool = False) -> s
 
 def resugar_formula(f: Formula) -> Formula:
     """Fold primitive encodings back into sugar nodes, for display only."""
-    if isinstance(f, (PredApp, TermEq, SOApp, SOEq)):
-        return f
-    if isinstance(f, BINARY):
-        g = type(f)(resugar_formula(f.left), resugar_formula(f.right))
-        if isinstance(g, And) and isinstance(g.left, Implies) and isinstance(g.right, Implies) \
-                and g.left.left == g.right.right and g.left.right == g.right.left:
-            return Iff(g.left.left, g.left.right)
-        return g
-    if isinstance(f, FO_QUANT) or isinstance(f, SO_QUANT):
-        return type(f)(f.var, resugar_formula(f.body))
-    if isinstance(f, InstAtom):
-        return InstAtom(f.var, resugar_formula(f.body))
-    if isinstance(f, Not):
-        body = resugar_formula(f.body)
+    g = rebuild(f, [resugar_formula(k) for k in children(f)])
+    if isinstance(g, And) and isinstance(g.left, Implies) and isinstance(g.right, Implies) \
+            and g.left.left == g.right.right and g.left.right == g.right.left:
+        return Iff(g.left.left, g.left.right)
+    if isinstance(g, Not):
+        body = g.body
         if isinstance(body, ForallFO) and isinstance(body.body, Not):
             return ExistsFO(body.var, body.body.body)
         if isinstance(body, ForallSO) and isinstance(body.body, Not):
             return ExistsSO(body.var, body.body.body)
-        if isinstance(body, And):
-            if isinstance(body.left, Not) and isinstance(body.right, Not):
-                return resugar_formula(Or(body.left.body, body.right.body))
-            if isinstance(body.right, Not):
-                return resugar_formula(Implies(body.left, body.right.body))
-        return Not(body)
-    raise FormulaError(f"not a formula: {f!r}")
+        if isinstance(body, And) and isinstance(body.right, Not):
+            if isinstance(body.left, Not):
+                return Or(body.left.body, body.right.body)
+            return Implies(body.left, body.right.body)
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -942,7 +942,8 @@ def _quantifier_entry(s: FiniteStructure, v: int, body: Formula, which: str,
     iii/iv: the body under each relation of the materialized family;
     v/vi:  the family-member instantiations with their parameter prefixes
            evaluated (vi through the complement of the instances of ¬body).
-    Items iii-vi read members 0..bound of the per-arity view of the family.
+    Items iii-vi read members 0..bound of the per-arity view of the family,
+    which refuses an arity that the family has no members of.
     `ta`, if given, is the truth algebra on A^v to build the classes in.
     """
     if which not in _ITEMS:
@@ -966,9 +967,7 @@ def _quantifier_entry(s: FiniteStructure, v: int, body: Formula, which: str,
         if fam is None or bound is None:
             raise EvalError("items iii-vi need a family and a bound")
         ta = ta or truth_algebra(s, v)
-        thetas = []
-        if fam.arity_supported(var.arity):
-            thetas = [fam.arity_member(var.arity, n) for n in range(bound + 1)]
+        thetas = [fam.arity_member(var.arity, n) for n in range(bound + 1)]
         family = _materialize(s, thetas)
         model = StandardModel(s, _FixedFamilyK(family))
     top = ta.class_of(quantifier(var, body), model)

@@ -194,6 +194,9 @@ class FormulaEnumerator:
     POOL_CAP = 4
 
     def __init__(self, sig: Signature):
+        if not sig.predicates and not sig.identity:
+            raise FormulaError("the signature has no atomic formula, so no "
+                               "formula: no predicates and identity disabled")
         self.sig = sig
         self._terms: dict = {}
         self._formulas: dict = {}
@@ -273,12 +276,16 @@ def _compositions(total: int, parts: int):
 # dsl / all_fo / prefix families
 # ---------------------------------------------------------------------------
 
-def _members(sig: Signature, splits):
-    """(formula, slots, params) for every formula of `sig` in enumeration
-    order under each split that `splits(fv)` gives for its free variables
-    `fv` (sorted), skipping those equal to an earlier one up to renaming."""
+#: the arities all_fo and the prefix families reach: a member's slots are
+#: among the variables x0..x3 of its formula
+_POOL_ARITIES = frozenset(range(1, FormulaEnumerator.POOL_CAP + 1))
+
+
+def _members(enumerator: FormulaEnumerator, splits):
+    """(formula, slots, params) for every formula of the enumerator in order
+    under each split that `splits(fv)` gives for its free variables `fv`
+    (sorted), skipping those equal to an earlier one up to renaming."""
     seen = set()
-    enumerator = FormulaEnumerator(sig)
     for size in itertools.count(1):
         # the enumerator builds only primitive nodes: f is already normalized
         for f, _, fo in enumerator.formulas_of_size(size):
@@ -292,8 +299,8 @@ def _members(sig: Signature, splits):
 def dsl(sig: Signature) -> ThetaFamily:
     """All parameter-free formulas in x0..x3 (`FormulaEnumerator.POOL_CAP`)
     with exactly one free variable, deduplicated up to renaming."""
-    return ThetaFamily("dsl", sig, _memo(_members(
-        sig, lambda fv: [(fv, ())] if len(fv) == 1 else [])), arities={1})
+    return ThetaFamily("dsl", sig, _memo(_members(FormulaEnumerator(sig), lambda fv: (
+        [(fv, ())] if len(fv) == 1 else []))), arities={1})
 
 
 def all_fo(sig: Signature, parameters: bool = True) -> ThetaFamily:
@@ -316,7 +323,8 @@ def all_fo(sig: Signature, parameters: bool = True) -> ThetaFamily:
                 for slots in itertools.combinations(fv, r)]
 
     name = "all-fo" if parameters else "all-fo-noparams"
-    return ThetaFamily(name, sig, _memo(_members(sig, splits)))
+    return ThetaFamily(name, sig, _memo(_members(FormulaEnumerator(sig), splits)),
+                       arities=_POOL_ARITIES)
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +380,15 @@ def in_prefix_class(f: Formula, kind: str, level: int) -> bool:
 
 
 def prefix_family(sig: Signature, kind: str, level: int) -> ThetaFamily:
-    """all_fo filtered to the formulas within one prenex level."""
+    """all_fo filtered to the formulas within one prenex level (a negative
+    level holds no formula and is refused)."""
+    if level < 0:
+        raise FormulaError(f"prefix level must be >= 0, got {level}")
     members = map(all_fo(sig).member_at, itertools.count())
     short = "exists-n" if kind == "exists" else "forall-n"
     return ThetaFamily(f"{short}:{level}", sig, _memo(
         (m.formula, m.slots, m.params) for m in members
-        if in_prefix_class(m.formula, kind, level)))
+        if in_prefix_class(m.formula, kind, level)), arities=_POOL_ARITIES)
 
 
 # ---------------------------------------------------------------------------

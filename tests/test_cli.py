@@ -417,3 +417,60 @@ def test_formula_at_the_depth_limit_parses_and_evaluates(const_json, text):
     assert run_cli(["parse", "--sentence", text])[0] == 0
     assert run_cli(["eval", "--structure", const_json, "--oracle", "all",
                     "--sentence", text])[0] == 0
+
+
+NO_ATOMS = ('{"domain_size": 2, "predicates": {}, "functions": {}, '
+            '"constants": {}, "identity": false}')
+
+
+@pytest.mark.parametrize("structure,args", [
+    (PRED, ["ktheta", "--theta", "exists-n:-1", "--bound", "0"]),
+    (PRED, ["ktheta", "--theta", "forall-n:-3", "--bound", "0"]),
+    (NO_ATOMS, ["ktheta", "--theta", "dsl", "--bound", "0"]),
+    (NO_ATOMS, ["ktheta", "--theta", "all-fo", "--bound", "0"]),
+    (PRED, ["lemma-check", "--which", "iii", "--var-arity", "5", "--theta", "all-fo",
+            "--bound", "0", "--body", "X0^5(x0,x0,x0,x0,x0)"]),
+], ids=["exists-n:-1", "forall-n:-3", "dsl without atoms", "all-fo without atoms",
+        "all-fo at arity 5"])
+def test_families_without_members_exit_3(tmp_path, structure, args):
+    # in a child process with a timeout, so that a search that never ends
+    # fails the test instead of hanging the run
+    path = tmp_path / "s.json"
+    path.write_text(structure, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rsol.cli", args[0], "--structure", str(path)] + args[1:],
+        capture_output=True, text=True, env=_child_env(), timeout=20)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("algebra", ["powerset:3", "free:2"])
+def test_atoms_entry_on_another_algebra_exits_3(tmp_path, capsys, algebra):
+    entries = tmp_path / "entries.txt"
+    entries.write_text("join : one : @atoms\n", encoding="utf-8")
+    code = main(["rs", "--algebra", algebra, "--family", str(entries), "--avoid", "zero"])
+    assert code == 3
+    assert "finite-cofinite" in capsys.readouterr().err
+
+
+def test_atoms_entry_on_fincof_is_the_atoms_family(tmp_path):
+    entries = tmp_path / "entries.txt"
+    entries.write_text("join : one : @atoms\n", encoding="utf-8")
+    common = ["--format", "json", "rs", "--algebra", "fincof", "--avoid", "zero",
+              "--steps", "10"]
+    code, out = run_cli(common + ["--family", str(entries)])
+    code_builtin, out_builtin = run_cli(common + ["--family", "atoms"])
+    assert code == code_builtin == 0
+    assert out == out_builtin.replace('"atoms"', '"entry1"')
+
+
+@pytest.mark.parametrize("budget,code", [(None, 0), ("1", 0), ("0", 3)])
+def test_rsol_budget_bounds_the_witness_search(monkeypatch, capsys, budget, code):
+    if budget is None:
+        monkeypatch.delenv("RSOL_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("RSOL_BUDGET", budget)
+    assert main(["rs", "--algebra", "fincof", "--family", "atoms", "--avoid", "zero",
+                 "--steps", "30"]) == code
+    err = capsys.readouterr().err
+    assert ("enumeration budget exhausted for entry 'atoms'" in err) == (code == 3)

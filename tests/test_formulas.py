@@ -1,3 +1,6 @@
+import copy
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -342,3 +345,83 @@ def test_rebuild_of_children_is_the_node(f):
 def test_children_of_a_non_formula_raise(thing):
     with pytest.raises(FormulaError, match="not a formula"):
         syntax.children(thing)
+
+
+# ---------------------------------------------------------------------------
+# The rebuild rule: a rewrite returns every subtree it does not change
+# ---------------------------------------------------------------------------
+
+_P = PredApp("P0", (Var(x0),))
+_Q = SOApp(X0, (Var(x1),))
+ONE_OF_EACH = [
+    _P, TermEq(Var(x0), Const("c0")), _Q, SOEq(X0, X1), Not(_P),
+    And(_P, _Q), Or(_P, _Q), Implies(_P, _Q), Iff(_P, _Q),
+    ForallFO(x0, _P), ExistsFO(x0, _P), ForallSO(X0, _Q), ExistsSO(X0, _Q),
+    InstAtom(X0, _Q),
+]
+
+
+@pytest.mark.parametrize("f", ONE_OF_EACH, ids=lambda f: type(f).__name__)
+def test_rebuild_with_its_own_children_is_the_node(f):
+    assert syntax.rebuild(f, syntax.children(f)) is f
+    # equal but distinct kids are a change of object: the node is rebuilt
+    copies = [copy.copy(k) for k in syntax.children(f)]
+    if copies:
+        g = syntax.rebuild(f, copies)
+        assert g == f and g is not f
+        assert all(map(operator.is_, syntax.children(g), copies))
+
+
+def test_normalize_returns_every_corpus_line_itself():
+    from rsol.corpus import proof_corpus
+    checked = 0
+    for item in proof_corpus():
+        proof = item.proof
+        lines = list(proof.lines)
+        for t in proof.templates.values():
+            lines.extend(t.lines)
+        for g in list(proof.premises) + [line.formula for line in lines]:
+            assert normalize(g) is g
+            checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("spec", ["dsl", "all-fo"])
+def test_normalize_returns_family_members_themselves(spec):
+    from rsol.corpus import COLLAPSE_SIG
+    from rsol.theta import family_from_cli
+    for m in family_from_cli(spec, COLLAPSE_SIG).enumerate_up_to(199):
+        assert normalize(m.formula) is m.formula
+
+
+@settings(max_examples=120, deadline=None)
+@given(formulas(3))
+def test_normalize_of_a_normal_formula_is_that_formula(f):
+    n = normalize(f)
+    assert normalize(n) is n
+
+
+def test_rewrites_share_the_subtrees_they_leave_alone():
+    untouched = ForallSO(X1, SOEq(X1, SOVar(2, 1)))
+    f = normalize(And(Or(_P, untouched), _Q))
+    out, clean = substitute_so(f, X1, X0)
+    assert out is f and clean
+    assert substitute_fo_many(f, {x2: Const("c0")}) is f
+    g = substitute_fo_many(f, {x1: Const("c0")})
+    assert g is not f and g.left is f.left
+
+
+def test_a6_instantiate_keeps_an_identity_under_a_binder_of_the_variable():
+    member = FakeMember(PredApp("P0", (Var(x0),)), [x0], [])
+    bound = ForallSO(X0, SOEq(X0, X1))
+    out = a6_instantiate(And(SOApp(X0, (Var(x1),)), bound), X0, member)
+    assert out == And(PredApp("P0", (Var(x1),)), bound)
+    assert out.right is bound
+
+
+def test_a6_instantiate_refuses_an_identity_after_an_application():
+    member = FakeMember(PredApp("P0", (Var(x0),)), [x0], [])
+    for f in (And(SOApp(X0, (Var(x1),)), SOEq(X1, X0)),
+              And(SOApp(X0, (Var(x1),)), Not(ForallFO(x1, SOEq(X0, X1))))):
+        with pytest.raises(FormulaError, match="second-order identity"):
+            a6_instantiate(f, X0, member)
