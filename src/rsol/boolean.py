@@ -31,7 +31,8 @@ class BoundRefuted(AlgebraError):
 
 
 class BooleanAlgebra:
-    """Operations plus decidable equality; subclasses fix the element type."""
+    """Operations on canonical elements, so that `==` is the algebra's
+    equality; subclasses fix the element type."""
 
     zero = None
     one = None
@@ -45,14 +46,8 @@ class BooleanAlgebra:
     def complement(self, a):
         raise NotImplementedError
 
-    def eq(self, a, b) -> bool:
-        raise NotImplementedError
-
     def le(self, a, b) -> bool:
-        return self.eq(self.meet(a, b), a)
-
-    def is_zero(self, a) -> bool:
-        return self.eq(a, self.zero)
+        return self.meet(a, b) == a
 
     def elements(self) -> Optional[list]:
         """Full carrier for finite algebras, None otherwise."""
@@ -79,14 +74,14 @@ class BooleanAlgebra:
     def check_laws(self, triples) -> None:
         """Assert absorption, distributivity and complementation on samples."""
         for a, b, c in triples:
-            assert self.eq(self.meet(a, self.join(a, b)), a)
-            assert self.eq(self.join(a, self.meet(a, b)), a)
-            assert self.eq(self.meet(a, self.join(b, c)),
-                           self.join(self.meet(a, b), self.meet(a, c)))
-            assert self.eq(self.join(a, self.meet(b, c)),
-                           self.meet(self.join(a, b), self.join(a, c)))
-            assert self.eq(self.join(a, self.complement(a)), self.one)
-            assert self.eq(self.meet(a, self.complement(a)), self.zero)
+            assert self.meet(a, self.join(a, b)) == a
+            assert self.join(a, self.meet(a, b)) == a
+            assert self.meet(a, self.join(b, c)) == self.join(self.meet(a, b),
+                                                              self.meet(a, c))
+            assert self.join(a, self.meet(b, c)) == self.meet(self.join(a, b),
+                                                              self.join(a, c))
+            assert self.join(a, self.complement(a)) == self.one
+            assert self.meet(a, self.complement(a)) == self.zero
 
 
 class PowersetAlgebra(BooleanAlgebra):
@@ -109,9 +104,6 @@ class PowersetAlgebra(BooleanAlgebra):
 
     def complement(self, a):
         return self.one - a
-
-    def eq(self, a, b):
-        return a == b
 
     def elements(self):
         if len(self.atoms) > self.MAX_ATOMS_ENUMERATED:
@@ -164,9 +156,6 @@ class FreeBooleanAlgebra(BooleanAlgebra):
 
     def complement(self, a):
         return self.one ^ a
-
-    def eq(self, a, b):
-        return a == b
 
     def elements(self):
         if self.generators > 4:
@@ -223,9 +212,6 @@ class FiniteCofiniteAlgebra(BooleanAlgebra):
     def complement(self, a):
         kind, s = a
         return ("cof", s) if kind == "fin" else ("fin", s)
-
-    def eq(self, a, b):
-        return a == b
 
     def enumerate_elements(self) -> Iterator:
         yield self.zero
@@ -319,9 +305,9 @@ def verify_entry(alg: BooleanAlgebra, entry: RegularEntry, prefix: int = 64) -> 
             return EntryVerdict("violation", count, violation_index=i)
         acc = alg.join(acc, s) if up else alg.meet(acc, s)
         count += 1
-        if not entry.finite and alg.eq(acc, entry.bound):
+        if not entry.finite and acc == entry.bound:
             return EntryVerdict("exact", count)
-    if alg.eq(acc, entry.bound):
+    if acc == entry.bound:
         return EntryVerdict("exact", count)
     return EntryVerdict("violation", count, violation_index=None)
 
@@ -335,25 +321,7 @@ def is_ultrafilter(alg: BooleanAlgebra, u) -> bool:
     elements = alg.elements()
     if elements is None:
         raise AlgebraError("exhaustive check needs a finite algebra")
-    members = [e for e in elements if any(alg.eq(e, x) for x in u)]
-    if not any(alg.eq(alg.one, x) for x in members):
-        return False
-    if any(alg.eq(alg.zero, x) for x in members):
-        return False
-    for a in members:
-        for b in members:
-            if not any(alg.eq(alg.meet(a, b), x) for x in members):
-                return False
-    for a in members:
-        for b in elements:
-            if alg.le(a, b) and not any(alg.eq(b, x) for x in members):
-                return False
-    for a in elements:
-        ina = any(alg.eq(a, x) for x in members)
-        inc = any(alg.eq(alg.complement(a), x) for x in members)
-        if ina == inc:
-            return False
-    return True
+    return check_ultrafilter_on_samples(alg, set(u).__contains__, elements)
 
 
 def check_ultrafilter_on_samples(alg: BooleanAlgebra, member: Callable, samples) -> bool:
@@ -499,7 +467,7 @@ def rs_construct(alg: BooleanAlgebra, entries, avoid,
     until `decide_steps` is exhausted.  Every chain element stays nonzero, so the emitted
     membership procedure is an ultrafilter on the decided fragment.
     """
-    if alg.eq(avoid, alg.one):
+    if avoid == alg.one:
         raise AlgebraError("cannot avoid the unit element")
     b = alg.complement(avoid)
     chain = [b]
@@ -507,29 +475,25 @@ def rs_construct(alg: BooleanAlgebra, entries, avoid,
     decided: dict = {}
 
     try:
-        enum_iter = alg.enumerate_elements()
+        carrier = alg.elements()
+        enum_iter = iter(carrier) if carrier is not None else alg.enumerate_elements()
     except AlgebraError:
-        enum_iter = iter(())
+        # a carrier too large to list gets no decide phase
+        carrier, enum_iter = None, iter(())
     if decide_steps is None:
-        decide_steps = len(alg.elements() or []) or 64
+        decide_steps = len(carrier or ()) or 64
 
     decided_count = 0
 
     def decide_one():
         nonlocal b, decided_count
         for e in enum_iter:
-            key = e
-            if key in decided:
+            if e in decided:
                 continue
             low = alg.meet(b, e)
-            if not alg.is_zero(low):
-                b = low
-                decided[key] = True
-                steps.append(ChainStep("", "decide", e, True))
-            else:
-                b = alg.meet(b, alg.complement(e))
-                decided[key] = False
-                steps.append(ChainStep("", "decide", e, False))
+            decided[e] = low != alg.zero
+            b = low if decided[e] else alg.meet(b, alg.complement(e))
+            steps.append(ChainStep("", "decide", e, decided[e]))
             chain.append(b)
             decided_count += 1
             return True
@@ -540,7 +504,7 @@ def rs_construct(alg: BooleanAlgebra, entries, avoid,
         c = entry.bound
         blocker = alg.complement(c) if up else c
         low = alg.meet(b, blocker)
-        if not alg.is_zero(low):
+        if low != alg.zero:
             b = low
             steps.append(ChainStep(entry.name, "bound-side", blocker, None))
         else:
@@ -549,7 +513,7 @@ def rs_construct(alg: BooleanAlgebra, entries, avoid,
                 if i >= witness_budget:
                     raise BudgetExhausted(entry.name)
                 cand = alg.meet(b, s) if up else alg.meet(b, alg.complement(s))
-                if not alg.is_zero(cand):
+                if cand != alg.zero:
                     b = cand
                     steps.append(ChainStep(entry.name, "witness", s, None))
                     found = True

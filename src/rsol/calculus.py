@@ -519,15 +519,6 @@ def recognize_axiom(f: Formula, fam: Optional[ThetaFamily] = None):
 # Checking
 # ---------------------------------------------------------------------------
 
-def _contains_inst(f: Formula) -> bool:
-    if type(f) is InstAtom:
-        return True
-    for name in SUBFORMULAS[type(f)]:
-        if _contains_inst(getattr(f, name)):
-            return True
-    return False
-
-
 def _check_justified_line(proof: Proof, lines, i: int, line: ProofLine,
                           in_template: bool, template_verdicts=None):
     """Reason string when line i does not check, else None.  Outside a
@@ -638,15 +629,15 @@ def check_template(t: OmegaTemplate, proof: Proof) -> Verdict:
         psi, var, body = t.target_parts()
     except FormulaError as exc:
         return Verdict(False, reason=str(exc))
-    if _contains_inst(psi):
+    if any(_inst_atoms(psi)):
         return Verdict(False, reason="target antecedent mentions the meta-index")
-    if _contains_inst(body):
+    if any(_inst_atoms(body)):
         return Verdict(False, reason="nested inst atoms are not supported")
     if proof.family is None:
         return Verdict(False, reason="no family attached to the proof")
     for line in t.lines:
         for atom in _inst_atoms(line.formula):
-            if _contains_inst(atom.body):
+            if any(_inst_atoms(atom.body)):
                 return Verdict(False, reason="nested inst atoms are not supported")
             if not proof.family.arity_supported(atom.var.arity):
                 return Verdict(
@@ -671,12 +662,20 @@ def _inst_atoms(f: Formula):
 def instantiate_template(t: OmegaTemplate, proof: Proof, n: int) -> Proof:
     """Turn a template into the concrete proof of its n-th premise."""
     fam = proof.family
+    # id(node) -> (node, replacement): a node shared between lines is
+    # replaced once, so the lines share the result and the kernel's
+    # comparisons meet the same object; the node is kept so its id stays taken
+    memo: dict = {}
 
     def replace(f):
-        if type(f) is InstAtom:
-            member = fam.arity_member(f.var.arity, n)
-            return normalize(a6_instantiate(f.body, f.var, member))
-        return rebuild(f, [replace(k) for k in children(f)])
+        if id(f) not in memo:
+            if type(f) is InstAtom:
+                member = fam.arity_member(f.var.arity, n)
+                out = normalize(a6_instantiate(f.body, f.var, member))
+            else:
+                out = rebuild(f, [replace(k) for k in children(f)])
+            memo[id(f)] = (f, out)
+        return memo[id(f)][1]
 
     lines = []
     for line in t.lines:
@@ -684,6 +683,9 @@ def instantiate_template(t: OmegaTemplate, proof: Proof, n: int) -> Proof:
         if isinstance(j, A6) and j.theta_index is None:
             j = A6(n)
         lines.append(ProofLine(replace(line.formula), j))
+    # `replace` refers to itself, so only the collector would free the memo
+    # and the instance it holds; a spot check makes one instance per n
+    memo.clear()
     return Proof(proof.sig, fam, proof.premises, lines)
 
 
@@ -695,6 +697,19 @@ def spot_check_template(t: OmegaTemplate, proof: Proof, bound: int) -> Verdict:
             return Verdict(False, line=v.line,
                            reason=f"instance n={n} rejected: {v.reason}")
     return Verdict(True, reason=f"evidence({bound})")
+
+
+def _new_nodes(f: Formula, seen: dict) -> list:
+    """The subformulas of f not yet in `seen` (by identity), in pre-order;
+    each is added to it."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if id(g) not in seen:
+            seen[id(g)] = g
+            out.append(g)
+            stack.extend(reversed(children(g)))
+    return out
 
 
 def check_proof(proof: Proof) -> Verdict:
@@ -711,13 +726,19 @@ def check_proof(proof: Proof) -> Verdict:
         return Verdict(False, reason="no lines")
     for name, t in sorted(proof.templates.items()):
         template_verdicts[name] = check_template(t, proof)
+    # id -> node for the subformulas of the lines checked so far, so that
+    # a subtree several lines share (template instances) is checked once
+    seen: dict = {}
     for i, line in enumerate(proof.lines):
-        if _contains_inst(line.formula):
+        new = _new_nodes(line.formula, seen)
+        if any(type(g) is InstAtom for g in new):
             return Verdict(False, line=i,
                            reason="inst atoms are only allowed inside templates",
                            template_verdicts=template_verdicts)
         try:
-            validate(line.formula, proof.sig)
+            for g in new:
+                if not SUBFORMULAS[type(g)]:   # an atom: validate walks
+                    validate(g, proof.sig)     # the subtree of any other node
         except FormulaError as exc:
             return Verdict(False, line=i, reason=str(exc),
                            template_verdicts=template_verdicts)

@@ -170,7 +170,7 @@ def cmd_lemma_check(args, rep) -> int:
 
 def cmd_reduce(args, rep) -> int:
     sig, s = load_structure(args.structure)
-    quotient, partition = leibniz_reduce(s, args.depth)
+    quotient, partition = leibniz_reduce(s)
     rep.say(f"partition: {partition}")
     rep.say(f"quotient size: {quotient.size}")
     rep.record(check="reduce", partition=partition, quotient_size=quotient.size)
@@ -404,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="quotient by indistinguishability")
     p.add_argument("--structure", required=True)
-    p.add_argument("--depth", type=int)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("prove-check", help="check a proof file")

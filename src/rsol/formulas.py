@@ -713,15 +713,9 @@ def format_term(t: Term) -> str:
     raise FormulaError(f"not a term: {t!r}")
 
 
-def format_formula(f: Formula, unicode: bool = True, resugar: bool = False) -> str:
-    """Render a formula; parse(format_formula(f)) is alpha-equivalent to f.
-
-    With resugar=True, primitive patterns that encode sugar (implication,
-    disjunction, existentials, biconditionals) are displayed as sugar.
-    """
+def format_formula(f: Formula, unicode: bool = True) -> str:
+    """Render a formula; parse(format_formula(f)) is alpha-equivalent to f."""
     sym = _UNI if unicode else _ASC
-    if resugar:
-        f = resugar_formula(f)
 
     def go(g, ctx):
         if isinstance(g, PredApp):
@@ -755,25 +749,6 @@ def format_formula(f: Formula, unicode: bool = True, resugar: bool = False) -> s
         raise FormulaError(f"not a formula: {g!r}")
 
     return go(f, 0)
-
-
-def resugar_formula(f: Formula) -> Formula:
-    """Fold primitive encodings back into sugar nodes, for display only."""
-    g = rebuild(f, [resugar_formula(k) for k in children(f)])
-    if isinstance(g, And) and isinstance(g.left, Implies) and isinstance(g.right, Implies) \
-            and g.left.left == g.right.right and g.left.right == g.right.left:
-        return Iff(g.left.left, g.left.right)
-    if isinstance(g, Not):
-        body = g.body
-        if isinstance(body, ForallFO) and isinstance(body.body, Not):
-            return ExistsFO(body.var, body.body.body)
-        if isinstance(body, ForallSO) and isinstance(body.body, Not):
-            return ExistsSO(body.var, body.body.body)
-        if isinstance(body, And) and isinstance(body.right, Not):
-            if isinstance(body.left, Not):
-                return Or(body.left.body, body.right.body)
-            return Implies(body.left, body.right.body)
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -1010,16 +1010,15 @@ class _FixedFamilyK:
 # Reduction by indistinguishability
 # ---------------------------------------------------------------------------
 
-def leibniz_reduce(s: FiniteStructure, depth: int | None = None):
+def leibniz_reduce(s: FiniteStructure):
     """Quotient by indistinguishability under identity-free formulas with
     parameters.
 
     Elements are first split by their atomic predicate facts in every
     parameter context, then repeatedly by the classes of their function
-    images; quantified variables add nothing because every element is
-    already available as a parameter.  `depth` caps the function-image
-    rounds; by default refinement runs to a fixpoint, which keeps the
-    quotient well-defined.
+    images until the partition is stable; quantified variables add nothing
+    because every element is already available as a parameter.  Only the
+    fixpoint is a congruence, so only it gives a well-defined quotient.
     """
     color = {}
     for a in s.elements:
@@ -1035,8 +1034,7 @@ def leibniz_reduce(s: FiniteStructure, depth: int | None = None):
         color[a] = ("atoms", tuple(facts))
     color = _ranks(list(color.values()))
 
-    rounds = 0
-    while depth is None or rounds < depth:
+    while True:
         new = {}
         for a in s.elements:
             images = []
@@ -1049,7 +1047,6 @@ def leibniz_reduce(s: FiniteStructure, depth: int | None = None):
                         images.append((name, pos, ctx, color[table[args]]))
             new[a] = (color[a], tuple(images))
         new = _ranks(list(new.values()))
-        rounds += 1
         if new == color:
             break
         color = new

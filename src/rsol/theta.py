@@ -74,15 +74,16 @@ def _key(formula: Formula, slots: tuple, params: tuple):
 
 class ThetaFamily:
     """Deterministic total enumerator n -> member, built from `parts(n)` =
-    (formula, slots, params) once and cached by index."""
+    (formula, slots, params) once and cached by index; `arities` is the set
+    of arities that its members have."""
 
-    def __init__(self, name: str, sig: Signature, parts, arities=None):
+    def __init__(self, name: str, sig: Signature, parts, arities):
         self.name = name
         self.sig = sig
         self._parts = parts
         self._members: dict = {}
         self._arity_cache: dict = {}
-        self.arities = arities  # None means every arity >= 1 occurs
+        self.arities = arities
 
     def member_at(self, n: int) -> ThetaMember:
         if n not in self._members:
@@ -96,7 +97,7 @@ class ThetaFamily:
         return [self.member_at(i) for i in range(n + 1)]
 
     def arity_supported(self, arity: int) -> bool:
-        return self.arities is None or arity in self.arities
+        return arity in self.arities
 
     def arity_member(self, arity: int, n: int) -> ThetaMember:
         """n-th member of the given arity (the per-arity view of the family)."""

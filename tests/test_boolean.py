@@ -5,7 +5,7 @@ import pytest
 
 from rsol.boolean import (
     AlgebraError, BoundRefuted, BudgetExhausted, FiniteCofiniteAlgebra,
-    Membership, PrincipalCofiniteMembership, RegularEntry,
+    Membership, PowersetAlgebra, PrincipalCofiniteMembership, RegularEntry,
     check_f_compatible, check_ultrafilter_on_samples, builtin_algebras,
     fincof_atoms_entry, free_algebra, is_ultrafilter, powerset_algebra,
     powerset_full_family, rs_construct, verify_entry,
@@ -85,6 +85,35 @@ def test_is_ultrafilter_rejects_everything():
     alg = powerset_algebra(3)
     assert not is_ultrafilter(alg, alg.elements())
     assert not is_ultrafilter(alg, [alg.one, frozenset([0]), frozenset([1])])
+
+
+@pytest.mark.parametrize("alg", [powerset_algebra(3), free_algebra(1)],
+                         ids=["powerset3", "free1"])
+def test_is_ultrafilter_exactly_the_principal_filters_at_atoms(alg):
+    els = alg.elements()
+    atoms = [a for a in els if a != alg.zero
+             and not any(b != alg.zero and b != a and alg.meet(a, b) == b
+                         for b in els)]
+    principal = {frozenset(e for e in els if alg.meet(a, e) == a) for a in atoms}
+    found = {frozenset(u) for r in range(len(els) + 1)
+             for u in itertools.combinations(els, r) if is_ultrafilter(alg, u)}
+    assert len(principal) == len(atoms) > 0
+    assert found == principal
+
+
+@pytest.mark.parametrize("u, samples", [
+    ([], []),                                            # unit missing
+    (list(powerset_algebra(3).elements()), []),          # zero present
+    ([{0, 1, 2}], [{0}]),                                # neither {0} nor {1, 2}
+    ([{0, 1, 2}, {0, 1}, {1, 2}], [{0, 1}, {1, 2}]),     # meet {1} missing
+    ([{0, 1, 2}, {0}, {2}], [{0}, {0, 1}]),              # {0, 1} above {0} missing
+], ids=["unit", "zero", "complement", "meet", "upward"])
+def test_each_ultrafilter_clause_rejects_alone(u, samples):
+    # on the full carrier the clauses imply one another; each of these
+    # samples breaks exactly one of them
+    alg = powerset_algebra(3)
+    member = set(map(frozenset, u)).__contains__
+    assert not check_ultrafilter_on_samples(alg, member, map(frozenset, samples))
 
 
 def test_cofinite_filter_on_samples():
@@ -229,7 +258,7 @@ def test_join_distributes_over_chain_exhaustively():
             itertools.combinations(elements, r) for r in range(1, 4)):
         bound = alg.join_all(members)
         for b in elements:
-            if b == alg.zero or not alg.eq(alg.meet(b, bound), b):
+            if b == alg.zero or alg.meet(b, bound) != b:
                 continue
             assert any(alg.meet(b, s) != alg.zero for s in members)
 
@@ -248,6 +277,20 @@ def test_rs_construct_principal_on_larger_powersets():
             assert approx.excludes(avoid)
 
 
+def test_rs_construct_on_a_carrier_too_large_to_list():
+    alg = PowersetAlgebra(range(21))
+    with pytest.raises(AlgebraError):
+        alg.elements()
+    atoms = RegularEntry("join", alg.one,
+                         members=tuple(frozenset([i]) for i in range(21)),
+                         name="atoms")
+    avoid = frozenset(range(1, 21))
+    approx = rs_construct(alg, [atoms], avoid)
+    assert approx.excludes(avoid)
+    assert approx.final == frozenset([0])
+    assert [step.action for step in approx.steps] == ["witness"]
+
+
 def test_rs_construct_witness_dichotomy():
     alg = powerset_algebra(3)
     entries = powerset_full_family(alg)
@@ -260,7 +303,7 @@ def test_rs_construct_witness_dichotomy():
             assert alg.le(approx.final, step.element)
         elif step.action == "witness":
             entry = by_name[step.entry_name]
-            assert any(alg.eq(step.element, m) for m in entry.members)
+            assert any(step.element == m for m in entry.members)
             if entry.kind == "join":
                 assert alg.le(approx.final, step.element)
             else:

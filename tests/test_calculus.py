@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rsol import calculus
 from rsol.calculus import (
     A1, A2, A3, A4, A5, A6, SCHEMATA, EqAxiom, FOAxiom, GenFO, GenSO, MP,
     OmegaTemplate, Premise, Proof, ProofBuilder, ProofLine, R3,
@@ -119,6 +120,27 @@ def test_forward_reference_rejected():
     proof = Proof(SIG, None, [P0c, Implies(P0c, P1c)], lines)
     v = check_proof(proof)
     assert not v.ok and v.line == 0 and "earlier" in v.reason
+
+
+def test_check_proof_checks_a_subtree_shared_by_lines_once(monkeypatch):
+    shared = normalize(And(P0c, P1c))
+    bad = PredApp("P9", (Const("c0"),))
+
+    def second_line(f):
+        return check_proof(Proof(SIG, None, [shared], [
+            ProofLine(shared, Premise(0)), ProofLine(And(shared, f), Premise(0))]))
+
+    v = second_line(bad)
+    assert (v.ok, v.line, v.reason) == (False, 1, "unknown predicate 'P9'")
+    v = second_line(InstAtom(X0, SOApp(X0, (Const("c0"),))))
+    assert (v.line, v.reason) == (1, "inst atoms are only allowed inside templates")
+    # the leftmost invalid atom is the one reported
+    v = second_line(And(PredApp("P0", (Const("c0"), Const("c1"))), bad))
+    assert v.line == 1 and v.reason.startswith("predicate 'P0' expects 1 arguments")
+    validated = []
+    monkeypatch.setattr(calculus, "validate", lambda f, sig: validated.append(f))
+    assert not second_line(P0c).ok
+    assert validated == [shared, P0c, P1c]
 
 
 def test_premise_must_be_sentence():
@@ -417,12 +439,12 @@ def test_check_proof_independent_of_template_table_order():
 
 @pytest.mark.parametrize("name, n", [
     ("omega-self-weak", 200), ("omega-with-premise", 200),
-    ("omega-under-conjunction", 60),
+    ("omega-under-conjunction", 200),
 ])
 def test_deep_template_instances_check_within_the_recursion_limit(name, n):
     # instances of the weak-so templates deepen with n; these bounds sit
     # below the depths at which check_proof runs out of stack (247, 247
-    # and 80), so a walker that takes more frames per level fails here
+    # and 246), so a walker that takes more frames per level fails here
     proof = {item.name: item.proof for item in proof_corpus()}[name]
     (template,) = proof.templates.values()
     accepted(instantiate_template(template, proof, n))

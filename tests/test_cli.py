@@ -93,6 +93,15 @@ def test_reduce_cli(two_json):
     assert code == 0 and "quotient size: 1" in out
 
 
+def test_reduce_has_no_depth_option(two_json, capsys):
+    # a cap below the fixpoint gave partitions that the functions do not
+    # respect, so the option is gone and argparse refuses it
+    with pytest.raises(SystemExit) as exit_:
+        main(["reduce", "--structure", two_json, "--depth", "0"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --depth 0" in capsys.readouterr().err
+
+
 def test_prove_check_cli(tmp_path):
     proof = tmp_path / "p.prf"
     proof.write_text(

@@ -98,10 +98,8 @@ def test_roundtrip_examples():
 
 def test_print_exists_both_ways():
     f = parse("exists X0 P0(c0)", SIG)
-    sugar = format_formula(normalize(f), resugar=True)
     plain = format_formula(normalize(f))
-    assert alpha_eq(parse(sugar, SIG), parse(plain, SIG))
-    assert alpha_eq(parse(sugar, SIG), f)
+    assert alpha_eq(parse(plain, SIG), f)
 
 
 def test_free_variables():
@@ -273,14 +271,6 @@ def test_roundtrip_random(f):
     for unicode in (True, False):
         text = format_formula(f, unicode=unicode)
         assert parse(text, SIG) == f
-
-
-@settings(max_examples=120, deadline=None)
-@given(formulas(3))
-def test_resugar_roundtrip_random(f):
-    n = normalize(f)
-    text = format_formula(n, resugar=True)
-    assert alpha_eq(parse(text, SIG), n)
 
 
 @settings(max_examples=100, deadline=None)

@@ -489,10 +489,9 @@ def test_rank_bounded_provider():
 
 def test_leibniz_reduce_two_element_empty():
     s = two_element()
-    for depth in (0, 1, 3, None):
-        quotient, partition = leibniz_reduce(s, depth)
-        assert partition == [[0, 1]]
-        assert quotient.size == 1
+    quotient, partition = leibniz_reduce(s)
+    assert partition == [[0, 1]]
+    assert quotient.size == 1
 
 
 def test_leibniz_reduce_separated_atoms():
@@ -521,6 +520,16 @@ def test_leibniz_reduce_with_functions():
     # 1 and 2 differ: f0 sends 1 into the P0 block but 2 outside it
     assert partition == [[0], [1], [2]]
     assert quotient.size == 3
+
+
+def test_leibniz_reduce_runs_to_a_congruence():
+    # the atomic facts alone leave 0 and 1 together although f0 sends
+    # them to different blocks; the fixpoint separates them
+    fsig = Signature(predicates={"P0": 1}, functions={"f0": 1})
+    s = FiniteStructure(fsig, 3, predicates={"P0": [(0,), (1,)]},
+                        functions={"f0": {(0,): 0, (1,): 2, (2,): 2}})
+    quotient, partition = leibniz_reduce(s)
+    assert partition == [[0], [1], [2]]
 
 
 @pytest.mark.parametrize("size", [11, 12, 15])
