@@ -5,6 +5,12 @@ relations its second-order quantifiers range over: either a bounded
 materialization of a formula family, an exact oracle (automorphism
 orbits for parameter-free definability, all relations for definability
 with parameters), or the full powerset for collapse testing.
+
+A provider gives its range twice.  `masks(s, arity)` is what evaluation
+quantifies over: each relation an int whose bit i is set when row i of
+A^arity, in row-major order, is in it; the exact oracles list their
+unions of blocks (rows or orbits) in mask order.  `relations(s, arity)`
+is the same range as frozensets of rows, built directly, for printing.
 """
 
 from __future__ import annotations
@@ -578,35 +584,39 @@ def k_exact_orbits(s: FiniteStructure, with_parameters: bool,
     definable (take one parameter per element and a disjunction of
     coordinatewise matches), so the family is the full powerset.
     """
-    if with_parameters:
-        # refuse before the rows exist; the cap skips the power of a hostile arity
-        if s.size ** min(arity, 64) > RELATION_GUARD:
-            raise FeasibilityError(f"2^({s.size}^{arity}) relations exceed the guard")
-        blocks = [frozenset([row]) for row in
-                  itertools.product(range(s.size), repeat=arity)]
-        what = "relations"
-    else:
-        # tuples with different equality patterns lie in different orbits,
-        # so |A| >= 2 gives at least 2^(arity-1) of them: refuse before the
-        # rows exist once that count passes the guard
-        if s.size >= 2 and arity > RELATION_GUARD.bit_length():
-            raise FeasibilityError(
-                f"2^(2^{arity - 1}) or more orbit unions exceed the guard")
-        blocks = tuple_orbits(s, arity)
-        what = "orbit unions"
     family, prov = DefinableFamily(), Provenance("orbit")
-    for rel in _unions(blocks, what):
+    for rel in _unions(*_exact_blocks(s, with_parameters, arity)):
         family.add(arity, rel, prov)
     return family
 
 
-def _unions(blocks: list, what: str = "relations"):
-    """Every union of the blocks, in mask order, the empty set first; the
-    union at mask m + 2^i is the one at m plus block i."""
+def _exact_blocks(s: FiniteStructure, with_parameters: bool, arity: int):
+    """(blocks, what): the blocks whose unions are the exact range, the
+    singleton rows of A^arity with parameters and the orbits without,
+    refused before any row exists when the rows or orbits pass the guard."""
+    if with_parameters:
+        # the cap skips the power of a hostile arity
+        if s.size ** min(arity, 64) > RELATION_GUARD:
+            raise FeasibilityError(f"2^({s.size}^{arity}) relations exceed the guard")
+        rows = itertools.product(range(s.size), repeat=arity)
+        return [frozenset([row]) for row in rows], "relations"
+    # tuples with different equality patterns lie in different orbits, so
+    # |A| >= 2 gives at least 2^(arity-1) of them: refuse before the rows
+    # exist once that count passes the guard
+    if s.size >= 2 and arity > RELATION_GUARD.bit_length():
+        raise FeasibilityError(
+            f"2^(2^{arity - 1}) or more orbit unions exceed the guard")
+    return tuple_orbits(s, arity), "orbit unions"
+
+
+def _unions(blocks: list, what: str = "relations", empty=frozenset()):
+    """Every union of the blocks (frozensets of rows, or masks with empty
+    0), in mask order, the empty one first; the union at mask m + 2^i is
+    the one at m plus block i."""
     if len(blocks) > RELATION_GUARD:
         raise FeasibilityError(f"2^{len(blocks)} {what} exceed the guard")
-    out = [frozenset()]
-    yield out[0]
+    out = [empty]
+    yield empty
     for b in blocks:
         for i in range(len(out)):
             out.append(out[i] | b)
@@ -634,6 +644,15 @@ def rank_bounded_unary_family(s: FiniteStructure, rank: int) -> DefinableFamily:
     pruned by the colours only where they leave the group open); the type
     tree at rank k has |A|^(k+1) rows.
     """
+    family, prov = DefinableFamily(), Provenance("rank-enum")
+    for rel in _unions(_rank_classes(s, rank)):
+        family.add(1, rel, prov)
+    return family
+
+
+def _rank_classes(s: FiniteStructure, rank: int) -> list:
+    """The element classes whose unions `rank_bounded_unary_family` lists,
+    as sets of 1-tuples."""
     if s.functions:
         raise FeasibilityError(
             "rank-bounded enumeration supports relational signatures only")
@@ -682,11 +701,7 @@ def rank_bounded_unary_family(s: FiniteStructure, rank: int) -> DefinableFamily:
         blocks = [frozenset((a,) for a in members) for members in classes.values()]
         if set(blocks) == orbits:
             break
-    family = DefinableFamily()
-    prov = Provenance("rank-enum")
-    for rel in _unions(blocks):
-        family.add(1, rel, prov)
-    return family
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +722,9 @@ class MaterializedK:
             self._last = (s, materialize_k(s, self.fam, self.bound))
         return self._last[1].relations(arity)
 
+    def masks(self, s: FiniteStructure, arity: int) -> list:
+        return _masks(s, arity, self.relations(s, arity))
+
 
 class OrbitK:
     """Exact parameter-free oracle, optionally restricted to some arities."""
@@ -720,6 +738,12 @@ class OrbitK:
             return []
         return k_exact_orbits(s, False, arity).relations(arity)
 
+    def masks(self, s: FiniteStructure, arity: int) -> list:
+        if self.arities is not None and arity not in self.arities:
+            return []
+        orbits, what = _exact_blocks(s, False, arity)
+        return list(_unions(_masks(s, arity, orbits), what, 0))
+
 
 class AllRelationsK:
     """Exact oracle for definability with parameters: every relation."""
@@ -728,6 +752,10 @@ class AllRelationsK:
 
     def relations(self, s: FiniteStructure, arity: int) -> list:
         return k_exact_orbits(s, True, arity).relations(arity)
+
+    def masks(self, s: FiniteStructure, arity: int) -> range:
+        # the unions of the singleton rows, in mask order, are every int below
+        return range(1 << len(_exact_blocks(s, True, arity)[0]))
 
 
 class WeakSOExactK:
@@ -743,6 +771,9 @@ class WeakSOExactK:
             return []
         return [rel for rel in AllRelationsK().relations(s, arity) if rel]
 
+    def masks(self, s: FiniteStructure, arity: int):
+        return AllRelationsK().masks(s, arity)[1:] if arity == self.k else []
+
 
 class RankBoundedDslK:
     """Bounded-enumeration range for the one-free-variable family, at rank
@@ -754,6 +785,11 @@ class RankBoundedDslK:
         if arity != 1:
             return []
         return rank_bounded_unary_family(s, s.size + 1).relations(1)
+
+    def masks(self, s: FiniteStructure, arity: int) -> list:
+        if arity != 1:
+            return []
+        return list(_unions(_masks(s, 1, _rank_classes(s, s.size + 1)), "relations", 0))
 
 
 class StandardModel:
@@ -768,10 +804,10 @@ class StandardModel:
             self._cache[arity] = list(self.provider.relations(self.structure, arity))
         return self._cache[arity]
 
-    def masks(self, arity: int) -> list:
-        """relations(arity) as bitmasks, converted once per model."""
+    def masks(self, arity: int):
+        """The provider's range as bitmasks, asked once per model."""
         if arity not in self._masks:
-            self._masks[arity] = _masks(self.structure, arity, self.relations(arity))
+            self._masks[arity] = self.provider.masks(self.structure, arity)
         return self._masks[arity]
 
 
@@ -1004,6 +1040,9 @@ class _FixedFamilyK:
 
     def relations(self, s, arity):
         return self.family.relations(arity)
+
+    def masks(self, s, arity):
+        return _masks(s, arity, self.family.relations(arity))
 
 
 # ---------------------------------------------------------------------------

@@ -231,10 +231,12 @@ def test_lemma_check_past_a_guard_exits_5_at_once(tmp_path, capsys, args, reason
      "2^(3^10000) relations exceed the guard"),
     (["compare-so", "--sentence", "forall X0^10000 X0^10000 = X0^10000"],
      "2^(3^10000) relations exceed the guard"),
+    (["eval", "--oracle", "all", "--sentence", "forall X0^10000 X0^10000 = X0^10000"],
+     "2^(3^10000) relations exceed the guard"),
     # 3^14 assignments pass a guard on their count, not on their 14 entries
     (["lemma-check", "--which", "i", "--body", "x0 = x0", "--budget-vars", "14"],
      "the truth algebra on A^14 would list more than 10000000 tuple entries"),
-], ids=["orbits-with-parameters", "compare-so", "truth-algebra-entries"])
+], ids=["orbits-with-parameters", "compare-so", "eval-all", "truth-algebra-entries"])
 def test_guards_on_three_elements_exit_5_at_once(tmp_path, capsys, args, reason):
     # the guard names a power too large to print in full, and refuses it
     # before any work: exit 5 and one line on stderr, not a traceback

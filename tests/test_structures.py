@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rsol.corpus import orbit_catalog
+from rsol.corpus import collapse_catalog, collapse_sentences, orbit_catalog
 from rsol.formulas import (
     And, Const, ExistsFO, ExistsSO, ForallFO, ForallSO, FOVar, Func, Iff,
     Implies, InstAtom, Not, Or, PredApp, Signature, SOApp, SOEq, SOVar, TermEq,
@@ -19,9 +19,11 @@ from rsol.structures import (
     rank_bounded_unary_family, structure_from_json, truth_algebra,
     truth_class_entries, tuple_orbits, verify_provenance,
 )
-from rsol.structures import _compile, _masks
+from rsol.structures import (
+    _FixedFamilyK, _all_relations, _compile, _definer, _masks,
+)
 from rsol.sampling import random_structure
-from rsol.theta import all_fo, dsl, weak_so
+from rsol.theta import ThetaMember, _weak_member_parts, all_fo, dsl, weak_so
 
 EMPTY_SIG = Signature()
 P_SIG = Signature(predicates={"P0": 1})
@@ -307,6 +309,12 @@ RIGID = FiniteStructure(RIGID_SIG, 3, constants={"c0": 0, "c1": 1, "c2": 2})
                  "2^27 orbit unions exceed the guard", id="orbits"),
     pytest.param(lambda: WeakSOExactK(3).relations(FiniteStructure(EMPTY_SIG, 3), 3),
                  "2^(3^3) relations exceed the guard", id="weak-so-exact"),
+    pytest.param(lambda: AllRelationsK().masks(FiniteStructure(EMPTY_SIG, 3), 3),
+                 "2^(3^3) relations exceed the guard", id="all-relations-masks"),
+    pytest.param(lambda: OrbitK().masks(RIGID, 3),
+                 "2^27 orbit unions exceed the guard", id="orbits-masks"),
+    pytest.param(lambda: WeakSOExactK(3).masks(FiniteStructure(EMPTY_SIG, 3), 3),
+                 "2^(3^3) relations exceed the guard", id="weak-so-exact-masks"),
     # 2^40 rows: the guard must refuse before any row is built
     pytest.param(lambda: k_exact_orbits(FiniteStructure(EMPTY_SIG, 2), True, 40),
                  "2^(2^40) relations exceed the guard",
@@ -314,6 +322,9 @@ RIGID = FiniteStructure(RIGID_SIG, 3, constants={"c0": 0, "c1": 1, "c2": 2})
     pytest.param(lambda: WeakSOExactK(40).relations(FiniteStructure(EMPTY_SIG, 2), 40),
                  "2^(2^40) relations exceed the guard",
                  id="weak-so-exact-rows-infeasible"),
+    pytest.param(lambda: WeakSOExactK(40).masks(FiniteStructure(EMPTY_SIG, 2), 40),
+                 "2^(2^40) relations exceed the guard",
+                 id="weak-so-exact-masks-rows-infeasible"),
     # 3^10000 has more digits than an int may print: the message stays symbolic
     pytest.param(lambda: eval_full_so(FiniteStructure(EMPTY_SIG, 3), ForallSO(
                      SOVar(0, 10000), SOEq(SOVar(0, 10000), SOVar(0, 10000)))),
@@ -336,6 +347,63 @@ def test_guards_start_past_2_to_the_20():
     assert next(_all_relations(FiniteStructure(EMPTY_SIG, 20), 1)) == frozenset()
     with pytest.raises(FeasibilityError):
         next(_all_relations(FiniteStructure(EMPTY_SIG, 21), 1))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_every_relation_is_defined_by_a_weak_so_witness(k):
+    # the claim AllRelationsK rests on: with parameters, every relation R is
+    # defined by a weak-so:k-shaped disjunction whose parameters name R's
+    # rows; the empty relation by ~(x0 = x0 & ... )
+    slots = tuple(FOVar(j) for j in range(k))
+    empty = TermEq(Var(x0), Var(x0))
+    for v in slots[1:]:
+        empty = And(empty, TermEq(Var(v), Var(v)))
+    for size in (1, 2, 3):
+        s = FiniteStructure(EMPTY_SIG, size)
+        definers, defined = {}, []
+        for rel in _all_relations(s, k):
+            if len(rel) not in definers:
+                formula, _, params = _weak_member_parts(k, len(rel) - 1) if rel \
+                    else (Not(empty), slots, ())
+                definers[len(rel)] = _definer(s, ThetaMember(0, formula, slots, params))
+            defined.append(definers[len(rel)](sum(sorted(rel), ())))
+            assert defined[-1] == rel
+        assert _masks(s, k, defined) == list(AllRelationsK().masks(s, k))
+
+
+class _Reversed:
+    """A provider's range, listed backwards."""
+
+    def __init__(self, provider):
+        self.provider = provider
+
+    def masks(self, s, arity):
+        return list(self.provider.masks(s, arity))[::-1]
+
+
+def test_masks_and_relations_agree_for_every_provider():
+    sizes = set()
+    for s in collapse_catalog() + orbit_catalog():
+        fixed = _FixedFamilyK(materialize_k(s, all_fo(s.sig), 30))
+        providers = [OrbitK(), OrbitK({1}), RankBoundedDslK(),
+                     MaterializedK(all_fo(s.sig), 60), fixed]
+        if s.size not in sizes:          # these ranges depend on |A| alone
+            sizes.add(s.size)
+            providers += [AllRelationsK(), WeakSOExactK(1), WeakSOExactK(2)]
+        for provider in providers:
+            for k in (1, 2):
+                masks = list(provider.masks(s, k))
+                assert len(set(masks)) == len(masks), (provider.name, k)
+                assert set(masks) == set(_masks(s, k, provider.relations(s, k))), \
+                    (provider.name, k)
+
+
+def test_verdicts_do_not_depend_on_the_order_of_the_range():
+    for s in collapse_catalog():
+        forward = StandardModel(s, AllRelationsK())
+        backward = StandardModel(s, _Reversed(AllRelationsK()))
+        for f in collapse_sentences():
+            assert eval_so_closure(forward, f) == eval_so_closure(backward, f), f
 
 
 def test_collapse_on_small_examples():
