@@ -914,8 +914,8 @@ class ProofBuilder(_LineBuilder):
 # The deduction transformation
 # ---------------------------------------------------------------------------
 
-def apply_deduction(proof: Proof, premise_index: Optional[int] = None) -> Proof:
-    """Discharge one premise: from premises+phi |- psi build premises |- phi->psi.
+def apply_deduction(proof: Proof) -> Proof:
+    """Discharge the last premise: from premises+phi |- psi build premises |- phi->psi.
 
     Standard line-by-line transformation; lines concluded by the
     infinitary rule follow the conjunction route: the cited template is
@@ -926,28 +926,18 @@ def apply_deduction(proof: Proof, premise_index: Optional[int] = None) -> Proof:
     verdict = check_proof(proof)
     if not verdict.ok:
         raise FormulaError(f"input proof rejected: {verdict.reason}")
-    if premise_index is None:
-        premise_index = len(proof.premises) - 1
-    if not 0 <= premise_index < len(proof.premises):
+    if not proof.premises:
         raise FormulaError("no such premise")
-    phi = proof.premises[premise_index]
-    new_premises = tuple(p for k, p in enumerate(proof.premises)
-                         if k != premise_index)
-
-    def remap_premise(k: int) -> int:
-        return k if k < premise_index else k - 1
-
+    new_premises, phi = proof.premises[:-1], proof.premises[-1]
     out = ProofBuilder(proof.sig, proof.family, new_premises)
     counter = [0]
 
     def transform(builder, lines, mapping, i, line):
         j = line.justification
-        if isinstance(j, Premise) and j.index == premise_index:
+        if isinstance(j, Premise) and j.index == len(new_premises):
             return builder.imp_identity(phi)
-        if isinstance(j, Premise):
-            base = builder._emit(line.formula, Premise(remap_premise(j.index)))
-            return builder.weaken(base, phi)
-        if isinstance(j, (FOAxiom, EqAxiom, A1, A2, A3, A4, A5, A6)):
+        # the other premises keep their indices
+        if isinstance(j, (Premise, FOAxiom, EqAxiom, A1, A2, A3, A4, A5, A6)):
             base = builder._emit(line.formula, j)
             return builder.weaken(base, phi)
         if isinstance(j, MP):

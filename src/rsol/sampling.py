@@ -166,14 +166,14 @@ def _tweak_term(rng: random.Random, t, sig: Signature):
     return Var(FOVar(0))
 
 
-def mutate_formula(rng: random.Random, f: Formula, sig: Signature,
-                   attempts: int = 20) -> Optional[Formula]:
+def mutate_formula(rng: random.Random, f: Formula,
+                   sig: Signature) -> Optional[Formula]:
     """Structurally different formula obtained by one local edit.
 
-    Returns None when no edit site applies (rare: e.g. a lone identity
+    Returns None when 20 tries find none (rare: e.g. a lone identity
     atom on a signature without spare symbols)."""
     sites = list(_sites(f))
-    for _ in range(attempts):
+    for _ in range(20):
         path, g = rng.choice(sites)
         if isinstance(g, (PredApp, TermEq, SOApp, SOEq)):
             new = _tweak_atom(rng, g, sig)

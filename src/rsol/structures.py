@@ -6,11 +6,14 @@ materialization of a formula family, an exact oracle (automorphism
 orbits for parameter-free definability, all relations for definability
 with parameters), or the full powerset for collapse testing.
 
-A provider gives its range twice.  `masks(s, arity)` is what evaluation
-quantifies over: each relation an int whose bit i is set when row i of
-A^arity, in row-major order, is in it; the exact oracles list their
-unions of blocks (rows or orbits) in mask order.  `relations(s, arity)`
-is the same range as frozensets of rows, built directly, for printing.
+A provider writes its range once, and `_Provider` derives the other
+form.  Evaluation quantifies over `masks(s, arity)`, each relation an int
+whose bit i is set when row i of A^arity, in row-major order, is in it;
+`relations(s, arity)` lists the same range as frozensets of rows, for
+printing.  The block-union oracles (`OrbitK`, `AllRelationsK`,
+`WeakSOExactK`, `RankBoundedDslK`) write masks, in mask order, and `_rows`
+lists their relations; the family-backed providers (`MaterializedK`,
+`_FixedFamilyK`) list their `DefinableFamily`'s, and `_masks` gives masks.
 """
 
 from __future__ import annotations
@@ -208,6 +211,13 @@ def _masks(s: FiniteStructure, arity: int, relations) -> list:
         return [sum(map(bit.__getitem__, frozenset(rel))) for rel in relations]
     except KeyError as err:
         raise EvalError(f"row {err.args[0]} is outside A^{arity}") from None
+
+
+def _rows(s: FiniteStructure, arity: int, masks) -> list:
+    """Each mask as the frozenset of its rows: the inverse of `_masks`."""
+    rows = list(itertools.product(range(s.size), repeat=arity))
+    return [frozenset(row for i, row in enumerate(rows) if m >> i & 1)
+            for m in masks]
 
 
 def _elements(s: FiniteStructure, fo: Mapping) -> list:
@@ -708,7 +718,17 @@ def _rank_classes(s: FiniteStructure, rank: int) -> list:
 # Providers and standard models
 # ---------------------------------------------------------------------------
 
-class MaterializedK:
+class _Provider:
+    """A range: each provider overrides one form, and the other is derived here."""
+
+    def relations(self, s: FiniteStructure, arity: int) -> list:
+        return _rows(s, arity, self.masks(s, arity))
+
+    def masks(self, s: FiniteStructure, arity: int) -> list:
+        return _masks(s, arity, self.relations(s, arity))
+
+
+class MaterializedK(_Provider):
     """K from the first bound+1 members of a family."""
 
     def __init__(self, fam: ThetaFamily, bound: int):
@@ -722,21 +742,13 @@ class MaterializedK:
             self._last = (s, materialize_k(s, self.fam, self.bound))
         return self._last[1].relations(arity)
 
-    def masks(self, s: FiniteStructure, arity: int) -> list:
-        return _masks(s, arity, self.relations(s, arity))
 
-
-class OrbitK:
+class OrbitK(_Provider):
     """Exact parameter-free oracle, optionally restricted to some arities."""
 
     def __init__(self, arities: Optional[set] = None):
         self.arities = arities
         self.name = "orbits"
-
-    def relations(self, s: FiniteStructure, arity: int) -> list:
-        if self.arities is not None and arity not in self.arities:
-            return []
-        return k_exact_orbits(s, False, arity).relations(arity)
 
     def masks(self, s: FiniteStructure, arity: int) -> list:
         if self.arities is not None and arity not in self.arities:
@@ -745,20 +757,17 @@ class OrbitK:
         return list(_unions(_masks(s, arity, orbits), what, 0))
 
 
-class AllRelationsK:
+class AllRelationsK(_Provider):
     """Exact oracle for definability with parameters: every relation."""
 
     name = "all-relations"
-
-    def relations(self, s: FiniteStructure, arity: int) -> list:
-        return k_exact_orbits(s, True, arity).relations(arity)
 
     def masks(self, s: FiniteStructure, arity: int) -> range:
         # the unions of the singleton rows, in mask order, are every int below
         return range(1 << len(_exact_blocks(s, True, arity)[0]))
 
 
-class WeakSOExactK:
+class WeakSOExactK(_Provider):
     """Exact range for the equality-disjunction family: nonempty relations
     of the family's arity."""
 
@@ -766,25 +775,15 @@ class WeakSOExactK:
         self.k = k
         self.name = f"weak-so-exact:{k}"
 
-    def relations(self, s: FiniteStructure, arity: int) -> list:
-        if arity != self.k:
-            return []
-        return [rel for rel in AllRelationsK().relations(s, arity) if rel]
-
     def masks(self, s: FiniteStructure, arity: int):
         return AllRelationsK().masks(s, arity)[1:] if arity == self.k else []
 
 
-class RankBoundedDslK:
+class RankBoundedDslK(_Provider):
     """Bounded-enumeration range for the one-free-variable family, at rank
     |A| + 1."""
 
     name = "dsl-rank:auto"
-
-    def relations(self, s: FiniteStructure, arity: int) -> list:
-        if arity != 1:
-            return []
-        return rank_bounded_unary_family(s, s.size + 1).relations(1)
 
     def masks(self, s: FiniteStructure, arity: int) -> list:
         if arity != 1:
@@ -796,13 +795,10 @@ class StandardModel:
     def __init__(self, structure: FiniteStructure, provider):
         self.structure = structure
         self.provider = provider
-        self._cache: dict = {}
         self._masks: dict = {}
 
     def relations(self, arity: int) -> list:
-        if arity not in self._cache:
-            self._cache[arity] = list(self.provider.relations(self.structure, arity))
-        return self._cache[arity]
+        return self.provider.relations(self.structure, arity)
 
     def masks(self, arity: int):
         """The provider's range as bitmasks, asked once per model."""
@@ -979,11 +975,14 @@ def _quantifier_entry(s: FiniteStructure, v: int, body: Formula, which: str,
     v/vi:  the family-member instantiations with their parameter prefixes
            evaluated (vi through the complement of the instances of ¬body).
     Items iii-vi read members 0..bound of the per-arity view of the family,
-    which refuses an arity that the family has no members of.
+    which refuses an arity that the family has no members of.  A negative
+    bound holds no member and is refused for every item.
     `ta`, if given, is the truth algebra on A^v to build the classes in.
     """
     if which not in _ITEMS:
         raise EvalError(f"unknown item {which!r}")
+    if bound is not None and bound < 0:
+        raise EvalError(f"bound must be >= 0, got {bound}")
     kind, quantifier, name = _ITEMS[which]
     model = None
     if which in ("i", "ii"):
@@ -1033,16 +1032,13 @@ def lemma_reg_check(s: FiniteStructure, v: int, body: Formula, which: str,
     return verify_entry(ta.algebra, entry).status == "exact"
 
 
-class _FixedFamilyK:
+class _FixedFamilyK(_Provider):
     def __init__(self, family: DefinableFamily):
         self.family = family
         self.name = "fixed"
 
     def relations(self, s, arity):
         return self.family.relations(arity)
-
-    def masks(self, s, arity):
-        return _masks(s, arity, self.family.relations(arity))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ class SuiteResult:
     passed: int = 0
     failed: int = 0
     records: list = field(default_factory=list)
-    elapsed: float = 0.0
+    elapsed: float = 0.0           # set by run_suite
 
     @property
     def ok(self) -> bool:
@@ -65,14 +65,11 @@ def _families(sig):
     return {"weak-so:1": weak_so(sig, 1), "dsl": dsl(sig), "all-fo": all_fo(sig)}
 
 
-def _exact_model(rng, fam: ThetaFamily, sig, max_size=4):
-    """Random structure with the family's exactness oracle, sized to keep
-    the relation range small."""
-    provider = exact_provider_for(fam)
-    if fam.name == "all-fo":
-        max_size = min(max_size, 3)
-    s = random_structure(rng, sig, max_size=max_size)
-    return StandardModel(s, provider)
+def _exact_model(rng, fam: ThetaFamily, sig):
+    """Random structure with the family's exactness oracle, of at most 4
+    elements (3 for all-fo, whose range is every relation)."""
+    s = random_structure(rng, sig, max_size=3 if fam.name == "all-fo" else 4)
+    return StandardModel(s, exact_provider_for(fam))
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +142,8 @@ def _replace_some(rng, phi, vm, vn):
     return (out, True) if out is not phi else (None, False)
 
 
-def suite_soundness(seed: int = 0, per_schema: int = 200,
-                    corpus_models: int = 20) -> SuiteResult:
+def suite_soundness(seed: int = 0) -> SuiteResult:
     """Criteria 1 and 2: schema instances and whole proofs hold in models."""
-    start = time.time()
     result = SuiteResult("soundness", seed)
     rng = random.Random(seed)
     families = _families(AXIOM_SIG)
@@ -156,7 +151,7 @@ def suite_soundness(seed: int = 0, per_schema: int = 200,
     for schema in ("A1", "A2", "A3", "A4", "A5", "A6"):
         bad = 0
         tried = 0
-        while tried < per_schema:
+        while tried < 200:
             fam = fam_list[tried % len(fam_list)]
             try:
                 axiom = _axiom_instance(rng, schema, fam, AXIOM_SIG)
@@ -179,7 +174,7 @@ def suite_soundness(seed: int = 0, per_schema: int = 200,
             continue
         held = 0
         line_failures = 0
-        for _ in range(corpus_models):
+        for _ in range(20):
             fam = item.proof.family
             provider = exact_provider_for(fam) if fam is not None \
                 else AllRelationsK()
@@ -193,7 +188,6 @@ def suite_soundness(seed: int = 0, per_schema: int = 200,
                     line_failures += 1
         result.add(f"proof-{item.name}-lines-true", line_failures == 0,
                    models_with_premises=held, failures=line_failures)
-    result.elapsed = time.time() - start
     return result
 
 
@@ -202,7 +196,6 @@ def suite_soundness(seed: int = 0, per_schema: int = 200,
 # ---------------------------------------------------------------------------
 
 def suite_collapse(seed: int = 0) -> SuiteResult:
-    start = time.time()
     result = SuiteResult("collapse", seed)
     sentences = collapse_sentences()
     catalog = collapse_catalog()
@@ -220,7 +213,6 @@ def suite_collapse(seed: int = 0) -> SuiteResult:
                            text=format_formula(f, unicode=False))
     result.add("collapse-total", mismatches == 0, compared=compared,
                structures=len(catalog), sentences=len(sentences))
-    result.elapsed = time.time() - start
     return result
 
 
@@ -232,7 +224,6 @@ def suite_weakso(seed: int = 0) -> SuiteResult:
     from .formulas import Signature, parse
     from .structures import FiniteStructure
 
-    start = time.time()
     result = SuiteResult("weakso", seed)
     empty = Signature()
     fam = weak_so(empty, 1)
@@ -248,7 +239,6 @@ def suite_weakso(seed: int = 0) -> SuiteResult:
     under_dsl = eval_so_closure(StandardModel(s2, OrbitK(arities={1})), sentence)
     result.add("weakso-singleton-sentence", under_weak is True, value=under_weak)
     result.add("dsl-singleton-sentence", under_dsl is False, value=under_dsl)
-    result.elapsed = time.time() - start
     return result
 
 
@@ -257,7 +247,6 @@ def suite_weakso(seed: int = 0) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 def suite_dsl_orbits(seed: int = 0) -> SuiteResult:
-    start = time.time()
     result = SuiteResult("dsl-orbits", seed)
     catalog = orbit_catalog()
     for i, s in enumerate(catalog):
@@ -267,7 +256,6 @@ def suite_dsl_orbits(seed: int = 0) -> SuiteResult:
         result.add(f"orbit-convergence-{i}", same, size=s.size,
                    enumerated=enum_family.count(1), orbits=oracle.count(1))
     result.add("orbit-catalog-size", len(catalog) >= 20, count=len(catalog))
-    result.elapsed = time.time() - start
     return result
 
 
@@ -275,8 +263,8 @@ def suite_dsl_orbits(seed: int = 0) -> SuiteResult:
 # Criterion 6: quantifier/meet identities
 # ---------------------------------------------------------------------------
 
-def suite_lemma_reg(seed: int = 0, samples: int = 50) -> SuiteResult:
-    start = time.time()
+def suite_lemma_reg(seed: int = 0) -> SuiteResult:
+    samples = 50
     result = SuiteResult("lemma-reg", seed)
     rng = random.Random(seed)
     bodies = lemma_bodies()
@@ -303,7 +291,6 @@ def suite_lemma_reg(seed: int = 0, samples: int = 50) -> SuiteResult:
         if not ok:
             failures += 1
     result.add("lemma-total", failures == 0, samples=samples, failures=failures)
-    result.elapsed = time.time() - start
     return result
 
 
@@ -312,7 +299,6 @@ def suite_lemma_reg(seed: int = 0, samples: int = 50) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 def suite_rs(seed: int = 0) -> SuiteResult:
-    start = time.time()
     result = SuiteResult("rs", seed)
     alg = ba.powerset_algebra(3)
     entries = ba.powerset_full_family(alg)
@@ -359,7 +345,6 @@ def suite_rs(seed: int = 0) -> SuiteResult:
                  == "true" for e in entries2)
     result.add("rs-truth-classes", exact and compat
                and not approx2.membership(avoid))
-    result.elapsed = time.time() - start
     return result
 
 
@@ -383,8 +368,7 @@ def _load_bearing_lines(proof: Proof):
     return out
 
 
-def suite_kernel(seed: int = 0, mutations: int = 500) -> SuiteResult:
-    start = time.time()
+def suite_kernel(seed: int = 0) -> SuiteResult:
     result = SuiteResult("kernel", seed)
     rng = random.Random(seed)
     corpus = [c for c in proof_corpus()]
@@ -393,7 +377,7 @@ def suite_kernel(seed: int = 0, mutations: int = 500) -> SuiteResult:
     survived = 0
     alpha_survivors = 0
     done = 0
-    while done < mutations:
+    while done < 500:
         item, candidates = rng.choice(targets)
         li = rng.choice(candidates)
         original = item.proof.lines[li].formula
@@ -441,7 +425,6 @@ def suite_kernel(seed: int = 0, mutations: int = 500) -> SuiteResult:
                 result.add("spot-check-failed", False, proof=item.name,
                            template=name, reason=v.reason)
     result.add("spot-checks", spot_failures == 0)
-    result.elapsed = time.time() - start
     return result
 
 
@@ -459,4 +442,7 @@ SUITES = {
 def run_suite(name: str, seed: int = 0) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](seed)
+    start = time.time()
+    result = SUITES[name](seed)
+    result.elapsed = time.time() - start
+    return result

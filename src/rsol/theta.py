@@ -94,6 +94,9 @@ class ThetaFamily:
         return self._members[n]
 
     def enumerate_up_to(self, n: int) -> list:
+        """Members 0..n (a negative bound holds no member and is refused)."""
+        if n < 0:
+            raise FormulaError(f"bound must be >= 0, got {n}")
         return [self.member_at(i) for i in range(n + 1)]
 
     def arity_supported(self, arity: int) -> bool:
@@ -396,7 +399,7 @@ def prefix_family(sig: Signature, kind: str, level: int) -> ThetaFamily:
 # Custom families from text files
 # ---------------------------------------------------------------------------
 
-def load_family(path: str, sig: Signature, name: str = None) -> ThetaFamily:
+def load_family(path: str, sig: Signature) -> ThetaFamily:
     """Load a finite family: one `slots ; params ; formula` line per member.
 
     Slot and parameter fields list variables (params may be empty).  The
@@ -419,7 +422,7 @@ def load_family(path: str, sig: Signature, name: str = None) -> ThetaFamily:
     if not members:
         raise FormulaError(f"{path}: no members")
     arities = {len(s) for _, s, _ in members}
-    return ThetaFamily(name or f"file:{path}", sig,
+    return ThetaFamily(f"file:{path}", sig,
                        lambda n: members[n % len(members)], arities=arities)
 
 

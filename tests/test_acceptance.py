@@ -19,8 +19,7 @@ _cache = {}
 
 def soundness():
     if "soundness" not in _cache:
-        _cache["soundness"] = suite_soundness(seed=1, per_schema=200,
-                                              corpus_models=20)
+        _cache["soundness"] = suite_soundness(seed=1)
     return _cache["soundness"]
 
 
@@ -104,7 +103,7 @@ def test_criterion_5_dsl_orbit_convergence():
 
 def test_criterion_6_lemma_identities():
     start = time.time()
-    result = suite_lemma_reg(seed=2, samples=50)
+    result = suite_lemma_reg(seed=2)
     total = [r for r in result.records if r["check"] == "lemma-total"][0]
     ok = result.ok and total["samples"] >= 50
     report(6, "quantifiers as meets and joins", ok,
@@ -128,7 +127,7 @@ def test_criterion_7_chain_construction():
 
 def test_criterion_8_kernel_robustness():
     start = time.time()
-    result = suite_kernel(seed=3, mutations=500)
+    result = suite_kernel(seed=3)
     mut = [r for r in result.records if r["check"] == "mutations-rejected"][0]
     ded = [r for r in result.records if r["check"] == "deduction-accepted"][0]
     ok = (result.ok and mut["total"] >= 500 and mut["survived"] == 0

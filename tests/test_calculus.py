@@ -356,6 +356,15 @@ def test_apply_deduction_requires_accepted_input():
         apply_deduction(bad)
 
 
+def test_apply_deduction_refuses_a_proof_without_premises():
+    pb = ProofBuilder(SIG)
+    pb.imp_identity(normalize(P0c))
+    proof = pb.build()
+    accepted(proof)
+    with pytest.raises(FormulaError, match="no such premise"):
+        apply_deduction(proof)
+
+
 def test_proof_text_roundtrip():
     text = """
 # tiny detachment proof

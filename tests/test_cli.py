@@ -250,6 +250,24 @@ def test_guards_on_three_elements_exit_5_at_once(tmp_path, capsys, args, reason)
     assert capsys.readouterr().err == f"feasibility guard: {reason}\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["ktheta", "--theta", "all-fo"],
+    ["eval", "--sentence", "exists X X(x0)"],
+    ["lemma-check", "--which", "iv", "--body", "X0(x0)"],
+    # a first-order body of items i/ii reads no member, but is refused too
+    ["lemma-check", "--which", "i", "--body", "x0 = x0"],
+], ids=["ktheta", "eval", "lemma-check", "lemma-check-first-order"])
+def test_negative_bound_exits_3(tmp_path, capsys, args):
+    # a negative bound holds no member: refused, not answered over an
+    # empty range
+    three = tmp_path / "three.json"
+    three.write_text(TWO.replace('"domain_size": 2', '"domain_size": 3'),
+                     encoding="utf-8")
+    code = main(args[:1] + ["--structure", str(three), "--bound", "-1"] + args[1:])
+    assert code == 3
+    assert capsys.readouterr() == ("", "error: bound must be >= 0, got -1\n")
+
+
 def test_suite_exit_status():
     code, out = run_cli(["suite", "weakso"])
     assert code == 0 and "7/7" in out
