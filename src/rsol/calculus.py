@@ -194,10 +194,6 @@ def build_schema(name: str, *parts):
     return SCHEMATA[name](*map(normalize, parts))
 
 
-def build_p1(a, b):
-    return build_schema("P1", a, b)
-
-
 _FORALL = {FOVar: ForallFO, SOVar: ForallSO}
 
 
@@ -433,7 +429,7 @@ def _match_a2(f, arity: int) -> bool:
     """Whether f is the extensionality instance at arity, up to the names of
     bound variables.  That instance has more than arity levels, so a larger
     arity is refused before the instance is built."""
-    return arity < _depth(f) and alpha_eq(f, build_a2(arity))
+    return arity < _depth(f, arity) and alpha_eq(f, build_a2(arity))
 
 
 def _match_a2_own_arity(f):
@@ -450,7 +446,8 @@ def _match_a1(f, fam: ThetaFamily, n: int):
     refused before the instance is built."""
     try:
         member = fam.member_at(n)
-        return _depth(member.formula) < _depth(f) and alpha_eq(f, build_a1(member))
+        levels = _depth(member.formula)
+        return levels < _depth(f, levels) and alpha_eq(f, build_a1(member))
     except FormulaError:
         return False
 
@@ -467,7 +464,8 @@ def _match_a6(f, fam: ThetaFamily, n: int):
         return False
     try:
         member = fam.arity_member(v.arity, n)
-        return len(member.params) < _depth(f) and alpha_eq(f, build_a6(v, phi, member))
+        params = len(member.params)
+        return params < _depth(f, params) and alpha_eq(f, build_a6(v, phi, member))
     except FormulaError:
         return False
 
@@ -703,12 +701,17 @@ def _new_nodes(f: Formula, seen: dict) -> list:
     """The subformulas of f not yet in `seen` (by identity), in pre-order;
     each is added to it."""
     out, stack = [], [f]
+    pop, push = stack.pop, stack.append
     while stack:
-        g = stack.pop()
+        g = pop()
         if id(g) not in seen:
             seen[id(g)] = g
             out.append(g)
-            stack.extend(reversed(children(g)))
+            names = SUBFORMULAS[type(g)]      # the right part goes on first
+            if names:
+                push(getattr(g, names[-1]))
+                if len(names) == 2:
+                    push(g.left)
     return out
 
 

@@ -16,7 +16,9 @@ import re
 import sys
 
 from . import boolean as ba
-from .calculus import check_proof, load_premises_text, load_proof, spot_check_template
+from .calculus import (
+    check_proof, instantiate_template, load_premises_text, load_proof, spot_check_template,
+)
 from .formulas import (
     FormulaError, FOVar, ParseError, Signature, SOVar, format_formula,
     free_variables, is_sentence, normalize, parse,
@@ -200,7 +202,14 @@ def cmd_prove_check(args, rep) -> int:
                reason=verdict.reason)
     if verdict.ok and args.spot is not None:
         for name, template in sorted(proof.templates.items()):
-            v = spot_check_template(template, proof, args.spot)
+            try:
+                # a growing family's deepest instance is at the bound: try it first
+                check_proof(instantiate_template(template, proof, args.spot))
+                v = spot_check_template(template, proof, args.spot)
+            except RecursionError:
+                raise FeasibilityError(
+                    f"template {name}: instances up to n = {args.spot} nest deeper "
+                    f"than the proof kernel's recursive walkers reach") from None
             rep.say(f"template {name}: "
                     f"{v.reason if v.ok else 'failed: ' + v.reason}")
             rep.record(check="spot", template=name, ok=v.ok, reason=v.reason)

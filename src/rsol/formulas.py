@@ -70,9 +70,6 @@ class Signature:
             if arity < 1:
                 raise FormulaError(f"function {name!r} must have arity >= 1")
 
-    def without_identity(self) -> "Signature":
-        return Signature(self.predicates, self.functions, self.constants, identity=False)
-
     def with_constants(self, names: Iterable[str]) -> "Signature":
         return Signature(self.predicates, self.functions,
                          set(self.constants) | set(names), self.identity)
@@ -353,10 +350,10 @@ def free_variables(f: Formula) -> tuple:
     return frozenset(fo), frozenset(so)
 
 
-def _depth(f: Formula) -> int:
-    """The number of levels of f, counted without recursion."""
+def _depth(f: Formula, limit: float = float("inf")) -> int:
+    """The number of levels of f, counted without recursion up to limit + 1."""
     level, levels = [f], 0
-    while level:
+    while level and levels <= limit:
         level, levels = [k for g in level for k in children(g)], levels + 1
     return levels
 
@@ -412,13 +409,6 @@ def max_so_index(f: Formula) -> int:
     return max([top, *map(max_so_index, children(f))])
 
 
-def quantifier_rank(f: Formula) -> int:
-    if isinstance(f, InstAtom):
-        return 0
-    inner = max(map(quantifier_rank, children(f)), default=0)
-    return inner + 1 if isinstance(f, FO_QUANT) or isinstance(f, SO_QUANT) else inner
-
-
 def validate(f: Formula, sig: Signature) -> None:
     """Check f against a signature: known symbols, arities, identity use."""
     t = type(f)
@@ -469,31 +459,58 @@ def _validate_term(t: Term, sig: Signature) -> None:
 # Normalization and alpha-equivalence
 # ---------------------------------------------------------------------------
 
+_ATOMS = frozenset((PredApp, TermEq, SOApp, SOEq))
+_BINARY = frozenset((And, Or, Implies, Iff))
+
+
 def normalize(f: Formula) -> Formula:
-    """Rewrite sugar (|, ->, <->, exists) into the ~ /\\ forall primitives.
-    A primitive node whose parts come back unchanged is returned as it is,
-    so normalize(g) is g for a normalized g."""
-    t = type(f)
-    if t is PredApp or t is TermEq or t is SOApp or t is SOEq:
+    """Rewrite sugar (|, ->, <->, exists) into the ~ /\\ forall primitives, on
+    explicit stacks.  A scan returns a normal f itself, so normalize(g) is g;
+    f with sugar is rebuilt leaves first, keeping each part that stays the same."""
+    stack = [f]
+    pop, push = stack.pop, stack.append
+    while stack:
+        g = pop()
+        t = type(g)
+        if t is Not or t is ForallFO or t is ForallSO or t is InstAtom:
+            push(g.body)
+        elif t is And:
+            push(g.right)
+            push(g.left)
+        elif t not in _ATOMS:
+            break
+    else:
         return f
-    if t is Not or t is ForallFO or t is ForallSO or t is InstAtom:
-        body = normalize(f.body)
-        return f if body is f.body else rebuild(f, (body,))
-    if t is And:
-        a, b = normalize(f.left), normalize(f.right)
-        return f if a is f.left and b is f.right else And(a, b)
-    if t is Or:
-        return Not(And(Not(normalize(f.left)), Not(normalize(f.right))))
-    if t is Implies:
-        return Not(And(normalize(f.left), Not(normalize(f.right))))
-    if t is Iff:
-        a, b = normalize(f.left), normalize(f.right)
-        return And(Not(And(a, Not(b))), Not(And(b, Not(a))))
-    if t is ExistsFO:
-        return Not(ForallFO(f.var, Not(normalize(f.body))))
-    if t is ExistsSO:
-        return Not(ForallSO(f.var, Not(normalize(f.body))))
-    raise FormulaError(f"not a formula: {f!r}")
+    # pre-order: in reverse, each node finds its parts' normal forms on the stack
+    order, stack[:] = [], [f]
+    while stack:
+        g = pop()
+        order.append(g)
+        t = type(g)
+        if t in _BINARY:
+            push(g.right)
+            push(g.left)
+        elif SUBFORMULAS[t]:                  # FormulaError if not a formula
+            push(g.body)
+    for g in reversed(order):
+        t = type(g)
+        if t in _ATOMS:
+            push(g)
+        elif t in _BINARY:
+            a, b = pop(), pop()
+            if t is And:
+                push(g if a is g.left and b is g.right else And(a, b))
+            elif t is Iff:
+                push(And(Not(And(a, Not(b))), Not(And(b, Not(a)))))
+            else:
+                push(Not(And(Not(a) if t is Or else a, Not(b))))
+        else:
+            body = pop()
+            if t is ExistsFO or t is ExistsSO:
+                push(Not((ForallFO if t is ExistsFO else ForallSO)(g.var, Not(body))))
+            else:
+                push(g if body is g.body else Not(body) if t is Not else t(g.var, body))
+    return stack[0]
 
 
 def as_implies(f: Formula):
@@ -560,7 +577,19 @@ def alpha_key(f: Formula):
 
 
 def alpha_eq(f: Formula, g: Formula) -> bool:
-    return alpha_key(f) == alpha_key(g)
+    """Whether f and g are alpha-equivalent: compared node for node on an explicit
+    stack, skipping parts they share as one object, then by keys if they differ."""
+    stack = [(f, g)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        a, b = pop()
+        if a is not b:
+            t = type(a)
+            if type(b) is not t or (a != b if t in _ATOMS else t in BINDERS and a.var != b.var):
+                return alpha_key(f) == alpha_key(g)
+            for name in SUBFORMULAS[t]:
+                push((getattr(a, name), getattr(b, name)))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -672,12 +701,13 @@ def a6_instantiate(f: Formula, var: SOVar, member) -> Formula:
             f"{var} has arity {var.arity} but the instantiating formula defines arity {arity}")
     base = max(max_fo_index(f), max_fo_index(member.formula)) + 1
     fresh_params = tuple(FOVar(base + i) for i in range(len(member.params)))
-    theta = substitute_fo_many(
-        member.formula, {p: Var(q) for p, q in zip(member.params, fresh_params)})
+    renamed = {p: Var(q) for p, q in zip(member.params, fresh_params)}
 
     def walk(g):
         if isinstance(g, SOApp) and g.var == var:
-            return substitute_fo_many(theta, dict(zip(member.slots, g.args)))
+            # parameters and slots at once: no fresh parameter occurs in the member
+            return substitute_fo_many(member.formula,
+                                      {**renamed, **dict(zip(member.slots, g.args))})
         if isinstance(g, SOEq) and var in (g.left, g.right):
             raise FormulaError(
                 f"{var} occurs free in a second-order identity; instantiation is undefined")
@@ -773,10 +803,11 @@ _TOKEN = re.compile(r"""
 
 # The deepest nesting `parse` accepts, while parsing (parentheses, prefix
 # operators and implication chains each open a level) and in the formula it
-# returns: the largest depth at which parse, validate, normalize, format,
-# alpha_key and eval all finish under the default recursion limit, with a
-# margin.  Called 60 frames deep, parentheses fail past 131 levels (seven parser
-# frames each) and `exists` chains past 231 (normalize triples the depth).
+# returns, with a margin under the default recursion limit: the parser,
+# validate, format, alpha_key, eval, max_fo_index and substitute_fo_many
+# recurse.  Called 60 frames deep, parentheses fail past 131 levels (seven parser
+# frames each), and |, -> and exists chains past 309 (alpha_key and eval walk
+# the normal form, three levels per source level).
 MAX_DEPTH = 100
 
 _CANON_FO = re.compile(r"^x(\d+)$")
@@ -1068,7 +1099,7 @@ def parse(text: str, sig: Signature, allow_inst: bool = False) -> Formula:
     f = _Parser(tokens, sig, allow_inst=allow_inst).parse_formula()
     # a formula is no deeper than its number of tokens; long operator chains
     # nest without nesting the parse
-    if len(tokens) > MAX_DEPTH and _depth(f) > MAX_DEPTH:
+    if len(tokens) > MAX_DEPTH and _depth(f, MAX_DEPTH) > MAX_DEPTH:
         raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", 0)
     validate(f, sig)
     return f

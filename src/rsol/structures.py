@@ -393,9 +393,6 @@ class DefinableFamily:
     def provenance(self, arity: int, relation: frozenset) -> Provenance:
         return self._by_arity[arity][relation]
 
-    def contains(self, arity: int, relation: frozenset) -> bool:
-        return relation in self._by_arity.get(arity, {})
-
     def count(self, arity: int) -> int:
         return len(self._by_arity.get(arity, {}))
 

@@ -102,18 +102,45 @@ def test_reduce_has_no_depth_option(two_json, capsys):
     assert "unrecognized arguments: --depth 0" in capsys.readouterr().err
 
 
+SELF_WEAK = ("template t1 over n {\n"
+             "1. forall X0 X0(c0) -> inst(X0, X0(c0)) ; A6 n\n"
+             "}\n"
+             "1. forall X0 X0(c0) -> forall X0 X0(c0) ; R3 t1\n")
+
+
 def test_prove_check_cli(tmp_path):
     proof = tmp_path / "p.prf"
-    proof.write_text(
-        "template t1 over n {\n"
-        "1. forall X0 X0(c0) -> inst(X0, X0(c0)) ; A6 n\n"
-        "}\n"
-        "1. forall X0 X0(c0) -> forall X0 X0(c0) ; R3 t1\n",
-        encoding="utf-8")
+    proof.write_text(SELF_WEAK, encoding="utf-8")
     code, out = run_cli(["prove-check", "--proof", str(proof),
                          "--theta", "weak-so:1", "--spot", "3"])
     assert code == 0
     assert "accepted" in out and "evidence(3)" in out
+
+
+def test_prove_check_spot_past_the_old_stack_limit(tmp_path):
+    # the README's proof; its instances are about 4n levels deep, and the
+    # kernel ran out of stack from n = 247 before its walks kept a stack
+    proof = tmp_path / "self.prf"
+    proof.write_text(SELF_WEAK, encoding="utf-8")
+    code, out = run_cli(["prove-check", "--proof", str(proof),
+                         "--theta", "weak-so:1", "--spot", "300"])
+    assert code == 0 and "template t1: evidence(300)" in out
+
+
+def test_prove_check_spot_past_the_recursive_walkers_exits_5(tmp_path, capsys):
+    # substitute_fo_many still recurses, two frames per level of the member,
+    # so n = 1000 is out of reach: refused with a reason after the check
+    # of the instance at the bound, before the spot check from n = 0
+    proof = tmp_path / "self.prf"
+    proof.write_text(SELF_WEAK, encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["prove-check", "--proof", str(proof),
+                 "--theta", "weak-so:1", "--spot", "1000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 5
+    assert capsys.readouterr().err == (
+        "feasibility guard: template t1: instances up to n = 1000 nest deeper "
+        "than the proof kernel's recursive walkers reach\n")
 
 
 def test_prove_check_rejection_exit(tmp_path):

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsol.formulas import (
-    And, Const, ExistsFO, ExistsSO, ForallFO, ForallSO, FOVar, FormulaError,
-    Func, Iff, Implies, InstAtom, Not, Or, ParseError, PredApp, Signature,
-    SOApp, SOEq, SOVar, TermEq, Var, a6_instantiate, alpha_eq, alpha_key,
-    format_formula, free_variables, is_sentence, normalize, parse,
-    quantifier_rank, substitute_fo, substitute_fo_many, substitute_so,
-    validate,
+    And, CaptureError, Const, ExistsFO, ExistsSO, ForallFO, ForallSO, FOVar,
+    FormulaError, Func, Iff, Implies, InstAtom, Not, Or, ParseError, PredApp,
+    Signature, SOApp, SOEq, SOVar, TermEq, Var, a6_instantiate, alpha_eq,
+    alpha_key, format_formula, free_variables, is_sentence, normalize, parse,
+    substitute_fo, substitute_fo_many, substitute_so, validate,
 )
 import rsol.formulas as syntax
 
 SIG = Signature(predicates={"P0": 1, "P1": 2}, functions={"f0": 1},
                 constants=["c0", "c1"])
+NO_IDENTITY = Signature(SIG.predicates, SIG.functions, SIG.constants, identity=False)
 x0, x1, x2, x5 = FOVar(0), FOVar(1), FOVar(2), FOVar(5)
 X0, X1 = SOVar(0, 1), SOVar(1, 1)
 
@@ -61,9 +61,9 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         parse("P0(x0", SIG)
     with pytest.raises(ParseError):
-        parse("x0 = x1", SIG.without_identity())
+        parse("x0 = x1", NO_IDENTITY)
     with pytest.raises(ParseError):
-        parse("X0 = X1", SIG.without_identity())
+        parse("X0 = X1", NO_IDENTITY)
     with pytest.raises(ParseError):
         parse("X0^1 = X1^2", SIG)
 
@@ -191,7 +191,7 @@ def test_a6_capture_inside_member():
     out = a6_instantiate(f, X0, member)
     fo, _ = free_variables(out)
     assert fo == {x1}
-    assert quantifier_rank(out) == 1
+    assert type(out) is ExistsFO and type(out.body) is PredApp     # one quantifier
     assert not alpha_eq(out, ExistsFO(x1, PredApp("P1", (Var(x1), Var(x1)))))
 
 
@@ -224,7 +224,7 @@ def test_validate_checks_identity_flag():
     f = TermEq(Var(x0), Var(x0))
     validate(f, SIG)
     with pytest.raises(FormulaError):
-        validate(f, SIG.without_identity())
+        validate(f, NO_IDENTITY)
 
 
 # --- randomized properties ---------------------------------------------------
@@ -415,3 +415,122 @@ def test_a6_instantiate_refuses_an_identity_after_an_application():
               And(SOApp(X0, (Var(x1),)), Not(ForallFO(x1, SOEq(X0, X1))))):
         with pytest.raises(FormulaError, match="second-order identity"):
             a6_instantiate(f, X0, member)
+
+
+# ---------------------------------------------------------------------------
+# Deep formulas and the structural fast paths
+# ---------------------------------------------------------------------------
+
+def _renamed(f, shift):
+    """f with each bound variable of either sort renamed to the variable of
+    its index plus shift, which the formulas below never mention."""
+    t = type(f)
+    if t in (ForallFO, ExistsFO):
+        w = FOVar(f.var.index + shift)
+        return t(w, _renamed(substitute_fo(f.body, f.var, Var(w)), shift))
+    if t in (ForallSO, ExistsSO):
+        w = SOVar(f.var.index + shift, f.var.arity)
+        return t(w, _renamed(substitute_so(f.body, f.var, w)[0], shift))
+    return syntax.rebuild(f, [_renamed(g, shift) for g in syntax.children(f)])
+
+
+def test_alpha_eq_agrees_with_comparing_alpha_keys():
+    # equal copies, renamed binders, renamed and normalized, and one-edit
+    # mutations; the structural walk must decide exactly as the keys do
+    import random
+    from rsol.sampling import mutate_formula, random_formula
+    rng = random.Random("alpha_eq/differential")
+    pools = ([x0, x1, x2], [X0, SOVar(1, 1)])
+    verdicts = []
+    for i in range(5000):
+        f = random_formula(rng, SIG, 4, *pools)
+        kind = i % 4
+        if kind == 0:
+            g = copy.deepcopy(f)
+        elif kind == 1:
+            g = _renamed(f, 10)
+        elif kind == 2:
+            g = normalize(_renamed(f, 20))
+        else:
+            g = mutate_formula(rng, f, SIG) or f
+        want = alpha_key(f) == alpha_key(g)
+        assert alpha_eq(f, g) == want == alpha_eq(g, f), (f, g)
+        verdicts.append(want)
+    # the first three kinds are alpha-equal; a mutation seldom is
+    assert 3750 <= sum(verdicts) < 4000
+
+
+def test_normalize_and_alpha_eq_walk_a_5000_deep_chain():
+    # exists x0 (P0(x0) | exists x0 (P0(x0) | ...)), one level per node:
+    # far past the recursion limit, so only stack-free walks get through
+    atom = PredApp("P0", (Var(x0),))
+    f = atom
+    for k in range(5000):
+        f = Or(atom, f) if k % 2 else ExistsFO(x0, f)
+    g = normalize(f)
+    assert normalize(g) is g
+    assert alpha_eq(g, normalize(f))
+    # P | rest becomes ~(~P & ~rest), exists x0 rest ~forall x0 ~rest
+    h = g
+    for k in reversed(range(5000)):
+        assert type(h) is Not
+        h = h.body
+        if k % 2:
+            assert type(h) is And and h.left == Not(atom) and type(h.right) is Not
+            h = h.right.body
+        else:
+            assert type(h) is ForallFO and h.var == x0 and type(h.body) is Not
+            h = h.body.body
+    assert h is atom
+
+
+def _a6_rename_then_substitute(f, var, member, on_capture="rename"):
+    """a6_instantiate as two substitutions: the member's parameters renamed
+    fresh once, then its slots replaced by each application's arguments."""
+    base = max(syntax.max_fo_index(f), syntax.max_fo_index(member.formula)) + 1
+    fresh = tuple(FOVar(base + i) for i in range(len(member.params)))
+    theta = substitute_fo_many(member.formula,
+                               {p: Var(q) for p, q in zip(member.params, fresh)})
+
+    def walk(g):
+        if type(g) is SOApp and g.var == var:
+            return substitute_fo_many(theta, dict(zip(member.slots, g.args)),
+                                      on_capture)
+        if type(g) in syntax.BINDERS and g.var == var:
+            return g
+        return syntax.rebuild(g, [walk(k) for k in syntax.children(g)])
+
+    out = walk(f)
+    for p in reversed(fresh):
+        out = ForallFO(p, out)
+    return out
+
+
+@pytest.mark.parametrize("spec, arity", [
+    ("weak-so:1", 1), ("dsl", 1), ("all-fo", 1), ("all-fo", 2),
+])
+def test_a6_instantiate_substitutes_once_as_renaming_then_substituting(spec, arity):
+    # the arguments x1..x3 are variables that members bind, so the
+    # substitution must rename the member's binders on the way in
+    from rsol.theta import family_from_cli
+    bodies = {
+        1: ["forall x0 (X0(x0) -> exists x1 X0(x0))",
+            "forall x1 (X0(x1) & exists x2 (X0(x2) | X0(f0(x3))))"],
+        2: ["forall x0 (X0^2(x0, x1) -> exists x1 X0^2(x1, x0))",
+            "exists x2 (X0^2(x2, x3) & X0^2(c0, x2))"],
+    }[arity]
+    var = SOVar(0, arity)
+    fam = family_from_cli(spec, SIG)
+    captured = 0
+    for n in range(40):
+        member = fam.arity_member(arity, n)
+        for text in bodies:
+            body = normalize(parse(text, SIG))
+            want = _a6_rename_then_substitute(body, var, member)
+            assert a6_instantiate(body, var, member) == want
+            try:
+                _a6_rename_then_substitute(body, var, member, on_capture="fail")
+            except CaptureError:
+                captured += 1
+    # weak-so members bind no variable; each other family meets a capture
+    assert captured or spec == "weak-so:1"
