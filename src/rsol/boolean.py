@@ -71,18 +71,6 @@ class BooleanAlgebra:
             out = self.join(out, a)
         return out
 
-    def check_laws(self, triples) -> None:
-        """Assert absorption, distributivity and complementation on samples."""
-        for a, b, c in triples:
-            assert self.meet(a, self.join(a, b)) == a
-            assert self.join(a, self.meet(a, b)) == a
-            assert self.meet(a, self.join(b, c)) == self.join(self.meet(a, b),
-                                                              self.meet(a, c))
-            assert self.join(a, self.meet(b, c)) == self.meet(self.join(a, b),
-                                                              self.join(a, c))
-            assert self.join(a, self.complement(a)) == self.one
-            assert self.meet(a, self.complement(a)) == self.zero
-
 
 class PowersetAlgebra(BooleanAlgebra):
     """Subsets of a finite atom set, as frozensets."""

@@ -287,7 +287,20 @@ def build_a3(vm: SOVar, vn: SOVar, phi, phi_prime):
 
 def build_a6(v: SOVar, phi, member):
     phi = normalize(phi)
-    return implies(ForallSO(v, phi), normalize(a6_instantiate(phi, v, member)))
+    return implies(ForallSO(v, phi), _a6_consequent(phi, v, member))
+
+
+# (phi, v, member, consequent) of the last A6 instance built, read and replaced
+# whole: the kernel's rebuild of a line instantiate_template just made gets the
+# same object.  It holds its keys, so their ids stay taken; check_proof empties it.
+_LAST_A6: list = [()]
+
+
+def _a6_consequent(phi, v: SOVar, member):
+    last = _LAST_A6[0]
+    if not (last and last[0] is phi and last[1] == v and last[2] is member):
+        last = _LAST_A6[0] = (phi, v, member, normalize(a6_instantiate(phi, v, member)))
+    return last[3]
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +682,7 @@ def instantiate_template(t: OmegaTemplate, proof: Proof, n: int) -> Proof:
         if id(f) not in memo:
             if type(f) is InstAtom:
                 member = fam.arity_member(f.var.arity, n)
-                out = normalize(a6_instantiate(f.body, f.var, member))
+                out = _a6_consequent(f.body, f.var, member)
             else:
                 out = rebuild(f, [replace(k) for k in children(f)])
             memo[id(f)] = (f, out)
@@ -717,6 +730,13 @@ def _new_nodes(f: Formula, seen: dict) -> list:
 
 def check_proof(proof: Proof) -> Verdict:
     """Validate premises, templates cited by R3, and every line."""
+    try:
+        return _check_proof(proof)
+    finally:
+        _LAST_A6[0] = ()     # no instance outlives the check that used it
+
+
+def _check_proof(proof: Proof) -> Verdict:
     template_verdicts = {}
     for k, p in enumerate(proof.premises):
         if not is_sentence(p):

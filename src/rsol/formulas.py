@@ -385,17 +385,17 @@ def _max_term_index(t: Term) -> int:
 
 
 def max_fo_index(f: Formula) -> int:
-    """Largest first-order variable index occurring anywhere in f, -1 if none."""
-    t = type(f)
-    if t is PredApp or t is SOApp:
-        return max(map(_max_term_index, f.args), default=-1)
-    if t is TermEq:
-        return max(_max_term_index(f.left), _max_term_index(f.right))
-    top = f.var.index if t in FO_QUANT else -1
-    for name in SUBFORMULAS[t]:
-        i = max_fo_index(getattr(f, name))
-        if i > top:
-            top = i
+    """Largest first-order variable index in f, -1 if none (on its own stack)."""
+    top, stack = -1, [f]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is PredApp or t is SOApp or t is TermEq:
+            terms = (g.left, g.right) if t is TermEq else g.args
+            top = max([top, *map(_max_term_index, terms)])
+        else:
+            top = max(top, g.var.index) if t in FO_QUANT else top
+            stack.extend(children(g))
     return top
 
 
@@ -632,22 +632,19 @@ def substitute_fo_many(f: Formula, mapping: Mapping[FOVar, Term],
             return g if left is g.left and right is g.right else TermEq(left, right)
         if t in FO_QUANT:
             live = {k: v for k, v in mapping.items() if k != g.var}
-            free_body, _ = free_variables(g.body)
-            live = {k: v for k, v in live.items() if k in free_body}
-            if not live:
-                return g
-            incoming = set()
-            for term in live.values():
-                incoming |= term_fo_vars(term)
-            if g.var in incoming:
-                if on_capture == "fail":
-                    raise CaptureError(f"{g.var} would be captured")
-                top = max([g.var.index, max_fo_index(g.body)]
-                          + [_max_term_index(term) for term in live.values()])
-                fresh = FOVar(top + 1)
-                body = walk(g.body, {g.var: Var(fresh)})
-                return t(fresh, walk(body, live))
-            return rebuild(g, (walk(g.body, live),))
+            # a capture needs a term that mentions g.var, for a key free in the body
+            if any(g.var in term_fo_vars(term) for term in live.values()):
+                free_body, _ = free_variables(g.body)
+                live = {k: v for k, v in live.items() if k in free_body}
+                if any(g.var in term_fo_vars(term) for term in live.values()):
+                    if on_capture == "fail":
+                        raise CaptureError(f"{g.var} would be captured")
+                    top = max([g.var.index, max_fo_index(g.body)]
+                              + [_max_term_index(term) for term in live.values()])
+                    fresh = FOVar(top + 1)
+                    body = walk(g.body, {g.var: Var(fresh)})
+                    return t(fresh, walk(body, live))
+            return rebuild(g, (walk(g.body, live),)) if live else g
         return rebuild(g, [walk(getattr(g, name), mapping) for name in SUBFORMULAS[t]])
 
     return walk(f, dict(mapping))
@@ -804,10 +801,10 @@ _TOKEN = re.compile(r"""
 # The deepest nesting `parse` accepts, while parsing (parentheses, prefix
 # operators and implication chains each open a level) and in the formula it
 # returns, with a margin under the default recursion limit: the parser,
-# validate, format, alpha_key, eval, max_fo_index and substitute_fo_many
-# recurse.  Called 60 frames deep, parentheses fail past 131 levels (seven parser
-# frames each), and |, -> and exists chains past 309 (alpha_key and eval walk
-# the normal form, three levels per source level).
+# validate, format, alpha_key, eval and substitute_fo_many recurse.  Called 60
+# frames deep, parentheses fail past 131 levels (seven parser frames each), and
+# |, -> and exists chains past 309 (alpha_key and eval walk the normal form,
+# three levels per source level).
 MAX_DEPTH = 100
 
 _CANON_FO = re.compile(r"^x(\d+)$")

@@ -17,14 +17,26 @@ def sample_triples(alg, rng, count=60):
     return [(rng.choice(els), rng.choice(els), rng.choice(els)) for _ in range(count)]
 
 
+def assert_laws(alg, triples):
+    """Absorption, distributivity and complementation on samples."""
+    meet, join, comp = alg.meet, alg.join, alg.complement
+    for a, b, c in triples:
+        assert meet(a, join(a, b)) == a
+        assert join(a, meet(a, b)) == a
+        assert meet(a, join(b, c)) == join(meet(a, b), meet(a, c))
+        assert join(a, meet(b, c)) == meet(join(a, b), join(a, c))
+        assert join(a, comp(a)) == alg.one
+        assert meet(a, comp(a)) == alg.zero
+
+
 def test_builtin_laws_on_samples():
     rng = random.Random(0)
     for alg in (powerset_algebra(3), free_algebra(2)):
-        alg.check_laws(sample_triples(alg, rng))
+        assert_laws(alg, sample_triples(alg, rng))
     fincof = FiniteCofiniteAlgebra()
     els = list(itertools.islice(fincof.enumerate_elements(), 24))
-    fincof.check_laws([(rng.choice(els), rng.choice(els), rng.choice(els))
-                       for _ in range(60)])
+    assert_laws(fincof, [(rng.choice(els), rng.choice(els), rng.choice(els))
+                         for _ in range(60)])
 
 
 def test_free_two_has_sixteen_classes():

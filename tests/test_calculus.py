@@ -1,3 +1,4 @@
+import copy
 import inspect
 import random
 
@@ -17,7 +18,8 @@ from rsol.calculus import (
 from rsol.formulas import (
     And, Const, ExistsFO, ForallFO, ForallSO, FormulaError, FOVar, Implies, SOEq,
     InstAtom, Not, PredApp, Signature, SOApp, SOVar, TermEq, Var, alpha_eq,
-    as_implies, children, implies, normalize, parse, rebuild, term_fo_vars,
+    a6_instantiate, as_implies, children, implies, normalize, parse, rebuild,
+    term_fo_vars,
 )
 from rsol.corpus import proof_corpus
 from rsol.sampling import random_formula
@@ -459,6 +461,66 @@ def test_deep_template_instances_check_within_the_recursion_limit(name, n):
     proof = {item.name: item.proof for item in proof_corpus()}[name]
     (template,) = proof.templates.values()
     accepted(instantiate_template(template, proof, n))
+
+
+def test_an_instance_and_its_deep_copy_get_the_same_verdict(monkeypatch):
+    # the instance is checked right after instantiate_template built its A6
+    # consequent, so the kernel's rebuild meets that object; the deep copy's
+    # lines share no object with it, so its check builds the consequent again.
+    # The family stays shared: copying its member cache would take cubic time
+    templates = [(item.name, t, item.proof) for item in proof_corpus()
+                 for t in item.proof.templates.values()]
+    assert len(templates) == 5
+    built = []
+    monkeypatch.setattr(calculus, "a6_instantiate",
+                        lambda *args: built.append(args) or a6_instantiate(*args))
+    for name, template, proof in templates:
+        for n in range(41):
+            inst = instantiate_template(template, proof, n)
+            del built[:]
+            v = check_proof(inst)
+            hits = not built
+            w = check_proof(copy.deepcopy(inst, {id(inst.family): inst.family}))
+            assert hits and len(built) == 1, (name, n)
+            assert v.ok and (v.ok, v.line, v.reason) == (w.ok, w.line, w.reason), (name, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 40])
+def test_a6_lines_that_misuse_the_instance_just_built_are_refused(n):
+    # each line is checked right after instantiate_template built the
+    # consequent of X0(c0) for member n; it cites member n + 1, or it puts
+    # that consequent under a different quantified formula
+    proof = {item.name: item.proof for item in proof_corpus()}["omega-self-weak"]
+    (template,) = proof.templates.values()
+    other = ForallSO(X0, SOApp(X0, (Const("c1"),)))
+    for j, forall in ((A6(n + 1), None), (A6(n), other)):
+        inst = instantiate_template(template, proof, n)
+        forall_phi, consequent = as_implies(inst.lines[0].formula)
+        assert calculus._LAST_A6[0][3] is consequent
+        f = implies(forall or forall_phi, consequent)
+        v = check_proof(Proof(inst.sig, inst.family, inst.premises, [ProofLine(f, j)]))
+        assert not v.ok
+        assert v.reason == f"not the instantiation axiom for member {j.theta_index}"
+        assert not calculus._LAST_A6[0]   # dropped when the check returns
+    accepted(inst)
+
+
+@pytest.mark.parametrize("bound", [0, 6])
+def test_a_spot_check_builds_each_instance_once(monkeypatch, bound):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2].index)
+        return a6_instantiate(*args)
+
+    proof = {item.name: item.proof for item in proof_corpus()}["omega-self-weak"]
+    (template,) = proof.templates.values()
+    monkeypatch.setattr(calculus, "a6_instantiate", counted)
+    assert spot_check_template(template, proof, bound).ok
+    assert calls == list(range(bound + 1))
+    # a second spot check builds every instance again: nothing carries over
+    assert spot_check_template(template, proof, bound).ok
+    assert calls == 2 * list(range(bound + 1))
 
 
 def _one_line(f, justification):

@@ -534,3 +534,93 @@ def test_a6_instantiate_substitutes_once_as_renaming_then_substituting(spec, ari
                 captured += 1
     # weak-so members bind no variable; each other family meets a capture
     assert captured or spec == "weak-so:1"
+
+
+def test_max_fo_index_walks_a_5000_deep_chain():
+    # P0(x0) | (P0(x1) | ... exists x7000 P0(x4999)): past the recursion limit
+    f = ExistsFO(FOVar(7000), PredApp("P0", (Var(FOVar(4999)),)))
+    for k in reversed(range(4999)):
+        f = Or(PredApp("P0", (Var(FOVar(k)),)), f)
+    assert syntax.max_fo_index(f) == 7000
+    assert syntax.max_fo_index(f.right) == 7000
+    assert syntax.max_fo_index(Or(TermEq(Var(x5), Const("c0")), SOApp(X0, (Var(x2),)))) == 5
+    assert syntax.max_fo_index(SOEq(X0, X1)) == -1
+
+
+def _substitute_filtering_at_every_binder(f, mapping, on_capture="rename"):
+    """substitute_fo_many as it was written before, reading the free
+    variables of the body at every first-order quantifier."""
+    def walk(g, mapping):
+        t = type(g)
+        if t in (PredApp, SOApp, TermEq):
+            return substitute_fo_many(g, mapping, on_capture)
+        if t in (ForallFO, ExistsFO):
+            live = {k: v for k, v in mapping.items()
+                    if k != g.var and k in free_variables(g.body)[0]}
+            if not live:
+                return g
+            if any(g.var in syntax.term_fo_vars(term) for term in live.values()):
+                if on_capture == "fail":
+                    raise CaptureError(f"{g.var} would be captured")
+                top = max([g.var.index, syntax.max_fo_index(g.body)]
+                          + [syntax._max_term_index(term) for term in live.values()])
+                fresh = FOVar(top + 1)
+                return t(fresh, walk(walk(g.body, {g.var: Var(fresh)}), live))
+            return syntax.rebuild(g, (walk(g.body, live),))
+        return syntax.rebuild(g, [walk(k, mapping) for k in syntax.children(g)])
+
+    return walk(f, dict(mapping))
+
+
+def test_substitute_fo_many_agrees_with_filtering_at_every_binder():
+    # the same output, the same shared subtrees and the same captures as
+    # the substitution that read each body's free variables
+    import random
+    from rsol.sampling import random_formula
+    rng = random.Random("substitute_fo_many/differential")
+    xs = [x0, x1, x2]
+    terms = [Var(x0), Var(x1), Var(x2), Const("c0"), Func("f0", (Var(x1),))]
+    renamed = unchanged = captured = 0
+    for _ in range(3000):
+        f = normalize(random_formula(rng, SIG, 4, xs, [X0]))
+        mapping = {v: rng.choice(terms) for v in rng.sample(xs, rng.randint(1, 3))}
+        want = _substitute_filtering_at_every_binder(f, mapping)
+        got = substitute_fo_many(f, mapping)
+        assert got == want and (got is f) == (want is f), (f, mapping)
+        unchanged += got is f
+        renamed += syntax.max_fo_index(got) > 2
+        try:
+            _substitute_filtering_at_every_binder(f, mapping, "fail")
+        except CaptureError:
+            captured += 1
+            with pytest.raises(CaptureError):
+                substitute_fo_many(f, mapping, "fail")
+        else:
+            assert substitute_fo_many(f, mapping, "fail") == want
+    assert unchanged > 1000 and renamed > 100 and captured > 100
+
+
+def test_substitute_fo_many_reads_free_variables_only_where_a_capture_may_be(
+        monkeypatch):
+    # x0 := c0 under 400 nested binders: no term can be captured, so no
+    # body's free variables are read and the walk stays linear
+    read = []
+    monkeypatch.setattr(syntax, "free_variables",
+                        lambda g: read.append(g) or free_variables(g))
+    f = PredApp("P1", (Var(x0), Var(x1)))
+    for k in range(1, 401):
+        f = ForallFO(FOVar(k), f)
+
+    def innermost(g):
+        for _ in range(400):
+            g = g.body
+        return g
+
+    assert innermost(substitute_fo_many(f, {x0: Const("c0")})) == \
+        PredApp("P1", (Const("c0"), Var(x1)))
+    assert read == []
+    # x0 := x1 may be captured by forall x1, the innermost binder: only its
+    # body is read, and that binder is renamed to x2
+    assert innermost(substitute_fo_many(f, {x0: Var(x1)})) == \
+        PredApp("P1", (Var(x1), Var(x2)))
+    assert len(read) == 1 and read[0] == PredApp("P1", (Var(x0), Var(x1)))
