@@ -93,6 +93,9 @@ class PowersetAlgebra(BooleanAlgebra):
     def complement(self, a):
         return self.one - a
 
+    def le(self, a, b) -> bool:
+        return a <= b
+
     def elements(self):
         if len(self.atoms) > self.MAX_ATOMS_ENUMERATED:
             raise AlgebraError(

@@ -186,10 +186,11 @@ class FormulaEnumerator:
     by size then by a structural order.
 
     Size counts AST nodes (quantifiers count one, their variable none).
-    A size class holds (formula, key, free variables) triples sorted by
-    key, and each formula's key and free variables are built from those of
-    its parts.  The key orders atoms before negations, conjunctions and
-    quantifiers, in that order, then compares the parts.
+    A size class holds (formula, key, free variables) triples in key
+    order, and each formula's key and free variables are built from those
+    of its parts.  The key orders atoms before negations, conjunctions and
+    quantifiers, in that order, then compares the parts.  A class is built
+    in key order as it is read, and each triple is built once and kept.
     """
 
     #: the variable pool of size class s is x0..x(min(s, POOL_CAP) - 1), so
@@ -203,7 +204,7 @@ class FormulaEnumerator:
                                "formula: no predicates and identity disabled")
         self.sig = sig
         self._terms: dict = {}
-        self._formulas: dict = {}
+        self._classes: dict = {0: ([], iter(()))}     # no formula has size 0
         # one object per variable, so the sets of variables compare by identity
         self._vars = [FOVar(i) for i in range(self.POOL_CAP)]
 
@@ -233,39 +234,60 @@ class FormulaEnumerator:
                 yield (tuple(a[0] for a in args), tuple(a[1] for a in args),
                        frozenset().union(*(a[2] for a in args)))
 
+    def size_class(self, size: int):
+        """The triples of class `size` in key order, built as they are read."""
+        return _read(*self._class(size))
+
     def formulas_of_size(self, size: int) -> list:
-        """(formula, key, free variables) for every formula of the size, in
-        key order."""
-        if size in self._formulas:
-            return self._formulas[size]
-        pool = self._vars[:size]
-        out = []
-        for name in sorted(self.sig.predicates):
-            arity = self.sig.predicates[name]
-            if arity < size:
-                for args, keys, fv in self._keyed_args(size - 1, arity, pool):
-                    out.append((PredApp(name, args), (0, name, keys), fv))
-        if self.sig.identity:
-            for (left, right), keys, fv in self._keyed_args(size - 1, 2, pool):
-                out.append((TermEq(left, right), (1,) + keys, fv))
-        if size >= 2:
-            smaller = self.formulas_of_size(size - 1)
-            out.extend((Not(f), (2, k), fv) for f, k, fv in smaller)
-            for v in pool:
-                drop = frozenset((v,))
-                out.extend((ForallFO(v, f), (4, v.index, k), fv - drop)
-                           for f, k, fv in smaller)
-        for ls in range(1, size - 1):
-            for left, lk, lv in self.formulas_of_size(ls):
-                for right, rk, rv in self.formulas_of_size(size - 1 - ls):
-                    out.append((And(left, right), (3, lk, rk), lv | rv))
-        out.sort(key=itemgetter(1))
-        self._formulas[size] = out
-        return out
+        """All of class `size` in key order: `size_class(size)` read to the end."""
+        done, rest = self._class(size)
+        done.extend(rest)
+        return done
+
+    def _class(self, size: int) -> tuple:
+        """Class `size` as (its triples built so far, a generator of the rest)."""
+        if size not in self._classes:
+            pool = self._vars[:size]
+            atoms = []
+            for name in sorted(self.sig.predicates):
+                arity = self.sig.predicates[name]
+                if arity < size:
+                    for args, keys, fv in self._keyed_args(size - 1, arity, pool):
+                        atoms.append((PredApp(name, args), (0, name, keys), fv))
+            if self.sig.identity:
+                for (left, right), keys, fv in self._keyed_args(size - 1, 2, pool):
+                    atoms.append((TermEq(left, right), (1,) + keys, fv))
+            smaller = {s: self._class(s) for s in range(size)}
+            self._classes[size] = (sorted(atoms, key=itemgetter(1)),
+                                   _build(size, pool, smaller))
+        return self._classes[size]
 
     def __iter__(self):
-        for size in itertools.count(1):
-            yield from (f for f, _, _ in self.formulas_of_size(size))
+        return (f for size in itertools.count(1) for f, _, _ in self.size_class(size))
+
+
+def _read(done: list, rest):
+    """The items of `done`, extended one at a time from `rest` as they are read."""
+    i = 0
+    while i < len(done) or done.extend(itertools.islice(rest, 1)) or i < len(done):
+        yield done[i]
+        i += 1
+
+
+def _build(size: int, pool, smaller: dict):
+    """Class `size` after its atoms, in key order: negations read class size - 1
+    to the end (every smaller class is whole after them); conjunctions are
+    sorted.  It holds no enumerator, so a dropped one is freed at once."""
+    yield from ((Not(f), (2, k), fv) for f, k, fv in _read(*smaller[size - 1]))
+    yield from sorted(((And(left, right), (3, lk, rk), lv | rv)
+                       for ls in range(1, size - 1)
+                       for left, lk, lv in smaller[ls][0]
+                       for right, rk, rv in smaller[size - 1 - ls][0]),
+                      key=itemgetter(1))
+    for v in pool:
+        drop = frozenset((v,))
+        yield from ((ForallFO(v, f), (4, v.index, k), fv - drop)
+                    for f, k, fv in smaller[size - 1][0])
 
 
 def _compositions(total: int, parts: int):
@@ -292,7 +314,7 @@ def _members(enumerator: FormulaEnumerator, splits):
     seen = set()
     for size in itertools.count(1):
         # the enumerator builds only primitive nodes: f is already normalized
-        for f, _, fo in enumerator.formulas_of_size(size):
+        for f, _, fo in enumerator.size_class(size):
             for slots, params in splits(tuple(sorted(fo))):
                 key = _key(f, slots, params)
                 if key not in seen:

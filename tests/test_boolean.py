@@ -68,6 +68,12 @@ def test_powerset_basics():
         powerset_algebra(9)
 
 
+def test_powerset_le_is_the_meet_order():
+    alg = powerset_algebra(3)
+    for a, b in itertools.product(alg.elements(), repeat=2):
+        assert alg.le(a, b) == (alg.meet(a, b) == a)
+
+
 def test_fincof_closure():
     alg = FiniteCofiniteAlgebra()
     f12 = alg.fin([1, 2])
@@ -192,6 +198,56 @@ def test_check_f_compatible_budget_inconclusive_without_certificate():
 
     v = check_f_compatible(alg, member, fincof_atoms_entry(alg), budget=50)
     assert v.status == "inconclusive"
+
+
+def test_check_f_compatible_join_no_member_in_filter():
+    alg = powerset_algebra(3)
+    e = RegularEntry("join", frozenset([0, 1]),
+                     members=(frozenset([0]), frozenset([1])), name="j")
+    v = check_f_compatible(alg, Membership(alg, frozenset([0, 1])), e)
+    assert (v.status, v.reason, v.inspected) == (
+        "false", "bound in filter, no member is", 2)
+
+
+def test_check_f_compatible_join_members_provably_out():
+    alg = FiniteCofiniteAlgebra()
+    v = check_f_compatible(alg, PrincipalCofiniteMembership(alg),
+                           fincof_atoms_entry(alg), budget=50)
+    assert (v.status, v.reason, v.inspected) == (
+        "false", "bound in filter, members provably out", 50)
+
+
+def test_check_f_compatible_join_member_in_filter_bound_not():
+    # not a filter: the membership is handed in, and the checker must
+    # catch a member inside while the join above it is outside
+    alg = powerset_algebra(3)
+    e = RegularEntry("join", frozenset([0, 1]),
+                     members=(frozenset([0]), frozenset([1])), name="j")
+    v = check_f_compatible(alg, {frozenset([1])}.__contains__, e)
+    assert (v.status, v.reason, v.inspected) == (
+        "false", "member in filter forces the join in", 2)
+    assert v.witness == frozenset([1])
+
+
+def test_check_f_compatible_meet_all_members_in_filter():
+    # every member lies in the filter at {0, 1}, their meet {0} does not
+    alg = powerset_algebra(3)
+    e = RegularEntry("meet", frozenset([0]),
+                     members=(frozenset([0, 1]), frozenset([0, 1, 2])), name="m")
+    v = check_f_compatible(alg, Membership(alg, frozenset([0, 1])), e)
+    assert (v.status, v.reason, v.inspected) == (
+        "false", "all members in filter, meet is not", 2)
+
+
+def test_check_f_compatible_meet_over_budget():
+    # the cofinite sets above the atoms' complements all lie in the
+    # cofinite filter, and their meet, zero, does not
+    alg = FiniteCofiniteAlgebra()
+    atoms = fincof_atoms_entry(alg)
+    e = RegularEntry("meet", alg.zero, name="co-atoms", enumerator=lambda: (
+        alg.complement(a) for a in atoms.iter_members()))
+    v = check_f_compatible(alg, PrincipalCofiniteMembership(alg), e, budget=50)
+    assert (v.status, v.reason, v.inspected) == ("inconclusive", "budget", 50)
 
 
 def test_rs_construct_powerset_complete_family():
