@@ -483,7 +483,9 @@ def rs_construct(alg: BooleanAlgebra, entries, avoid,
                 continue
             low = alg.meet(b, e)
             decided[e] = low != alg.zero
-            b = low if decided[e] else alg.meet(b, alg.complement(e))
+            if not decided[e]:
+                low = alg.meet(b, alg.complement(e))
+            b = b if low == b else low      # one chain object per value
             steps.append(ChainStep("", "decide", e, decided[e]))
             chain.append(b)
             decided_count += 1
@@ -496,7 +498,7 @@ def rs_construct(alg: BooleanAlgebra, entries, avoid,
         blocker = alg.complement(c) if up else c
         low = alg.meet(b, blocker)
         if low != alg.zero:
-            b = low
+            b = b if low == b else low
             steps.append(ChainStep(entry.name, "bound-side", blocker, None))
         else:
             found = False
@@ -505,7 +507,7 @@ def rs_construct(alg: BooleanAlgebra, entries, avoid,
                     raise BudgetExhausted(entry.name)
                 cand = alg.meet(b, s) if up else alg.meet(b, alg.complement(s))
                 if cand != alg.zero:
-                    b = cand
+                    b = b if cand == b else cand
                     steps.append(ChainStep(entry.name, "witness", s, None))
                     found = True
                     break

@@ -15,6 +15,7 @@ revalidates everything from scratch.
 
 from __future__ import annotations
 
+import copy
 import inspect
 import re
 from dataclasses import dataclass, field
@@ -671,7 +672,8 @@ def _inst_atoms(f: Formula):
 
 
 def instantiate_template(t: OmegaTemplate, proof: Proof, n: int) -> Proof:
-    """Turn a template into the concrete proof of its n-th premise."""
+    """Turn a template into the concrete proof of its n-th premise.  Its lines
+    must be normal, as those of `proof.templates` are."""
     fam = proof.family
     # id(node) -> (node, replacement): a node shared between lines is
     # replaced once, so the lines share the result and the kernel's
@@ -697,7 +699,11 @@ def instantiate_template(t: OmegaTemplate, proof: Proof, n: int) -> Proof:
     # `replace` refers to itself, so only the collector would free the memo
     # and the instance it holds; a spot check makes one instance per n
     memo.clear()
-    return Proof(proof.sig, fam, proof.premises, lines)
+    # the lines are normal (template lines, A6 consequents and rebuilds of
+    # normal parts), so the copy skips Proof's normalizing scan of each line
+    inst = copy.copy(proof)
+    inst.lines, inst.templates = tuple(lines), {}
+    return inst
 
 
 def spot_check_template(t: OmegaTemplate, proof: Proof, bound: int) -> Verdict:
@@ -753,17 +759,20 @@ def _check_proof(proof: Proof) -> Verdict:
     # a subtree several lines share (template instances) is checked once
     seen: dict = {}
     for i, line in enumerate(proof.lines):
-        new = _new_nodes(line.formula, seen)
-        if any(type(g) is InstAtom for g in new):
-            return Verdict(False, line=i,
-                           reason="inst atoms are only allowed inside templates",
-                           template_verdicts=template_verdicts)
-        try:
-            for g in new:
-                if not SUBFORMULAS[type(g)]:   # an atom: validate walks
-                    validate(g, proof.sig)     # the subtree of any other node
-        except FormulaError as exc:
-            return Verdict(False, line=i, reason=str(exc),
+        bad = None     # the first bad atom's reason; an inst atom comes first
+        for g in _new_nodes(line.formula, seen):
+            if type(g) is InstAtom:
+                return Verdict(False, line=i,
+                               reason="inst atoms are only allowed inside templates",
+                               template_verdicts=template_verdicts)
+            # an atom: validate walks the subtree of any other node
+            if bad is None and not SUBFORMULAS[type(g)]:
+                try:
+                    validate(g, proof.sig)
+                except FormulaError as exc:
+                    bad = str(exc)
+        if bad is not None:
+            return Verdict(False, line=i, reason=bad,
                            template_verdicts=template_verdicts)
         why = _check_justified_line(proof, proof.lines, i, line, in_template=False,
                                     template_verdicts=template_verdicts)

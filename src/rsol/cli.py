@@ -180,6 +180,8 @@ def cmd_reduce(args, rep) -> int:
 
 
 def cmd_prove_check(args, rep) -> int:
+    if args.spot is not None and args.spot < 0:
+        raise FormulaError(f"spot bound must be >= 0, got {args.spot}")
     if args.structure:
         sig, _ = load_structure(args.structure)
     else:
@@ -304,6 +306,8 @@ def _load_family_entries(alg, spec: str):
 
 
 def cmd_rs(args, rep) -> int:
+    if args.steps < 0:
+        raise FormulaError(f"steps must be >= 0, got {args.steps}")
     alg = _make_algebra(args.algebra)
     entries = _load_family_entries(alg, args.family)
     avoid = _parse_element(alg, args.avoid)

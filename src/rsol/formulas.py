@@ -645,7 +645,11 @@ def substitute_fo_many(f: Formula, mapping: Mapping[FOVar, Term],
                     body = walk(g.body, {g.var: Var(fresh)})
                     return t(fresh, walk(body, live))
             return rebuild(g, (walk(g.body, live),)) if live else g
-        return rebuild(g, [walk(getattr(g, name), mapping) for name in SUBFORMULAS[t]])
+        names = SUBFORMULAS[t]
+        if len(names) == 2:
+            left, right = walk(g.left, mapping), walk(g.right, mapping)
+            return g if left is g.left and right is g.right else t(left, right)
+        return rebuild(g, (walk(g.body, mapping),)) if names else g
 
     return walk(f, dict(mapping))
 

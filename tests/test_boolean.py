@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import random
 
@@ -376,3 +378,59 @@ def test_rs_construct_witness_dichotomy():
                 assert alg.le(approx.final, step.element)
             else:
                 assert alg.le(approx.final, alg.complement(step.element))
+
+
+@functools.lru_cache(maxsize=None)
+def _plain(x):
+    """x with each frozenset as a sorted list, so its repr is fixed."""
+    if isinstance(x, frozenset):
+        return sorted(x)
+    if isinstance(x, tuple):
+        return [_plain(y) for y in x]
+    return x
+
+
+def _pairs_family(alg):
+    """Every pair of elements as a join and a meet entry."""
+    return [RegularEntry(kind, (alg.join if kind == "join" else alg.meet)(a, b),
+                         members=(a, b), name=f"{kind}{i}")
+            for i, (a, b) in enumerate(itertools.combinations(alg.elements(), 2))
+            for kind in ("join", "meet")]
+
+
+def _rs_case(name):
+    """(algebra, entries, avoided elements, decide_steps) of one chain test."""
+    if name == "fincof":
+        alg = FiniteCofiniteAlgebra()
+        return alg, [fincof_atoms_entry(alg)], [alg.zero, alg.fin([0, 2])], 50
+    if name == "free:2":
+        alg = free_algebra(2)
+        return alg, _pairs_family(alg), [alg.zero, alg.generator(0)], None
+    alg = powerset_algebra(int(name[-1]))
+    avoids = ([e for e in alg.elements() if e != alg.one] if name == "powerset:3"
+              else [frozenset(), frozenset({1, 3})])
+    return alg, powerset_full_family(alg), avoids, None
+
+
+@pytest.mark.parametrize("name, want", [
+    ("powerset:3", "26bc8bb1f4a95bfb43d41ac6199fa141e92730eb1bd410feb8e56c5977ee6cec"),
+    ("powerset:4", "902b6b2e3e54eec4a5821b93f5613b82e51774ef39c42c9805b8372b43c512c1"),
+    ("free:2", "f8860388e41b33f670877544114959f344cc0a5f4c04b3c46e1f08f7e28eb50f"),
+    ("fincof", "2142cd990f528cfd691a0ca59faad7c116034739ab34d2aca42506f5de542541"),
+], ids=["powerset:3", "powerset:4", "free:2", "fincof"])
+def test_rs_construct_keeps_its_output_and_one_object_per_chain_value(name, want):
+    # the chain, steps, decisions and final element, as digested from a
+    # construction that made a new chain element at every step; a step that
+    # keeps the value keeps the object, so no two distinct chain objects are equal
+    alg, entries, avoids, steps = _rs_case(name)
+    h = hashlib.sha256()
+    for avoid in avoids:
+        approx = rs_construct(alg, entries, avoid, decide_steps=steps)
+        h.update(repr((
+            [_plain(b) for b in approx.chain],
+            [(s.entry_name, s.action, _plain(s.element), s.value)
+             for s in approx.steps],
+            [(_plain(e), v) for e, v in approx.decided.items()],
+            _plain(approx.final))).encode())
+        assert len({id(b) for b in approx.chain}) == len(set(approx.chain)), avoid
+    assert h.hexdigest() == want

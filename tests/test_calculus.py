@@ -1,5 +1,6 @@
 import copy
 import inspect
+import operator
 import random
 
 import pytest
@@ -427,6 +428,156 @@ def test_check_proof_rejects_inst_in_main_lines():
     assert not v.ok and "template" in v.reason
 
 
+def test_an_inst_atom_is_reported_before_a_bad_atom_of_the_same_line():
+    bad = PredApp("P9", (Const("c0"),))
+    inst = InstAtom(X0, SOApp(X0, (Const("c0"),)))
+    for f in (And(bad, inst), And(inst, bad)):
+        v = check_proof(Proof(SIG, WEAK, [], [ProofLine(f, A4())]))
+        assert (v.ok, v.line, v.reason) == (
+            False, 0, "inst atoms are only allowed inside templates")
+
+
+PHI = normalize(SOApp(X0, (Const("c0"),)))
+TARGET = implies(ForallSO(X0, PHI), ForallSO(X0, PHI))
+META = ProofLine(implies(ForallSO(X0, PHI), InstAtom(X0, PHI)), A6(None))
+NO_IDENTITY = Signature(predicates={"P0": 1, "P1": 2}, constants=["c0", "c1"],
+                        identity=False)
+
+
+def _one_liner(j, sig=SIG, fam=None, premises=(), f=P0c):
+    return Proof(sig, fam, premises, [ProofLine(f, j)])
+
+
+def _citing(template_lines, fam=WEAK, target=TARGET):
+    """A proof of `target` by R3 from a template of these lines."""
+    return Proof(SIG, fam, [], [ProofLine(target, R3("t"))],
+                 {"t": OmegaTemplate("t", tuple(template_lines))})
+
+
+X2 = SOVar(0, 2)
+PHI2 = SOApp(X2, (Const("c0"), Const("c1")))
+
+# (proof, line, reason, the cited template's (line, reason) or None)
+REJECTIONS = {
+    "premise-index": (_one_liner(Premise(1), premises=[P0c]),
+                      0, "premise index 1 out of range", None),
+    "unknown-schema": (_one_liner(FOAxiom("P9")), 0, "unknown schema P9", None),
+    "unknown-identity-schema": (_one_liner(EqAxiom("sym")),
+                                0, "unknown identity schema sym", None),
+    "identity-disabled": (_one_liner(EqAxiom("refl"), sig=NO_IDENTITY),
+                          0, "identity axioms are disabled for this signature", None),
+    "extensionality-without-identity": (_one_liner(A2(1), sig=NO_IDENTITY),
+                                        0, "extensionality needs identity", None),
+    "replacement-without-identity": (_one_liner(A3(), sig=NO_IDENTITY),
+                                     0, "replacement needs identity", None),
+    "A1-without-family": (_one_liner(A1(0)), 0, "no family attached to the proof", None),
+    "A6-without-family": (_one_liner(A6(0)), 0, "no family attached to the proof", None),
+    "template-without-family": (
+        _citing([META], fam=None), 0,
+        "cited template rejected: no family attached to the proof",
+        (None, "no family attached to the proof")),
+    "meta-index-outside-template": (_one_liner(A6(None)), 0,
+                                    "meta-index instantiation outside a template", None),
+    "nested-infinitary-rule": (
+        _citing([ProofLine(P0c, R3("t")), META]), 0,
+        "cited template rejected: nested infinitary rule", (0, "nested infinitary rule")),
+    "unknown-template": (Proof(SIG, WEAK, [], [ProofLine(TARGET, R3("nope"))]),
+                         0, "unknown template nope", None),
+    "gen-fo-later-line": (
+        Proof(SIG, None, [P0c], [ProofLine(ForallFO(x0, P0c), GenFO(1, x0)),
+                                 ProofLine(P0c, Premise(0))]),
+        0, "generalization cites a line that is not strictly earlier", None),
+    "gen-so-own-line": (
+        _one_liner(GenSO(0, X0), premises=[P0c], f=ForallSO(X0, P0c)),
+        0, "generalization cites a line that is not strictly earlier", None),
+    "conclusion-not-the-target": (
+        _citing([META], target=implies(P0c, ForallSO(X0, PHI))),
+        0, "conclusion does not match the template target", None),
+    "premise-not-a-sentence": (_one_liner(Premise(0), premises=[PredApp("P0", (Var(x0),))]),
+                               None, "premise 0 is not a sentence", None),
+    "no-lines": (Proof(SIG, None, [], []), None, "no lines", None),
+    "premise-invalid": (_one_liner(Premise(0), premises=[PredApp("P9", (Const("c0"),))]),
+                        None, "premise 0: unknown predicate 'P9'", None),
+    "premise-differs": (_one_liner(Premise(0), premises=[P1c]),
+                        0, "formula differs from the cited premise", None),
+    "unknown-justification": (_one_liner("axiom"), 0, "unknown justification 'axiom'", None),
+    "not-a-distribution-axiom": (_one_liner(A5()), 0, "not a distribution axiom", None),
+    "mp-own-line": (_one_liner(MP(0, 0)),
+                    0, "detachment cites a line that is not strictly earlier", None),
+    "mp-mismatch": (
+        Proof(SIG, None, [P0c, implies(P0c, P1c)], [
+            ProofLine(P0c, Premise(0)), ProofLine(implies(P0c, P1c), Premise(1)),
+            ProofLine(P0c, MP(1, 0))]),
+        2, "implication line does not match antecedent and conclusion", None),
+    "gen-mismatch": (
+        Proof(SIG, None, [P0c], [ProofLine(P0c, Premise(0)),
+                                 ProofLine(ForallFO(x1, P0c), GenFO(0, x0))]),
+        1, "not the generalization of the cited line", None),
+    "final-line-not-into-inst": (
+        _citing([ProofLine(P0c, FOAxiom("P1"))]), 0,
+        "cited template rejected: template t: final line must be an implication "
+        "into an inst atom",
+        (None, "template t: final line must be an implication into an inst atom")),
+    "meta-line-not-schematic": (
+        _citing([ProofLine(implies(P0c, InstAtom(X0, PHI)), A6(None))],
+                target=implies(P0c, ForallSO(X0, PHI))), 0,
+        "cited template rejected: not a schematic instantiation axiom",
+        (0, "not a schematic instantiation axiom")),
+    "meta-line-other-body": (
+        _citing([ProofLine(implies(ForallSO(X0, PHI), InstAtom(X0, P0c)), A6(None))],
+                target=implies(ForallSO(X0, PHI), ForallSO(X0, P0c))), 0,
+        "cited template rejected: inst atom does not match the quantified formula",
+        (0, "inst atom does not match the quantified formula")),
+    "empty-template": (_citing([]), 0, "cited template rejected: empty template",
+                       (None, "empty template")),
+    "antecedent-mentions-meta-index": (
+        _citing([ProofLine(implies(InstAtom(X0, PHI), InstAtom(X0, PHI)), FOAxiom("P1"))]),
+        0, "cited template rejected: target antecedent mentions the meta-index",
+        (None, "target antecedent mentions the meta-index")),
+    "nested-inst-in-target": (
+        _citing([ProofLine(implies(ForallSO(X0, PHI), InstAtom(X0, InstAtom(X0, PHI))),
+                           A6(None))]),
+        0, "cited template rejected: nested inst atoms are not supported",
+        (None, "nested inst atoms are not supported")),
+    "nested-inst-in-a-line": (
+        _citing([ProofLine(InstAtom(X0, InstAtom(X0, PHI)), A4()), META]),
+        0, "cited template rejected: nested inst atoms are not supported",
+        (None, "nested inst atoms are not supported")),
+    "no-members-of-the-arity": (
+        _citing([ProofLine(implies(ForallSO(X2, PHI2), InstAtom(X2, PHI2)), A6(None))],
+                fam=dsl(SIG), target=implies(ForallSO(X2, PHI2), ForallSO(X2, PHI2))),
+        0, "cited template rejected: family dsl has no members of arity 2",
+        (None, "family dsl has no members of arity 2")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTIONS))
+def test_each_rejection_of_check_proof_names_its_line_and_reason(name):
+    proof, line, reason, template = REJECTIONS[name]
+    v = check_proof(proof)
+    assert (v.ok, v.line, v.reason) == (False, line, reason)
+    if template is not None:
+        tv = v.template_verdicts["t"]
+        assert (tv.ok, tv.line, tv.reason) == (False, *template)
+
+
+def test_instances_are_normal_copies_of_the_parent_without_templates():
+    # instantiate_template does not normalize its lines: they are normal by
+    # construction, and the verdict is that of a Proof built from them
+    for item in proof_corpus():
+        proof = item.proof
+        for template in proof.templates.values():
+            for n in range(41):
+                inst = instantiate_template(template, proof, n)
+                assert all(normalize(l.formula) is l.formula for l in inst.lines)
+                assert inst is not proof and inst.templates == {} and proof.templates
+                assert len(inst.premises) == len(proof.premises)
+                assert all(map(operator.is_, inst.premises, proof.premises))
+                v = check_proof(inst)
+                w = check_proof(Proof(inst.sig, inst.family, inst.premises, inst.lines))
+                assert (v.ok, v.line, v.reason) == (w.ok, w.line, w.reason), (item.name, n)
+
+
 def test_check_proof_independent_of_template_table_order():
     phi = SOApp(X0, (Const("c0"),))
     psi = SOApp(X0, (Const("c1"),))
@@ -455,9 +606,9 @@ def test_check_proof_independent_of_template_table_order():
 def test_deep_template_instances_check_within_the_recursion_limit(name, n):
     # instances of the weak-so templates deepen with n, about 4n levels;
     # these bounds sit below the n at which instantiate_template plus
-    # check_proof runs out of stack from a shallow caller (492 for all
-    # three, in substitute_fo_many's walk, two frames per level of the
-    # member), so a walker that takes more frames per level fails here
+    # check_proof runs out of stack from a shallow caller (983 for all
+    # three, in substitute_fo_many's walk, one frame per level of the
+    # member), so a walker that takes four frames per level fails here
     proof = {item.name: item.proof for item in proof_corpus()}[name]
     (template,) = proof.templates.values()
     accepted(instantiate_template(template, proof, n))

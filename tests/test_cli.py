@@ -128,7 +128,7 @@ def test_prove_check_spot_past_the_old_stack_limit(tmp_path):
 
 
 def test_prove_check_spot_past_the_recursive_walkers_exits_5(tmp_path, capsys):
-    # substitute_fo_many still recurses, two frames per level of the member,
+    # substitute_fo_many still recurses, one frame per level of the member,
     # so n = 1000 is out of reach: refused with a reason after the check
     # of the instance at the bound, before the spot check from n = 0
     proof = tmp_path / "self.prf"
@@ -141,6 +141,28 @@ def test_prove_check_spot_past_the_recursive_walkers_exits_5(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "feasibility guard: template t1: instances up to n = 1000 nest deeper "
         "than the proof kernel's recursive walkers reach\n")
+
+
+@pytest.mark.parametrize("text", [SELF_WEAK, "1. P0(c0) -> (P0(c1) -> P0(c0)) ; ax P1\n",
+                                  None], ids=["templates", "no-templates", "no-file"])
+def test_prove_check_negative_spot_exits_3_before_any_work(tmp_path, capsys, text):
+    # refused before the proof is read: a missing file gives the same error
+    proof = tmp_path / "p.prf"
+    if text is not None:
+        proof.write_text(text, encoding="utf-8")
+    code = main(["prove-check", "--proof", str(proof), "--theta", "weak-so:1",
+                 "--spot", "-1"])
+    assert code == 3
+    assert capsys.readouterr() == ("", "error: spot bound must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("missing", [False, True], ids=["complete", "no-file"])
+def test_rs_negative_steps_exits_3_before_any_work(tmp_path, capsys, missing):
+    family = str(tmp_path / "fam.txt") if missing else "complete"
+    code = main(["rs", "--algebra", "powerset:2", "--family", family,
+                 "--avoid", "0", "--steps", "-3"])
+    assert code == 3
+    assert capsys.readouterr() == ("", "error: steps must be >= 0, got -3\n")
 
 
 def test_prove_check_rejection_exit(tmp_path):

@@ -580,24 +580,28 @@ def test_substitute_fo_many_agrees_with_filtering_at_every_binder():
     rng = random.Random("substitute_fo_many/differential")
     xs = [x0, x1, x2]
     terms = [Var(x0), Var(x1), Var(x2), Const("c0"), Func("f0", (Var(x1),))]
-    renamed = unchanged = captured = 0
+    # each formula also as generated, so the walk meets the sugared
+    # two-child nodes (|, ->, <->) and exists as well as the primitives
+    renamed = unchanged = captured = sugared = 0
     for _ in range(3000):
-        f = normalize(random_formula(rng, SIG, 4, xs, [X0]))
+        raw = random_formula(rng, SIG, 4, xs, [X0])
         mapping = {v: rng.choice(terms) for v in rng.sample(xs, rng.randint(1, 3))}
-        want = _substitute_filtering_at_every_binder(f, mapping)
-        got = substitute_fo_many(f, mapping)
-        assert got == want and (got is f) == (want is f), (f, mapping)
-        unchanged += got is f
-        renamed += syntax.max_fo_index(got) > 2
-        try:
-            _substitute_filtering_at_every_binder(f, mapping, "fail")
-        except CaptureError:
-            captured += 1
-            with pytest.raises(CaptureError):
-                substitute_fo_many(f, mapping, "fail")
-        else:
-            assert substitute_fo_many(f, mapping, "fail") == want
-    assert unchanged > 1000 and renamed > 100 and captured > 100
+        for f in (normalize(raw), raw):
+            want = _substitute_filtering_at_every_binder(f, mapping)
+            got = substitute_fo_many(f, mapping)
+            assert got == want and (got is f) == (want is f), (f, mapping)
+            unchanged += got is f
+            renamed += syntax.max_fo_index(got) > 2
+            try:
+                _substitute_filtering_at_every_binder(f, mapping, "fail")
+            except CaptureError:
+                captured += 1
+                with pytest.raises(CaptureError):
+                    substitute_fo_many(f, mapping, "fail")
+            else:
+                assert substitute_fo_many(f, mapping, "fail") == want
+        sugared += normalize(raw) is not raw
+    assert unchanged > 1000 and renamed > 100 and captured > 100 and sugared > 1000
 
 
 def test_substitute_fo_many_reads_free_variables_only_where_a_capture_may_be(
