@@ -436,7 +436,6 @@ class PrincipalCofiniteMembership:
 class UltrafilterApprox:
     chain: list
     steps: list
-    decided: dict
     final: object
     membership: Membership
 
@@ -463,7 +462,6 @@ def rs_construct(alg: BooleanAlgebra, entries, avoid,
     b = alg.complement(avoid)
     chain = [b]
     steps: list = []
-    decided: dict = {}
 
     try:
         carrier = alg.elements()
@@ -479,14 +477,12 @@ def rs_construct(alg: BooleanAlgebra, entries, avoid,
     def decide_one():
         nonlocal b, decided_count
         for e in enum_iter:
-            if e in decided:
-                continue
             low = alg.meet(b, e)
-            decided[e] = low != alg.zero
-            if not decided[e]:
+            inside = low != alg.zero
+            if not inside:
                 low = alg.meet(b, alg.complement(e))
             b = b if low == b else low      # one chain object per value
-            steps.append(ChainStep("", "decide", e, decided[e]))
+            steps.append(ChainStep("", "decide", e, inside))
             chain.append(b)
             decided_count += 1
             return True
@@ -524,8 +520,8 @@ def rs_construct(alg: BooleanAlgebra, entries, avoid,
             break
 
     membership = Membership(alg, b)
-    return UltrafilterApprox(chain=chain, steps=steps, decided=decided,
-                             final=b, membership=membership)
+    return UltrafilterApprox(chain=chain, steps=steps, final=b,
+                             membership=membership)
 
 
 def powerset_full_family(alg: PowersetAlgebra) -> list:

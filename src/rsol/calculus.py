@@ -25,10 +25,10 @@ from typing import Iterable, Optional
 from .formulas import (
     BINDERS, SUBFORMULAS, And, ExistsSO, ForallFO, ForallSO, Formula,
     FormulaError, FOVar, Func, Iff, InstAtom, Not, Signature, SOApp, SOEq,
-    PredApp, SOVar, Term, TermEq, Var, _CANON_FO, _CANON_SO, _depth,
-    a6_instantiate, alpha_eq, as_implies, children, free_variables, implies,
-    is_sentence, normalize, parse, rebuild, substitute_fo, substitute_so,
-    term_fo_vars, validate,
+    PredApp, SOVar, Term, TermEq, Var, _depth, a6_instantiate, alpha_eq,
+    as_implies, canonical_variable, children, content_lines, free_variables,
+    implies, is_sentence, normalize, parse, rebuild, substitute_fo,
+    substitute_so, term_fo_vars, validate,
 )
 from .theta import ThetaFamily
 
@@ -442,8 +442,8 @@ def _match_replacement(f, eq):
 def _match_a2(f, arity: int) -> bool:
     """Whether f is the extensionality instance at arity, up to the names of
     bound variables.  That instance has more than arity levels, so a larger
-    arity is refused before the instance is built."""
-    return arity < _depth(f, arity) and alpha_eq(f, build_a2(arity))
+    arity, and one below 1, is refused before the instance is built."""
+    return 0 < arity < _depth(f, arity) and alpha_eq(f, build_a2(arity))
 
 
 def _match_a2_own_arity(f):
@@ -532,7 +532,7 @@ def recognize_axiom(f: Formula, fam: Optional[ThetaFamily] = None):
 # ---------------------------------------------------------------------------
 
 def _check_justified_line(proof: Proof, lines, i: int, line: ProofLine,
-                          in_template: bool, template_verdicts=None):
+                          in_template: bool, template_verdicts):
     """Reason string when line i does not check, else None.  Outside a
     template, `template_verdicts` holds check_template's verdict for every
     template of the proof."""
@@ -656,11 +656,7 @@ def check_template(t: OmegaTemplate, proof: Proof) -> Verdict:
                     False,
                     reason=f"family {proof.family.name} has no members of "
                            f"arity {atom.var.arity}")
-    for i, line in enumerate(t.lines):
-        why = _check_justified_line(proof, t.lines, i, line, in_template=True)
-        if why is not None:
-            return Verdict(False, line=i, reason=why)
-    return Verdict(True)
+    return _check_lines(proof, t.lines, True, {})
 
 
 def _inst_atoms(f: Formula):
@@ -743,7 +739,6 @@ def check_proof(proof: Proof) -> Verdict:
 
 
 def _check_proof(proof: Proof) -> Verdict:
-    template_verdicts = {}
     for k, p in enumerate(proof.premises):
         if not is_sentence(p):
             return Verdict(False, reason=f"premise {k} is not a sentence")
@@ -753,29 +748,33 @@ def _check_proof(proof: Proof) -> Verdict:
             return Verdict(False, reason=f"premise {k}: {exc}")
     if not proof.lines:
         return Verdict(False, reason="no lines")
-    for name, t in sorted(proof.templates.items()):
-        template_verdicts[name] = check_template(t, proof)
+    template_verdicts = {name: check_template(t, proof)
+                         for name, t in sorted(proof.templates.items())}
+    return _check_lines(proof, proof.lines, False, template_verdicts)
+
+
+def _check_lines(proof: Proof, lines, in_template: bool, template_verdicts) -> Verdict:
+    """The verdict on the lines of a proof or a template: the first line
+    whose new atoms do not fit the signature (an inst atom outside a
+    template comes first), or whose justification does not check."""
     # id -> node for the subformulas of the lines checked so far, so that
     # a subtree several lines share (template instances) is checked once
     seen: dict = {}
-    for i, line in enumerate(proof.lines):
-        bad = None     # the first bad atom's reason; an inst atom comes first
+    for i, line in enumerate(lines):
+        why = None
         for g in _new_nodes(line.formula, seen):
-            if type(g) is InstAtom:
-                return Verdict(False, line=i,
-                               reason="inst atoms are only allowed inside templates",
-                               template_verdicts=template_verdicts)
+            if type(g) is InstAtom and not in_template:
+                why = "inst atoms are only allowed inside templates"
+                break
             # an atom: validate walks the subtree of any other node
-            if bad is None and not SUBFORMULAS[type(g)]:
+            if why is None and not SUBFORMULAS[type(g)]:
                 try:
                     validate(g, proof.sig)
                 except FormulaError as exc:
-                    bad = str(exc)
-        if bad is not None:
-            return Verdict(False, line=i, reason=bad,
-                           template_verdicts=template_verdicts)
-        why = _check_justified_line(proof, proof.lines, i, line, in_template=False,
-                                    template_verdicts=template_verdicts)
+                    why = str(exc)
+        if why is None:
+            why = _check_justified_line(proof, lines, i, line, in_template,
+                                        template_verdicts)
         if why is not None:
             return Verdict(False, line=i, reason=why,
                            template_verdicts=template_verdicts)
@@ -1014,13 +1013,7 @@ _LINE_RX = re.compile(r"^\s*(\d+)\s*\.\s*(.+?)\s*;\s*(.+?)\s*$")
 
 
 def load_premises_text(text: str, sig: Signature) -> list:
-    out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append(parse(line, sig))
-    return out
+    return [parse(line, sig) for _, line in content_lines(text.splitlines())]
 
 
 def _parse_justification(text: str, in_template: bool):
@@ -1050,17 +1043,12 @@ def _parse_justification(text: str, in_template: bool):
         return A6(int(words[1]))
     if kind == "mp":
         return MP(int(words[1]) - 1, int(words[2]) - 1)
-    if kind == "gen":
-        m = _CANON_FO.match(words[1])
-        if not m:
+    if kind in ("gen", "genso"):
+        rule, sort = (GenFO, FOVar) if kind == "gen" else (GenSO, SOVar)
+        v = canonical_variable(words[1])
+        if type(v) is not sort:
             raise FormulaError(f"bad variable {words[1]!r}")
-        return GenFO(int(words[2]) - 1, FOVar(int(m.group(1))))
-    if kind == "genso":
-        m = _CANON_SO.match(words[1])
-        if not m:
-            raise FormulaError(f"bad variable {words[1]!r}")
-        arity = int(m.group(3)) if m.group(3) else 1
-        return GenSO(int(words[2]) - 1, SOVar(int(m.group(1)), arity))
+        return rule(int(words[2]) - 1, v)
     if kind == "R3":
         return R3(words[1])
     raise FormulaError(f"unknown justification {text!r}")
@@ -1073,10 +1061,7 @@ def load_proof_text(text: str, sig: Signature, fam: Optional[ThetaFamily],
     templates: dict = {}
     current_template: Optional[str] = None
     template_lines: list = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in content_lines(text.splitlines()):
         if stripped.startswith("template "):
             head = stripped[len("template "):].strip()
             if not head.endswith("{"):

@@ -20,8 +20,8 @@ from .calculus import (
     check_proof, instantiate_template, load_premises_text, load_proof, spot_check_template,
 )
 from .formulas import (
-    FormulaError, FOVar, ParseError, Signature, SOVar, format_formula,
-    free_variables, is_sentence, normalize, parse,
+    FormulaError, FOVar, ParseError, Signature, SOVar, content_lines,
+    format_formula, free_variables, is_sentence, normalize, parse,
 )
 from .structures import (
     AllRelationsK, EvalError, FeasibilityError, MaterializedK, OrbitK,
@@ -182,10 +182,7 @@ def cmd_reduce(args, rep) -> int:
 def cmd_prove_check(args, rep) -> int:
     if args.spot is not None and args.spot < 0:
         raise FormulaError(f"spot bound must be >= 0, got {args.spot}")
-    if args.structure:
-        sig, _ = load_structure(args.structure)
-    else:
-        sig = DEMO_SIG
+    sig = _signature_for(args)
     fam = family_from_cli(args.theta, sig) if args.theta else None
     premises = []
     if args.sigma:
@@ -282,10 +279,7 @@ def _load_family_entries(alg, spec: str):
         return [_atoms_entry(alg)]
     entries = []
     with open(spec, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in content_lines(fh):
             # the colon of a `fin:`/`cof:` element does not separate fields
             parts = [p.strip() for p in _ENTRY_SEP.split(line)]
             if len(parts) < 3:
@@ -316,22 +310,21 @@ def cmd_rs(args, rep) -> int:
         if not v.ok:
             rep.say(f"entry {e.name}: bound violated at index {v.violation_index}")
             rep.record(check="entry", name=e.name, status="violation")
-            rep.flush()
             return EXIT_PRECONDITION
     approx = ba.rs_construct(alg, entries, avoid, decide_steps=args.steps,
                              witness_budget=_budget(10_000))
     rep.say(f"chain length {len(approx.chain)}, final {approx.final}")
-    decided = 0
+    decided = in_count = 0
     for step in approx.steps:
         if step.action == "decide":
             decided += 1
+            in_count += step.value
             rep.record(check="decide", element=str(step.element),
                        value=step.value)
         else:
             rep.say(f"  {step.entry_name}: {step.action} {step.element}")
             rep.record(check="entry-step", name=step.entry_name,
                        action=step.action)
-    in_count = sum(1 for v in approx.decided.values() if v)
     rep.say(f"decisions: {decided} elements ({in_count} in, "
             f"{decided - in_count} out)")
     failures = 0

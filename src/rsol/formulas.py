@@ -10,6 +10,7 @@ code operates on normalized formulas only.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -811,10 +812,32 @@ _TOKEN = re.compile(r"""
 # three levels per source level).
 MAX_DEPTH = 100
 
-_CANON_FO = re.compile(r"^x(\d+)$")
-_NAMED_FO = re.compile(r"^[uvwyz]\d*$|^x$")
-_CANON_SO = re.compile(r"^X(\d+)(\^(\d+))?$")
-_NAMED_SO = re.compile(r"^([YZVW]\d*|X)(\^(\d+))?$")
+_CANON_FO = re.compile(r"x(\d+)")
+_CANON_SO = re.compile(r"X(\d+)(?:\^(\d+))?")
+_BARE_FO = re.compile(r"[uvwyz]\d*|x")
+_BARE_SO = re.compile(r"([YZVW]\d*|X)(?:\^(\d+))?")
+
+
+def canonical_variable(word: str):
+    """The variable a canonical name denotes (x3, X0, X2^3; X0 is X0^1), or
+    None when word is no canonical name; FormulaError for a relation
+    variable of arity 0."""
+    m = _CANON_FO.fullmatch(word)
+    if m:
+        return FOVar(int(m.group(1)))
+    m = _CANON_SO.fullmatch(word)
+    if m:
+        return SOVar(int(m.group(1)), int(m.group(2) or 1))
+    return None
+
+
+def content_lines(lines):
+    """(line number from 1, stripped line) for each line of `lines` that is
+    neither blank nor a `#` comment."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 @dataclass
@@ -852,51 +875,41 @@ class _Parser:
         self.pos = 0
         self.allow_inst = allow_inst
         self.depth = 1                  # the top level, as `_depth` counts it
-        self._intern_named()
+        self._name_variables()
 
-    def _intern_named(self):
-        used_fo = set()
-        used_so = {}
-        named_fo = []
-        named_so = []
-        for t in self.toks:
-            if t.kind != "ident" or t.text in self.sig.constants \
-                    or t.text in self.sig.functions or t.text in self.sig.predicates \
-                    or t.text in ("forall", "exists", "inst"):
-                continue
-            m = _CANON_FO.match(t.text)
-            if m:
-                used_fo.add(int(m.group(1)))
-                continue
-            m = _CANON_SO.match(t.text)
-            if m:
-                arity = int(m.group(3)) if m.group(3) else 1
-                used_so.setdefault(arity, set()).add(int(m.group(1)))
-                continue
-            if _NAMED_FO.match(t.text):
-                if t.text not in named_fo:
-                    named_fo.append(t.text)
-            elif _NAMED_SO.match(t.text):
-                m2 = _NAMED_SO.match(t.text)
-                arity = int(m2.group(3)) if m2.group(3) else 1
-                key = (m2.group(1), arity)
-                if key not in named_so:
-                    named_so.append(key)
-        self.fo_names = {}
-        nxt = 0
-        for name in named_fo:
-            while nxt in used_fo:
-                nxt += 1
-            self.fo_names[name] = FOVar(nxt)
-            nxt += 1
-        self.so_names = {}
-        counters = {}
-        for name, arity in named_so:
-            nxt = counters.get(arity, 0)
-            while nxt in used_so.get(arity, set()):
-                nxt += 1
-            counters[arity] = nxt + 1
-            self.so_names[(name, arity)] = SOVar(nxt, arity)
+    def _name_variables(self):
+        """Map each variable word of the text to its variable, once.  A
+        canonical name denotes itself; bare names (x, y1, X, Y^2) take, in
+        order of first occurrence, the lowest indices of their sort and
+        arity that no other name takes."""
+        sig, words, bare = self.sig, {}, {}     # bare: word -> (sort, name, token)
+        try:
+            for t in self.toks:
+                w = t.text
+                if t.kind != "ident" or w in words or w in bare or w in sig.predicates \
+                        or w in sig.functions or w in sig.constants:
+                    continue
+                v = canonical_variable(w)
+                if v is not None:
+                    words[w] = v
+                elif _BARE_FO.fullmatch(w):
+                    bare[w] = (None, w, t)
+                elif m := _BARE_SO.fullmatch(w):
+                    bare[w] = (int(m.group(2) or 1), m.group(1), t)
+            taken: dict = {}            # sort (None, or an arity) -> indices taken
+            for v in words.values():
+                taken.setdefault(v.arity if type(v) is SOVar else None, set()).add(v.index)
+            named: dict = {}
+            for w, (sort, name, t) in bare.items():
+                if (sort, name) not in named:
+                    used = taken.setdefault(sort, set())
+                    n = next(i for i in itertools.count() if i not in used)
+                    used.add(n)
+                    named[sort, name] = FOVar(n) if sort is None else SOVar(n, sort)
+                words[w] = named[sort, name]
+        except FormulaError as exc:     # t is the token of the name that failed
+            raise ParseError(str(exc), t.pos) from None
+        self.variables = words
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -982,19 +995,9 @@ class _Parser:
             return ("func", word)
         if word in self.sig.constants:
             return ("const", word)
-        m = _CANON_FO.match(word)
-        if m:
-            return ("fovar", FOVar(int(m.group(1))))
-        if word in self.fo_names:
-            return ("fovar", self.fo_names[word])
-        m = _CANON_SO.match(word)
-        if m:
-            arity = int(m.group(3)) if m.group(3) else 1
-            return ("sovar", SOVar(int(m.group(1)), arity))
-        m = _NAMED_SO.match(word)
-        if m:
-            arity = int(m.group(3)) if m.group(3) else 1
-            return ("sovar", self.so_names[(m.group(1), arity)])
+        v = self.variables.get(word)
+        if v is not None:
+            return ("fovar" if type(v) is FOVar else "sovar", v)
         raise ParseError(f"unknown symbol {word!r}", tok.pos)
 
     def _parse_quant_var(self):

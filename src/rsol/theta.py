@@ -26,8 +26,8 @@ from operator import itemgetter
 
 from .formulas import (
     And, Const, ForallFO, FormulaError, FOVar, Func, Not, Or, PredApp,
-    Formula, Signature, TermEq, Var, _CANON_FO, _alpha_walk, free_variables,
-    is_first_order, normalize, parse,
+    Formula, Signature, TermEq, Var, _alpha_walk, canonical_variable,
+    content_lines, free_variables, is_first_order, normalize, parse,
 )
 
 
@@ -429,10 +429,7 @@ def load_family(path: str, sig: Signature) -> ThetaFamily:
     """
     members = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in content_lines(fh):
             parts = line.split(";")
             if len(parts) != 3:
                 raise FormulaError(
@@ -451,11 +448,14 @@ def load_family(path: str, sig: Signature) -> ThetaFamily:
 def _parse_vars(text: str, path, lineno) -> tuple:
     out = []
     for word in text.split():
-        m = _CANON_FO.match(word)
-        if not m:
+        try:
+            v = canonical_variable(word)
+        except FormulaError:        # a relation variable of arity 0
+            v = None
+        if type(v) is not FOVar:
             raise FormulaError(
                 f"{path}:{lineno}: {word!r} is not a canonical variable (use x<n>)")
-        out.append(FOVar(int(m.group(1))))
+        out.append(v)
     return tuple(out)
 
 

@@ -430,7 +430,7 @@ def test_rs_construct_keeps_its_output_and_one_object_per_chain_value(name, want
             [_plain(b) for b in approx.chain],
             [(s.entry_name, s.action, _plain(s.element), s.value)
              for s in approx.steps],
-            [(_plain(e), v) for e, v in approx.decided.items()],
+            [(_plain(s.element), s.value) for s in approx.steps if s.action == "decide"],
             _plain(approx.final))).encode())
         assert len({id(b) for b in approx.chain}) == len(set(approx.chain)), avoid
     assert h.hexdigest() == want

@@ -468,6 +468,10 @@ REJECTIONS = {
                           0, "identity axioms are disabled for this signature", None),
     "extensionality-without-identity": (_one_liner(A2(1), sig=NO_IDENTITY),
                                         0, "extensionality needs identity", None),
+    "extensionality-at-arity-0": (_one_liner(A2(0)), 0,
+                                  "not the extensionality instance at arity 0", None),
+    "extensionality-at-arity-minus-1": (_one_liner(A2(-1)), 0,
+                                        "not the extensionality instance at arity -1", None),
     "replacement-without-identity": (_one_liner(A3(), sig=NO_IDENTITY),
                                      0, "replacement needs identity", None),
     "A1-without-family": (_one_liner(A1(0)), 0, "no family attached to the proof", None),
@@ -559,6 +563,31 @@ def test_each_rejection_of_check_proof_names_its_line_and_reason(name):
     if template is not None:
         tv = v.template_verdicts["t"]
         assert (tv.ok, tv.line, tv.reason) == (False, *template)
+
+
+def test_a_template_line_outside_the_signature_is_rejected_at_that_line():
+    # a template line stands for every premise of R3, so its atoms are checked
+    # against the signature as a proof line's are; instance 0 agrees
+    q9c = PredApp("Q9", (Const("c0"),))
+    pb = ProofBuilder(SIG, family=WEAK)
+    tb = pb.template_builder()
+    tb.schema("P1", q9c, ForallSO(X0, PHI))
+    tb.a6_meta(X0, PHI)
+    template = tb.build("t")
+    assert template.lines[0].formula == normalize(
+        parse("Q9(c0) -> (forall X0 X0(c0) -> Q9(c0))",
+              Signature(predicates={"Q9": 1}, constants=["c0"])))
+    pb.r3(template)
+    proof = pb.build()
+    v = check_proof(proof)
+    assert (v.ok, v.line, v.reason) == (
+        False, 0, "cited template rejected: unknown predicate 'Q9'")
+    tv = v.template_verdicts["t"]
+    assert (tv.ok, tv.line, tv.reason) == (False, 0, "unknown predicate 'Q9'")
+    assert check_template(template, proof) == tv
+    spot = spot_check_template(template, proof, 0)
+    assert (spot.ok, spot.line, spot.reason) == (
+        False, 0, "instance n=0 rejected: unknown predicate 'Q9'")
 
 
 def test_instances_are_normal_copies_of_the_parent_without_templates():

@@ -6,6 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rsol
 from rsol.cli import main
@@ -416,16 +417,20 @@ def test_justification_missing_its_argument_exits_3(tmp_path, capsys, justificat
 @pytest.mark.parametrize("line", [
     "1. P0(c0) ; A2 2000",
     "1. forall X0^2000 forall X1^2000 (X0^2000 = X1^2000) ; A2 2000",
-], ids=["atom", "relation identity"])
+    "1. P0(c0) ; A2 0",
+    "1. P0(c0) ; A2 -1",
+], ids=["atom", "relation identity", "arity 0", "arity -1"])
 def test_extensionality_at_a_hostile_arity_exits_4(tmp_path, capsys, line):
     # building the instance at arity 2000 would nest 2000 quantifiers; the
-    # line has fewer levels, so it is rejected before anything is built
+    # line has fewer levels, so it is rejected before anything is built.
+    # Below arity 1 there is no instance to build
     proof = tmp_path / "a2.prf"
     proof.write_text(line + "\n", encoding="utf-8")
     code = main(["prove-check", "--proof", str(proof)])
     out, err = capsys.readouterr()
     assert code == 4 and err == ""
-    assert out == "rejected at line 1: not the extensionality instance at arity 2000\n"
+    arity = line.split()[-1]
+    assert out == f"rejected at line 1: not the extensionality instance at arity {arity}\n"
 
 
 @pytest.mark.parametrize("line, reason", [
@@ -552,3 +557,95 @@ def test_rsol_budget_bounds_the_witness_search(monkeypatch, capsys, budget, code
                  "--steps", "30"]) == code
     err = capsys.readouterr().err
     assert ("enumeration budget exhausted for entry 'atoms'" in err) == (code == 3)
+
+
+@pytest.mark.parametrize("text, position", [
+    ("X0^0(x0)", 0), ("Y^0(x)", 0), ("forall X0^00 X0(x0)", 7),
+])
+def test_relation_variable_of_arity_0_is_a_parse_error(capsys, text, position):
+    code = main(["parse", "--sentence", text])
+    assert code == 2
+    assert capsys.readouterr() == ("", "parse error: second-order variable arity "
+                                       f"must be >= 1 (at position {position})\n")
+
+
+@pytest.mark.parametrize("fmt, out", [
+    ("human", "entry entry1: bound violated at index 0\n"),
+    ("json", '{"check": "entry", "name": "entry1", "status": "violation"}\n'),
+], ids=["human", "json"])
+def test_rs_entry_with_a_violated_bound_exits_3_with_one_report(tmp_path, fmt, out):
+    entries = tmp_path / "entries.txt"
+    entries.write_text("join : 0 : 1\n", encoding="utf-8")
+    code, printed = run_cli(["--format", fmt, "rs", "--algebra", "powerset:2",
+                             "--family", str(entries), "--avoid", "0"])
+    assert (code, printed) == (3, out)
+
+
+PREMISE_PROOF = ("1. P0(c0) ; premise 1\n"
+                 "2. P0(c0) -> P0(c1) ; premise 2\n"
+                 "3. P0(c1) ; mp 2 1\n")
+
+
+@pytest.mark.parametrize("premises, code, out, err", [
+    ("# two premises\nP0(c0)\n\n  P0(c0) -> P0(c1)\n", 0,
+     "accepted (3 lines, 0 templates)\n", ""),
+    ("P0(c0)\nP0(c0) -> P0(c1\n", 2, "", "parse error: expected rparen, found '' "
+                                         "(at position 15)\n"),
+    ("P0(x0)\nP0(c0) -> P0(c1)\n", 4, "rejected: premise 0 is not a sentence\n", ""),
+], ids=["comment-and-blank-line", "malformed", "free-variable"])
+def test_prove_check_reads_a_premise_file(tmp_path, capsys, premises, code, out, err):
+    proof, sigma = tmp_path / "p.prf", tmp_path / "sigma.txt"
+    proof.write_text(PREMISE_PROOF, encoding="utf-8")
+    sigma.write_text(premises, encoding="utf-8")
+    assert main(["prove-check", "--proof", str(proof), "--sigma", str(sigma)]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+# canonical and bare names with arity suffixes 0-3, the demo signature's
+# symbols, one unknown symbol, and every operator
+NAME_TOKENS = [name + suffix for name in ("x0", "x1", "x", "y", "X0", "X1", "X", "Y", "Z1")
+               for suffix in ("", "^0", "^1", "^2", "^3")]
+TOKENS = NAME_TOKENS + ["P0", "P1", "f0", "c0", "c1", "Q9", "forall", "exists", "inst",
+                        "~", "&", "|", "->", "<->", "(", ")", ",", "=", "∀", "¬"]
+
+
+@settings(deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=20).map(" ".join))
+@example("X0^0(x0)")
+@example("Y^0(x)")
+@example("forall X0^00 X0(x0)")
+def test_parse_exits_0_or_2_on_any_token_string(text):
+    # one argument, so that argparse does not read a leading '-' as an option
+    assert run_cli(["parse", f"--sentence={text}"])[0] in (0, 2)
+
+
+# a one-line proof: a formula and a justification of a documented shape
+LINE_FORMULAS = [
+    "P0(c0)", "P0(c0) -> (P0(c1) -> P0(c0))", "c0 = c0", "forall x0 P0(x0) -> P0(c0)",
+    "forall X0 X0(c0) -> X0(c0)",
+    "forall X0 forall X1 ((forall x0 (X0(x0) <-> X1(x0))) <-> X0 = X1)",
+]
+_INT = st.integers(-3, 5).map(str)
+_FO = st.integers(0, 3).map("x{}".format)
+_SO = st.builds("X{}{}".format, st.integers(0, 3), st.sampled_from(["", "^1", "^2", "^3"]))
+JUSTIFICATIONS = st.one_of(
+    st.builds("{} {}".format, st.sampled_from(["premise", "A1", "A2", "A6"]), _INT),
+    st.builds("ax {}".format, st.sampled_from(["P1", "P2", "P3", "C1", "C2", "C3",
+                                               "Q1", "Q2"])),
+    st.sampled_from(["eq refl", "eq subst", "A3", "A4", "A5", "R3 t"]),
+    st.builds("mp {} {}".format, _INT, _INT),
+    st.builds("gen {} {}".format, _FO, _INT),
+    st.builds("genso {} {}".format, _SO, _INT),
+)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(LINE_FORMULAS), JUSTIFICATIONS)
+@example("P0(c0)", "A2 0")
+def test_prove_check_exits_0_or_4_on_any_documented_justification(
+        tmp_path_factory, formula, justification):
+    proof = tmp_path_factory.getbasetemp() / "line.prf"
+    proof.write_text(f"1. {formula} ; {justification}\n", encoding="utf-8")
+    code, out = run_cli(["prove-check", "--theta", "weak-so:1", "--proof", str(proof)])
+    assert code in (0, 4)
+    assert out.startswith("accepted" if code == 0 else "rejected at line 1: ")
