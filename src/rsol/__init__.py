@@ -14,8 +14,8 @@ from .formulas import (
     substitute_fo, substitute_so,
 )
 from .theta import (
-    ThetaFamily, ThetaMember, all_fo, classify_prefix, dsl, enumerate_up_to,
-    load_family, prefix_family, theta_at, weak_so,
+    ThetaFamily, ThetaMember, all_fo, classify_prefix, dsl, load_family,
+    prefix_family, weak_so,
 )
 from .structures import (
     Assignment, DefinableFamily, FiniteStructure, StandardModel,

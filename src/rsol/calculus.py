@@ -25,10 +25,10 @@ from typing import Iterable, Optional
 from .formulas import (
     BINDERS, SUBFORMULAS, And, ExistsSO, ForallFO, ForallSO, Formula,
     FormulaError, FOVar, Func, Iff, InstAtom, Not, Signature, SOApp, SOEq,
-    PredApp, SOVar, Term, TermEq, Var, _depth, a6_instantiate, alpha_eq,
-    as_implies, canonical_variable, children, content_lines, free_variables,
-    implies, is_sentence, normalize, parse, rebuild, substitute_fo,
-    substitute_so, term_fo_vars, validate,
+    PredApp, SOVar, Term, TermEq, Var, _depth, _validate_node, a6_instantiate,
+    alpha_eq, as_implies, canonical_variable, children, content_lines,
+    free_variables, implies, is_sentence, nodes, normalize, parse, rewrite,
+    substitute_fo, substitute_so, term_fo_vars, validate,
 )
 from .theta import ThetaFamily
 
@@ -659,42 +659,29 @@ def check_template(t: OmegaTemplate, proof: Proof) -> Verdict:
     return _check_lines(proof, t.lines, True, {})
 
 
-def _inst_atoms(f: Formula):
-    if isinstance(f, InstAtom):
-        yield f
-        return
-    for g in children(f):
-        yield from _inst_atoms(g)
+def _inst_atoms(f: Formula) -> list:
+    return [g for g in nodes(f) if type(g) is InstAtom]
 
 
 def instantiate_template(t: OmegaTemplate, proof: Proof, n: int) -> Proof:
     """Turn a template into the concrete proof of its n-th premise.  Its lines
     must be normal, as those of `proof.templates` are."""
     fam = proof.family
-    # id(node) -> (node, replacement): a node shared between lines is
-    # replaced once, so the lines share the result and the kernel's
-    # comparisons meet the same object; the node is kept so its id stays taken
+
+    def step(f):
+        if type(f) is InstAtom:
+            return _a6_consequent(f.body, f.var, fam.arity_member(f.var.arity, n))
+        return None
+
+    # one memo for all lines: a node shared between lines is replaced once, so
+    # the lines share the result and the kernel's comparisons meet the same object
     memo: dict = {}
-
-    def replace(f):
-        if id(f) not in memo:
-            if type(f) is InstAtom:
-                member = fam.arity_member(f.var.arity, n)
-                out = _a6_consequent(f.body, f.var, member)
-            else:
-                out = rebuild(f, [replace(k) for k in children(f)])
-            memo[id(f)] = (f, out)
-        return memo[id(f)][1]
-
     lines = []
     for line in t.lines:
         j = line.justification
         if isinstance(j, A6) and j.theta_index is None:
             j = A6(n)
-        lines.append(ProofLine(replace(line.formula), j))
-    # `replace` refers to itself, so only the collector would free the memo
-    # and the instance it holds; a spot check makes one instance per n
-    memo.clear()
+        lines.append(ProofLine(rewrite(line.formula, step, memo), j))
     # the lines are normal (template lines, A6 consequents and rebuilds of
     # normal parts), so the copy skips Proof's normalizing scan of each line
     inst = copy.copy(proof)
@@ -710,24 +697,6 @@ def spot_check_template(t: OmegaTemplate, proof: Proof, bound: int) -> Verdict:
             return Verdict(False, line=v.line,
                            reason=f"instance n={n} rejected: {v.reason}")
     return Verdict(True, reason=f"evidence({bound})")
-
-
-def _new_nodes(f: Formula, seen: dict) -> list:
-    """The subformulas of f not yet in `seen` (by identity), in pre-order;
-    each is added to it."""
-    out, stack = [], [f]
-    pop, push = stack.pop, stack.append
-    while stack:
-        g = pop()
-        if id(g) not in seen:
-            seen[id(g)] = g
-            out.append(g)
-            names = SUBFORMULAS[type(g)]      # the right part goes on first
-            if names:
-                push(getattr(g, names[-1]))
-                if len(names) == 2:
-                    push(g.left)
-    return out
 
 
 def check_proof(proof: Proof) -> Verdict:
@@ -762,14 +731,13 @@ def _check_lines(proof: Proof, lines, in_template: bool, template_verdicts) -> V
     seen: dict = {}
     for i, line in enumerate(lines):
         why = None
-        for g in _new_nodes(line.formula, seen):
+        for g in nodes(line.formula, seen):
             if type(g) is InstAtom and not in_template:
                 why = "inst atoms are only allowed inside templates"
                 break
-            # an atom: validate walks the subtree of any other node
             if why is None and not SUBFORMULAS[type(g)]:
                 try:
-                    validate(g, proof.sig)
+                    _validate_node(g, proof.sig)
                 except FormulaError as exc:
                     why = str(exc)
         if why is None:

@@ -21,7 +21,7 @@ from .calculus import (
 )
 from .formulas import (
     FormulaError, FOVar, ParseError, Signature, SOVar, content_lines,
-    format_formula, free_variables, is_sentence, normalize, parse,
+    format_formula, free_variables, is_sentence, nodes, normalize, parse,
 )
 from .structures import (
     AllRelationsK, EvalError, FeasibilityError, MaterializedK, OrbitK,
@@ -37,6 +37,10 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_CHECK = 4
 EXIT_FEASIBILITY = 5
+
+# The most work `prove-check --spot N` starts on a template, counted as N + 1
+# times the distinct nodes of its instance at N, the largest when instances grow.
+SPOT_BUDGET = 4 * 10 ** 6
 
 DEMO_SIG = Signature(predicates={"P0": 1, "P1": 2}, functions={"f0": 1},
                      constants=["c0", "c1"])
@@ -201,14 +205,14 @@ def cmd_prove_check(args, rep) -> int:
                reason=verdict.reason)
     if verdict.ok and args.spot is not None:
         for name, template in sorted(proof.templates.items()):
-            try:
-                # a growing family's deepest instance is at the bound: try it first
-                check_proof(instantiate_template(template, proof, args.spot))
-                v = spot_check_template(template, proof, args.spot)
-            except RecursionError:
+            seen: dict = {}
+            for line in instantiate_template(template, proof, args.spot).lines:
+                nodes(line.formula, seen)
+            if (args.spot + 1) * len(seen) > SPOT_BUDGET:
                 raise FeasibilityError(
-                    f"template {name}: instances up to n = {args.spot} nest deeper "
-                    f"than the proof kernel's recursive walkers reach") from None
+                    f"template {name}: {args.spot + 1} instances of up to {len(seen)} "
+                    f"nodes each exceed the spot-check budget of {SPOT_BUDGET} nodes")
+            v = spot_check_template(template, proof, args.spot)
             rep.say(f"template {name}: "
                     f"{v.reason if v.ok else 'failed: ' + v.reason}")
             rep.record(check="spot", template=name, ok=v.ok, reason=v.reason)

@@ -258,6 +258,8 @@ FO_QUANT = (ForallFO, ExistsFO)
 SO_QUANT = (ForallSO, ExistsSO)
 BINDERS = FO_QUANT + SO_QUANT + (InstAtom,)
 _SECOND_ORDER = (SOApp, SOEq, InstAtom) + SO_QUANT
+_ATOMS = frozenset((PredApp, TermEq, SOApp, SOEq))
+_BINARY = frozenset((And, Or, Implies, Iff))
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +273,8 @@ class _ShapeTable(dict):
 
 # Node type -> the names of the fields that hold its immediate subformulas,
 # left to right.  A binder (BINDERS) takes its variable, then its body; every
-# other node takes exactly its subformulas.  Walkers on hot paths read the
-# table inline, which costs no Python call per node; the rest use
-# `children` and `rebuild`.
+# other node takes exactly its subformulas.  `nodes`, `rewrite` and the hot
+# loops read it inline; the rest use `children` and `rebuild`.
 SUBFORMULAS = _ShapeTable({
     PredApp: (), TermEq: (), SOApp: (), SOEq: (),
     Not: ("body",),
@@ -299,6 +300,59 @@ def rebuild(f: Formula, kids) -> Formula:
         if kid is not getattr(f, name):
             return t(f.var, *kids) if t in BINDERS else t(*kids)
     return f
+
+
+def nodes(f: Formula, seen: dict | None = None) -> list:
+    """The subformulas of f in pre-order, each object once, on an explicit stack,
+    skipping those in `seen` (id -> node, kept across calls), where each is added."""
+    seen = {} if seen is None else seen
+    out, stack = [], [f]
+    pop, push, emit = stack.pop, stack.append, out.append
+    while stack:
+        g = pop()
+        if (i := id(g)) not in seen:
+            seen[i] = g
+            emit(g)
+            names = SUBFORMULAS[type(g)]      # the right part goes on first
+            if names:
+                push(getattr(g, names[-1]))
+                if len(names) == 2:
+                    push(g.left)
+    return out
+
+
+def rewrite(f: Formula, step, memo: dict | None = None) -> Formula:
+    """f with each outermost part g whose step(g) is not None replaced by it, and
+    the nodes above rebuilt leaves first as by `rebuild`, on explicit stacks;
+    step meets the parts in pre-order, left to right.  With a `memo` (id ->
+    (node, result), kept across calls), each node object is rewritten once."""
+    stack, out = [f], []
+    pop, push, emit = stack.pop, stack.append, out.append
+    while stack:
+        g = pop()
+        if type(g) is tuple:                  # the parts of g[0] are on out
+            g, b = g[0], out.pop()
+            t = type(g)
+            if t in _BINARY:
+                a = out.pop()
+                r = g if a is g.left and b is g.right else t(a, b)
+            else:
+                r = g if b is g.body else Not(b) if t is Not else t(g.var, b)
+        elif memo is not None and id(g) in memo:
+            r = memo[id(g)][1]
+        elif (r := step(g)) is None:
+            names = SUBFORMULAS[type(g)]
+            if names:
+                push((g,))
+                push(getattr(g, names[-1]))
+                if len(names) == 2:
+                    push(g.left)
+                continue
+            r = g
+        if memo is not None:
+            memo[id(g)] = (g, r)
+        emit(r)
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -386,55 +440,49 @@ def _max_term_index(t: Term) -> int:
 
 
 def max_fo_index(f: Formula) -> int:
-    """Largest first-order variable index in f, -1 if none (on its own stack)."""
-    top, stack = -1, [f]
-    while stack:
-        g = stack.pop()
+    """Largest first-order variable index in f, -1 if none."""
+    top = -1
+    for g in nodes(f):
         t = type(g)
         if t is PredApp or t is SOApp or t is TermEq:
             terms = (g.left, g.right) if t is TermEq else g.args
             top = max([top, *map(_max_term_index, terms)])
-        else:
-            top = max(top, g.var.index) if t in FO_QUANT else top
-            stack.extend(children(g))
+        elif t in FO_QUANT:
+            top = max(top, g.var.index)
     return top
 
 
 def max_so_index(f: Formula) -> int:
     """Largest second-order variable index occurring anywhere in f, -1 if none."""
-    if isinstance(f, SOApp):
-        return f.var.index
-    if isinstance(f, SOEq):
-        return max(f.left.index, f.right.index)
-    top = f.var.index if isinstance(f, SO_QUANT) or isinstance(f, InstAtom) else -1
-    return max([top, *map(max_so_index, children(f))])
+    top = -1
+    for g in nodes(f):
+        t = type(g)
+        if t is SOEq:
+            top = max(top, g.left.index, g.right.index)
+        elif t is SOApp or t in SO_QUANT or t is InstAtom:
+            top = max(top, g.var.index)
+    return top
 
 
 def validate(f: Formula, sig: Signature) -> None:
     """Check f against a signature: known symbols, arities, identity use."""
-    t = type(f)
-    if t is PredApp:
-        if f.name not in sig.predicates:
-            raise FormulaError(f"unknown predicate {f.name!r}")
-        if len(f.args) != sig.predicates[f.name]:
-            raise FormulaError(
-                f"predicate {f.name!r} expects {sig.predicates[f.name]} arguments, got {len(f.args)}")
-        for a in f.args:
-            _validate_term(a, sig)
-    elif t is TermEq:
-        if not sig.identity:
-            raise FormulaError("identity atom with identity disabled")
-        _validate_term(f.left, sig)
-        _validate_term(f.right, sig)
-    elif t is SOApp:
-        for a in f.args:
-            _validate_term(a, sig)
-    elif t is SOEq:
-        if not sig.identity:
-            raise FormulaError("identity atom with identity disabled")
-    else:
-        for name in SUBFORMULAS[t]:
-            validate(getattr(f, name), sig)
+    for g in nodes(f):
+        _validate_node(g, sig)
+
+
+def _validate_node(g: Formula, sig: Signature) -> None:
+    """Check one node against a signature, its parts left out."""
+    t = type(g)
+    if t is PredApp and g.name not in sig.predicates:
+        raise FormulaError(f"unknown predicate {g.name!r}")
+    if t is PredApp and len(g.args) != sig.predicates[g.name]:
+        raise FormulaError(
+            f"predicate {g.name!r} expects {sig.predicates[g.name]} arguments, got {len(g.args)}")
+    if (t is TermEq or t is SOEq) and not sig.identity:
+        raise FormulaError("identity atom with identity disabled")
+    terms = (g.left, g.right) if t is TermEq else g.args if t is PredApp or t is SOApp else ()
+    for a in terms:
+        _validate_term(a, sig)
 
 
 def _validate_term(t: Term, sig: Signature) -> None:
@@ -459,10 +507,6 @@ def _validate_term(t: Term, sig: Signature) -> None:
 # ---------------------------------------------------------------------------
 # Normalization and alpha-equivalence
 # ---------------------------------------------------------------------------
-
-_ATOMS = frozenset((PredApp, TermEq, SOApp, SOEq))
-_BINARY = frozenset((And, Or, Implies, Iff))
-
 
 def normalize(f: Formula) -> Formula:
     """Rewrite sugar (|, ->, <->, exists) into the ~ /\\ forall primitives, on
@@ -623,7 +667,7 @@ def substitute_fo_many(f: Formula, mapping: Mapping[FOVar, Term],
     if not mapping:
         return f
 
-    def walk(g, mapping):
+    def step(g):
         t = type(g)
         if t is PredApp or t is SOApp:
             args = _subst_args(g.args, mapping)
@@ -632,6 +676,7 @@ def substitute_fo_many(f: Formula, mapping: Mapping[FOVar, Term],
             left, right = _subst_term(g.left, mapping), _subst_term(g.right, mapping)
             return g if left is g.left and right is g.right else TermEq(left, right)
         if t in FO_QUANT:
+            # the body gets a call of its own when g drops a key or renames g.var
             live = {k: v for k, v in mapping.items() if k != g.var}
             # a capture needs a term that mentions g.var, for a key free in the body
             if any(g.var in term_fo_vars(term) for term in live.values()):
@@ -643,16 +688,13 @@ def substitute_fo_many(f: Formula, mapping: Mapping[FOVar, Term],
                     top = max([g.var.index, max_fo_index(g.body)]
                               + [_max_term_index(term) for term in live.values()])
                     fresh = FOVar(top + 1)
-                    body = walk(g.body, {g.var: Var(fresh)})
-                    return t(fresh, walk(body, live))
-            return rebuild(g, (walk(g.body, live),)) if live else g
-        names = SUBFORMULAS[t]
-        if len(names) == 2:
-            left, right = walk(g.left, mapping), walk(g.right, mapping)
-            return g if left is g.left and right is g.right else t(left, right)
-        return rebuild(g, (walk(g.body, mapping),)) if names else g
+                    body = substitute_fo_many(g.body, {g.var: Var(fresh)})
+                    return t(fresh, substitute_fo_many(body, live, on_capture))
+            if len(live) < len(mapping):
+                return rebuild(g, (substitute_fo_many(g.body, live, on_capture),))
+        return None
 
-    return walk(f, dict(mapping))
+    return rewrite(f, step)
 
 
 def substitute_fo(f: Formula, var: FOVar, term: Term, on_capture: str = "rename") -> Formula:
@@ -671,22 +713,24 @@ def substitute_so(f: Formula, vm: SOVar, vn: SOVar) -> tuple:
         raise FormulaError(f"arities differ: {vm} vs {vn}")
     clean = True
 
-    def walk(g):
+    def step(g):
         nonlocal clean
-        if isinstance(g, SOApp):
+        t = type(g)
+        if t is SOApp:
             return SOApp(vn, g.args) if g.var == vm else g
-        if isinstance(g, SOEq) and vm in (g.left, g.right):
+        if t is SOEq and vm in (g.left, g.right):
             return SOEq(vn if g.left == vm else g.left, vn if g.right == vm else g.right)
-        if isinstance(g, BINDERS) and g.var == vm:
+        if t in BINDERS and g.var == vm:
             return g
-        if isinstance(g, SO_QUANT) and g.var == vn and vm in free_variables(g.body)[1]:
+        if t in SO_QUANT and g.var == vn and vm in free_variables(g.body)[1]:
+            # one call of its own per renamed binder
             clean = False
             fresh = SOVar(max(max_so_index(g.body), vm.index, vn.index) + 1, g.var.arity)
             body, _ = substitute_so(g.body, g.var, fresh)
-            return type(g)(fresh, walk(body))
-        return rebuild(g, tuple(map(walk, children(g))))
+            return t(fresh, substitute_so(body, vm, vn)[0])
+        return None
 
-    return walk(f), clean
+    return rewrite(f, step), clean
 
 
 def a6_instantiate(f: Formula, var: SOVar, member) -> Formula:
@@ -705,19 +749,20 @@ def a6_instantiate(f: Formula, var: SOVar, member) -> Formula:
     fresh_params = tuple(FOVar(base + i) for i in range(len(member.params)))
     renamed = {p: Var(q) for p, q in zip(member.params, fresh_params)}
 
-    def walk(g):
-        if isinstance(g, SOApp) and g.var == var:
+    def step(g):
+        t = type(g)
+        if t is SOApp and g.var == var:
             # parameters and slots at once: no fresh parameter occurs in the member
             return substitute_fo_many(member.formula,
                                       {**renamed, **dict(zip(member.slots, g.args))})
-        if isinstance(g, SOEq) and var in (g.left, g.right):
+        if t is SOEq and var in (g.left, g.right):
             raise FormulaError(
                 f"{var} occurs free in a second-order identity; instantiation is undefined")
-        if isinstance(g, BINDERS) and g.var == var:
+        if t in BINDERS and g.var == var:
             return g
-        return rebuild(g, tuple(map(walk, children(g))))
+        return None
 
-    out = walk(f)
+    out = rewrite(f, step)
     for p in reversed(fresh_params):
         out = ForallFO(p, out)
     return out
@@ -806,10 +851,9 @@ _TOKEN = re.compile(r"""
 # The deepest nesting `parse` accepts, while parsing (parentheses, prefix
 # operators and implication chains each open a level) and in the formula it
 # returns, with a margin under the default recursion limit: the parser,
-# validate, format, alpha_key, eval and substitute_fo_many recurse.  Called 60
-# frames deep, parentheses fail past 131 levels (seven parser frames each), and
-# |, -> and exists chains past 309 (alpha_key and eval walk the normal form,
-# three levels per source level).
+# format, alpha_key and eval recurse.  Called 60 frames deep, parentheses fail
+# past 131 levels (seven parser frames each), and |, -> and exists chains past
+# 309 (alpha_key and eval walk the normal form, three levels per source level).
 MAX_DEPTH = 100
 
 _CANON_FO = re.compile(r"x(\d+)")

@@ -21,7 +21,7 @@ from .corpus import (
 )
 from .formulas import (
     BINDERS, ForallSO, Formula, FormulaError, FOVar, Implies, SOApp, SOVar,
-    Var, alpha_eq, children, format_formula, free_variables, normalize, rebuild,
+    Var, alpha_eq, format_formula, free_variables, normalize, rewrite,
 )
 from .sampling import mutate_formula, random_formula, random_structure
 from .structures import (
@@ -127,18 +127,16 @@ def _axiom_instance(rng, schema: str, fam: ThetaFamily, sig) -> Formula:
 def _replace_some(rng, phi, vm, vn):
     """Replace a random nonempty subset of the free vm-applications by vn,
     skipping sites where either variable is bound."""
-    def walk(g, bound):
-        if isinstance(g, SOApp):
-            if g.var == vm and vm not in bound and vn not in bound \
-                    and rng.random() < 0.6:
-                return SOApp(vn, g.args)
+    def step(g):
+        t = type(g)
+        if t is SOApp:
+            return SOApp(vn, g.args) if g.var == vm and rng.random() < 0.6 else g
+        if t in BINDERS and g.var in (vm, vn):
             return g
-        if isinstance(g, BINDERS):
-            bound = bound | {g.var}
-        return rebuild(g, [walk(k, bound) for k in children(g)])
+        return None
 
     phi = normalize(phi)
-    out = walk(phi, frozenset())
+    out = rewrite(phi, step)
     return (out, True) if out is not phi else (None, False)
 
 

@@ -121,14 +121,6 @@ class ThetaFamily:
         return f"ThetaFamily({self.name!r})"
 
 
-def theta_at(fam: ThetaFamily, n: int) -> ThetaMember:
-    return fam.member_at(n)
-
-
-def enumerate_up_to(fam: ThetaFamily, n: int) -> list:
-    return fam.enumerate_up_to(n)
-
-
 def _memo(it):
     """parts(n) for a family whose members come from one iterator: the
     first n + 1 items, kept."""
@@ -237,12 +229,6 @@ class FormulaEnumerator:
     def size_class(self, size: int):
         """The triples of class `size` in key order, built as they are read."""
         return _read(*self._class(size))
-
-    def formulas_of_size(self, size: int) -> list:
-        """All of class `size` in key order: `size_class(size)` read to the end."""
-        done, rest = self._class(size)
-        done.extend(rest)
-        return done
 
     def _class(self, size: int) -> tuple:
         """Class `size` as (its triples built so far, a generator of the rest)."""

@@ -140,10 +140,13 @@ def test_check_proof_checks_a_subtree_shared_by_lines_once(monkeypatch):
     # the leftmost invalid atom is the one reported
     v = second_line(And(PredApp("P0", (Const("c0"), Const("c1"))), bad))
     assert v.line == 1 and v.reason.startswith("predicate 'P0' expects 1 arguments")
-    validated = []
+    # the premise is validated whole, and each atom of the lines once
+    validated, checked = [], []
     monkeypatch.setattr(calculus, "validate", lambda f, sig: validated.append(f))
+    monkeypatch.setattr(calculus, "_validate_node", lambda g, sig: checked.append(g))
     assert not second_line(P0c).ok
-    assert validated == [shared, P0c, P1c]
+    assert validated == [shared]
+    assert checked == [P0c, P1c]
 
 
 def test_premise_must_be_sentence():
@@ -629,18 +632,16 @@ def test_check_proof_independent_of_template_table_order():
 
 
 @pytest.mark.parametrize("name, n", [
-    ("omega-self-weak", 250), ("omega-with-premise", 250),
-    ("omega-under-conjunction", 250), ("omega-under-conjunction", 300),
+    ("omega-self-weak", 3000), ("omega-with-premise", 3000),
+    ("omega-under-conjunction", 3000),
 ])
-def test_deep_template_instances_check_within_the_recursion_limit(name, n):
-    # instances of the weak-so templates deepen with n, about 4n levels;
-    # these bounds sit below the n at which instantiate_template plus
-    # check_proof runs out of stack from a shallow caller (983 for all
-    # three, in substitute_fo_many's walk, one frame per level of the
-    # member), so a walker that takes four frames per level fails here
+def test_deep_template_instances_check_within_the_recursion_limit(name, n, shallow_stack):
+    # instances of the weak-so templates deepen with n, about 4n levels, so
+    # with 100 frames to spare a walker that takes a frame per level fails
     proof = {item.name: item.proof for item in proof_corpus()}[name]
     (template,) = proof.templates.values()
-    accepted(instantiate_template(template, proof, n))
+    with shallow_stack(100):
+        accepted(instantiate_template(template, proof, n))
 
 
 def test_an_instance_and_its_deep_copy_get_the_same_verdict(monkeypatch):

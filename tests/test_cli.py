@@ -128,10 +128,10 @@ def test_prove_check_spot_past_the_old_stack_limit(tmp_path):
     assert code == 0 and "template t1: evidence(300)" in out
 
 
-def test_prove_check_spot_past_the_recursive_walkers_exits_5(tmp_path, capsys):
-    # substitute_fo_many still recurses, one frame per level of the member,
-    # so n = 1000 is out of reach: refused with a reason after the check
-    # of the instance at the bound, before the spot check from n = 0
+def test_prove_check_spot_over_the_budget_exits_5(tmp_path, capsys):
+    # the instance at n = 1000 has 6,007 distinct nodes, and 1,001 instances
+    # of that size exceed SPOT_BUDGET: refused with a reason after the
+    # instance at the bound is built, before the spot check from n = 0
     proof = tmp_path / "self.prf"
     proof.write_text(SELF_WEAK, encoding="utf-8")
     start = time.perf_counter()
@@ -140,8 +140,8 @@ def test_prove_check_spot_past_the_recursive_walkers_exits_5(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 5
     assert capsys.readouterr().err == (
-        "feasibility guard: template t1: instances up to n = 1000 nest deeper "
-        "than the proof kernel's recursive walkers reach\n")
+        "feasibility guard: template t1: 1001 instances of up to 6007 nodes "
+        "each exceed the spot-check budget of 4000000 nodes\n")
 
 
 @pytest.mark.parametrize("text", [SELF_WEAK, "1. P0(c0) -> (P0(c1) -> P0(c0)) ; ax P1\n",

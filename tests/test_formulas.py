@@ -547,6 +547,37 @@ def test_max_fo_index_walks_a_5000_deep_chain():
     assert syntax.max_fo_index(SOEq(X0, X1)) == -1
 
 
+def _chain(leaf, levels=5000):
+    """leaf under `levels` levels that cycle through ~, P0(x2) & _, exists x3
+    and forall X2."""
+    f = leaf
+    for k in range(levels):
+        f = (Not(f) if k % 4 == 0 else And(PredApp("P0", (Var(x2),)), f) if k % 4 == 1
+             else ExistsFO(FOVar(3), f) if k % 4 == 2 else ForallSO(SOVar(2, 1), f))
+    return f
+
+
+def test_the_generic_walkers_take_a_5000_level_formula(shallow_stack):
+    # with 100 frames to spare, a walker that takes a frame per level fails
+    p0x1 = PredApp("P0", (Var(x1),))
+    f = _chain(And(SOApp(X0, (Var(x0),)), p0x1))
+    member = FakeMember(TermEq(Var(x0), Var(x1)), [x0], [x1])
+    with shallow_stack(100):
+        validate(f, SIG)
+        with pytest.raises(FormulaError, match="unknown predicate 'Q9'"):
+            validate(_chain(PredApp("Q9", (Var(x0),))), SIG)
+        assert syntax.max_fo_index(f) == 3 and syntax.max_so_index(f) == 2
+        # x3 is bound at every fourth level: the mapping narrows at the first
+        got = substitute_fo_many(f, {x0: Var(x5), FOVar(3): Var(x5)})
+        assert alpha_eq(got, _chain(And(SOApp(X0, (Var(x5),)), p0x1)))
+        got, clean = substitute_so(f, X0, X1)
+        assert clean and alpha_eq(got, _chain(And(SOApp(X1, (Var(x0),)), p0x1)))
+        # the member's parameter x1 becomes x4, past x3, and is closed on top
+        got = a6_instantiate(f, X0, member)
+        want = _chain(And(TermEq(Var(x0), Var(FOVar(4))), p0x1))
+        assert type(got) is ForallFO and got.var == FOVar(4) and alpha_eq(got.body, want)
+
+
 def _substitute_filtering_at_every_binder(f, mapping, on_capture="rename"):
     """substitute_fo_many as it was written before, reading the free
     variables of the body at every first-order quantifier."""

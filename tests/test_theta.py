@@ -13,8 +13,7 @@ from rsol.formulas import (
 )
 from rsol.theta import (
     FormulaEnumerator, ThetaMember, all_fo, classify_prefix, dsl,
-    enumerate_up_to, family_from_cli, in_prefix_class, load_family,
-    prefix_family, theta_at, weak_so,
+    family_from_cli, in_prefix_class, load_family, prefix_family, weak_so,
 )
 
 SIG = Signature(predicates={"P0": 1}, constants=[])
@@ -23,7 +22,7 @@ SIG2 = Signature(predicates={"P0": 1, "P1": 2}, constants=["c0"])
 
 def test_weak_so_member_two():
     fam = weak_so(SIG, 1)
-    m = theta_at(fam, 2)
+    m = fam.member_at(2)
     assert m.formula == parse("x0 = x1 | x0 = x2 | x0 = x3", SIG)
     assert m.slots == (FOVar(0),)
     assert m.params == (FOVar(1), FOVar(2), FOVar(3))
@@ -31,7 +30,7 @@ def test_weak_so_member_two():
 
 def test_weak_so_enumerate_up_to():
     fam = weak_so(SIG, 1)
-    got = enumerate_up_to(fam, 1)
+    got = fam.enumerate_up_to(1)
     assert [m.formula for m in got] == [parse("x0 = x1", SIG),
                                         parse("x0 = x1 | x0 = x2", SIG)]
 
@@ -43,7 +42,7 @@ def test_weak_so_needs_identity():
 
 def test_weak_so_arity_two_shape():
     fam = weak_so(SIG, 2)
-    m = theta_at(fam, 1)
+    m = fam.member_at(1)
     assert m.slots == (FOVar(0), FOVar(1))
     assert len(m.params) == 4
     assert m.formula == parse("x0 = x2 & x1 = x3 | x0 = x4 & x1 = x5", SIG)
@@ -90,7 +89,7 @@ def test_size_classes_follow_the_reference_order(sig):
     # over the formula gives (DEMO_SIG has a function symbol)
     enumerator = FormulaEnumerator(sig)
     for size in range(1, 7):
-        triples = enumerator.formulas_of_size(size)
+        triples = list(enumerator.size_class(size))
         formulas = [f for f, _, _ in triples]
         assert formulas == sorted(formulas, key=_struct_key)
         assert len(set(formulas)) == len(formulas)
@@ -106,18 +105,18 @@ def test_a_class_read_partway_is_continued(sig):
     # among the negations leaves the smaller class read partway too
     reference = FormulaEnumerator(sig)
     for size in range(1, 7):
-        whole = reference.formulas_of_size(size)
+        whole = list(reference.size_class(size))
         for cut in (1, len(whole) // 3, 2 * len(whole) // 3):
             enumerator = FormulaEnumerator(sig)
             reader = enumerator.size_class(size)
             read = list(itertools.islice(reader, cut))
-            got = enumerator.formulas_of_size(size)
+            got = list(enumerator.size_class(size))
             assert got == whole
             assert all(a is b for a, b in zip(read, got))
             # a reader left partway goes on where it stopped
             assert read + list(reader) == whole
             if size > 1:
-                smaller = {id(f) for f, _, _ in enumerator.formulas_of_size(size - 1)}
+                smaller = {id(f) for f, _, _ in enumerator.size_class(size - 1)}
                 assert all(id(f.body) in smaller for f, _, _ in got
                            if isinstance(f, (Not, ForallFO)))
 
@@ -148,7 +147,7 @@ def _old_member_key(m):
 
 @pytest.mark.parametrize("spec", ["dsl", "all-fo", "all-fo-noparams"])
 def test_member_keys_keep_their_definition(spec):
-    for m in enumerate_up_to(family_from_cli(spec, COLLAPSE_SIG), 299):
+    for m in family_from_cli(spec, COLLAPSE_SIG).enumerate_up_to(299):
         assert m.key() == _old_member_key(m)
 
 
@@ -160,7 +159,7 @@ def test_member_keys_of_sugared_file_members(tmp_path):
                  "x0 ; ; exists x1 (x0 = x1 | ~(P0(x1) -> P0(x0)))\n",
                  encoding="utf-8")
     fam = load_family(str(p), SIG)
-    for m in enumerate_up_to(fam, 3):
+    for m in fam.enumerate_up_to(3):
         assert m.key() == _old_member_key(m)
     # sugar and its normal form share a key
     assert fam.member_at(0).key() == ThetaMember(
@@ -170,38 +169,38 @@ def test_member_keys_of_sugared_file_members(tmp_path):
 def test_dsl_first_member_matches_bruteforce():
     fam = dsl(SIG)
     expected = brute_force_smallest_single_free_var(SIG)
-    assert theta_at(fam, 0).formula == expected
+    assert fam.member_at(0).formula == expected
     # frozen value: the smallest one-free-variable formula over {P0} is the atom
     assert expected == PredApp("P0", (Var(FOVar(0)),))
 
 
 def test_dsl_members_have_no_parameters():
     fam = dsl(SIG)
-    for m in enumerate_up_to(fam, 5):
+    for m in fam.enumerate_up_to(5):
         assert m.params == ()
         assert m.arity == 1
-    keys = {m.key() for m in enumerate_up_to(fam, 5)}
+    keys = {m.key() for m in fam.enumerate_up_to(5)}
     assert len(keys) == 6
 
 
 def test_enumerators_injective_up_to_alpha():
     for fam in (weak_so(SIG, 1), dsl(SIG), all_fo(SIG)):
-        keys = {m.key() for m in enumerate_up_to(fam, 50)}
+        keys = {m.key() for m in fam.enumerate_up_to(50)}
         assert len(keys) == 51, fam.name
 
 
 def test_theta_at_deterministic():
     fam = dsl(SIG)
-    a = theta_at(fam, 7)
-    b = theta_at(fam, 7)
+    a = fam.member_at(7)
+    b = fam.member_at(7)
     assert a is b
     fam2 = dsl(SIG)
-    assert theta_at(fam2, 7).formula == a.formula
+    assert fam2.member_at(7).formula == a.formula
 
 
 def test_all_fo_split_invariant():
     fam = all_fo(SIG2)
-    for m in enumerate_up_to(fam, 40):
+    for m in fam.enumerate_up_to(40):
         fo, so = free_variables(m.formula)
         assert not so
         assert fo == set(m.slots) | set(m.params)
@@ -211,7 +210,7 @@ def test_all_fo_split_invariant():
 def test_all_fo_contains_parameter_splits():
     fam = all_fo(SIG2)
     seen_param_split = False
-    for m in enumerate_up_to(fam, 80):
+    for m in fam.enumerate_up_to(80):
         if m.params:
             seen_param_split = True
             break
@@ -220,7 +219,7 @@ def test_all_fo_contains_parameter_splits():
 
 def test_all_fo_noparams():
     fam = all_fo(SIG2, parameters=False)
-    for m in enumerate_up_to(fam, 30):
+    for m in fam.enumerate_up_to(30):
         assert m.params == ()
 
 
@@ -256,7 +255,7 @@ def test_weak_so_cardinality_property():
     """Member n defines, over any domain and parameters, a set of size 1..n+1."""
     fam = weak_so(SIG, 1)
     for n in range(3):
-        m = theta_at(fam, n)
+        m = fam.member_at(n)
         for size in (1, 2, 3, 4):
             for params in itertools.product(range(size), repeat=len(m.params)):
                 value = {
@@ -297,7 +296,7 @@ def test_classify_prefix_through_negation():
 
 def test_prefix_family_members_stay_in_class():
     fam = prefix_family(SIG2, "exists", 1)
-    for m in enumerate_up_to(fam, 15):
+    for m in fam.enumerate_up_to(15):
         assert in_prefix_class(m.formula, "exists", 1)
 
 
@@ -312,10 +311,10 @@ def test_load_family(tmp_path):
     p = tmp_path / "fam.txt"
     p.write_text("# custom\nx0 ; x1 ; x0 = x1\nx0 ; ; P0(x0)\n", encoding="utf-8")
     fam = load_family(str(p), SIG)
-    assert theta_at(fam, 0).formula == parse("x0 = x1", SIG)
-    assert theta_at(fam, 1).formula == parse("P0(x0)", SIG)
+    assert fam.member_at(0).formula == parse("x0 = x1", SIG)
+    assert fam.member_at(1).formula == parse("P0(x0)", SIG)
     # finite lists cycle so the enumerator stays total
-    assert theta_at(fam, 2).formula == parse("x0 = x1", SIG)
+    assert fam.member_at(2).formula == parse("x0 = x1", SIG)
 
 
 def test_family_from_cli():
@@ -330,7 +329,7 @@ def member_sequence_digest(fam, count):
     """sha256 over the printed formula, slots and parameters of members
     0..count-1, in order."""
     h = hashlib.sha256()
-    for m in enumerate_up_to(fam, count - 1):
+    for m in fam.enumerate_up_to(count - 1):
         h.update(repr((format_formula(m.formula, unicode=False),
                        [v.index for v in m.slots],
                        [v.index for v in m.params])).encode("utf-8"))
