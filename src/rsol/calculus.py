@@ -43,43 +43,14 @@ class Premise:
 
 
 @dataclass(frozen=True)
-class FOAxiom:
-    schema: str                   # P1 P2 P3 C1 C2 C3 Q1 Q2
+class Axiom:
+    """An instance of the schema AXIOMS[schema].  index is the member for A1
+    and A6 (None for A6 at a template's meta-index) and the arity for A2."""
+    schema: str
+    index: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class EqAxiom:
-    schema: str                   # refl | subst
-
-
-@dataclass(frozen=True)
-class A1:
-    theta_index: int
-
-
-@dataclass(frozen=True)
-class A2:
-    arity: int
-
-
-@dataclass(frozen=True)
-class A3:
-    pass
-
-
-@dataclass(frozen=True)
-class A4:
-    pass
-
-
-@dataclass(frozen=True)
-class A5:
-    pass
-
-
-@dataclass(frozen=True)
-class A6:
-    theta_index: Optional[int]    # None = the template meta-index
+_META = Axiom("A6")
 
 
 @dataclass(frozen=True)
@@ -337,12 +308,13 @@ _PATTERNS = {name: _pattern(schema) for name, schema in SCHEMATA.items()}
 
 
 def _match_schema(name: str, f):
-    """The parts {"a": ..., ...} that build f from SCHEMATA[name], else None."""
+    """The parts, in SCHEMATA[name]'s parameter order, that build f from it,
+    else None."""
     params, pattern = _PATTERNS[name]
     binding: dict = {}
     if not _unify(pattern, f, binding):
         return None
-    return {p: binding["?" + p] for p in params}
+    return tuple(binding["?" + p] for p in params)
 
 
 def _split(u):
@@ -439,91 +411,102 @@ def _match_replacement(f, eq):
     return (old, new) if d is not None and _replaces(*d, old, new) else None
 
 
-def _match_a2(f, arity: int) -> bool:
-    """Whether f is the extensionality instance at arity, up to the names of
-    bound variables.  That instance has more than arity levels, so a larger
-    arity, and one below 1, is refused before the instance is built."""
-    return 0 < arity < _depth(f, arity) and alpha_eq(f, build_a2(arity))
+def _match_a2(f, arity: int, fam):
+    """(arity,) when f is the extensionality instance at arity, up to the
+    names of bound variables.  That instance has more than arity levels, so a
+    larger arity, and one below 1, is refused before the instance is built."""
+    ok = 0 < arity < _depth(f, arity) and alpha_eq(f, build_a2(arity))
+    return (arity,) if ok else None
 
 
-def _match_a2_own_arity(f):
-    """(arity,) when f is the extensionality instance at the arity of its
-    first quantified variable, else None."""
-    if type(f) is ForallSO and type(f.body) is ForallSO and _match_a2(f, f.var.arity):
-        return (f.var.arity,)
-    return None
-
-
-def _match_a1(f, fam: ThetaFamily, n: int):
-    """Whether f is the comprehension instance for member n.  That instance
+def _match_a1(f, n: int, fam: ThetaFamily):
+    """(n,) when f is the comprehension instance for member n.  That instance
     contains the member's formula, so a member at least as deep as f is
     refused before the instance is built."""
     try:
         member = fam.member_at(n)
         levels = _depth(member.formula)
-        return levels < _depth(f, levels) and alpha_eq(f, build_a1(member))
+        ok = levels < _depth(f, levels) and alpha_eq(f, build_a1(member))
     except FormulaError:
-        return False
+        return None
+    return (n,) if ok else None
 
 
-def _match_a6(f, fam: ThetaFamily, n: int):
-    """Whether f is the instantiation axiom for member n.  That instance has
+def _match_a6(f, n: int, fam: ThetaFamily):
+    """(n,) when f is the instantiation axiom for member n.  That instance has
     one forall per member parameter on its right, so a member with at least
     as many parameters as f has levels is refused before it is built."""
     d = as_implies(f)
     if d is None or not isinstance(d[0], ForallSO):
-        return False
+        return None
     v, phi = d[0].var, d[0].body
-    if not fam.arity_supported(v.arity):
-        return False
     try:
         member = fam.arity_member(v.arity, n)
         params = len(member.params)
-        return params < _depth(f, params) and alpha_eq(f, build_a6(v, phi, member))
+        ok = params < _depth(f, params) and alpha_eq(f, build_a6(v, phi, member))
     except FormulaError:
-        return False
+        return None
+    return (n,) if ok else None
 
 
-# The schemata that a line is matched against directly, by the name that
-# `recognize_axiom` reports, in the order it tries them: the matcher, and
-# the keys of the witness it returns.
-_MATCHERS = {
-    "Q1": (lambda f: _match_instance(f, FOVar), ("x", "t")),
-    "Q2": (lambda f: _match_distribution(f, FOVar), ("x",)),
-    "eq-refl": (lambda f: (f.left,) if type(f) is TermEq and f.left == f.right
-                else None, ("t",)),
-    "eq-subst": (lambda f: _match_replacement(f, TermEq), ("t1", "t2")),
-    "A2": (_match_a2_own_arity, ("arity",)),
-    "A3": (lambda f: _match_replacement(f, SOEq), ("vm", "vn")),
-    "A4": (lambda f: _match_instance(f, SOVar), ("vm", "vn")),
-    "A5": (lambda f: _match_distribution(f, SOVar), ("vm",)),
+_NO_IDENTITY = "identity axioms are disabled for this signature"
+_MEMBER = ("theta_index",)
+
+# Every axiom schema, by the name that `recognize_axiom` reports, in the order
+# it tries them: the matcher (f, index, family) -> the witness values or None,
+# the witness keys, the reason a signature without identity refuses it (or
+# None), and the reason a line that is no instance is refused, with {} for the
+# index.  A witness that is the index alone makes the schema indexed: by the
+# arity (A2) or by a member of the family (A1, A6), which needs a family.
+AXIOMS = {
+    **{name: (lambda f, n, fam, name=name: _match_schema(name, f), _PATTERNS[name][0],
+              None, f"not an instance of {name}") for name in SCHEMATA},
+    "Q1": (lambda f, n, fam: _match_instance(f, FOVar), ("x", "t"), None,
+           "not an instance of Q1"),
+    "Q2": (lambda f, n, fam: _match_distribution(f, FOVar), ("x",), None,
+           "not an instance of Q2"),
+    "eq-refl": (lambda f, n, fam: (f.left,) if type(f) is TermEq and f.left == f.right
+                else None, ("t",), _NO_IDENTITY, "not an instance of identity refl"),
+    "eq-subst": (lambda f, n, fam: _match_replacement(f, TermEq), ("t1", "t2"),
+                 _NO_IDENTITY, "not an instance of identity subst"),
+    "A2": (_match_a2, ("arity",), "extensionality needs identity",
+           "not the extensionality instance at arity {}"),
+    "A3": (lambda f, n, fam: _match_replacement(f, SOEq), ("vm", "vn"),
+           "replacement needs identity", "not a replacement instance"),
+    "A4": (lambda f, n, fam: _match_instance(f, SOVar), ("vm", "vn"), None,
+           "not a universal-instance axiom"),
+    "A5": (lambda f, n, fam: _match_distribution(f, SOVar), ("vm",), None,
+           "not a distribution axiom"),
+    "A1": (_match_a1, _MEMBER, None, "not the comprehension instance for member {}"),
+    "A6": (_match_a6, _MEMBER, None, "not the instantiation axiom for member {}"),
 }
+
+# The schema that each word after "ax" and after "eq" names in a proof file.
+# The text reader names any other such pair by both words, "ax A4" or "eq
+# sym", which are no key of AXIOMS, and the kernel refuses it by the word.
+_WORDS = {"ax": {name: name for name in (*SCHEMATA, "Q1", "Q2")},
+          "eq": {"refl": "eq-refl", "subst": "eq-subst"}}
 
 # Family-indexed schemata (A1, A6) are searched up to this member index.
 SEARCH_BOUND = 32
 
 
 def recognize_axiom(f: Formula, fam: Optional[ThetaFamily] = None):
-    """Identify f as an axiom instance; returns (name, witness) or None."""
+    """Identify f as an axiom instance; returns (name, witness) or None.  A2
+    is tried at the arity of f's first quantified variable, and A1 and A6 at
+    the members 0..SEARCH_BOUND of fam."""
     f = normalize(f)
-    for name in SCHEMATA:
-        got = _match_schema(name, f)
-        if got is not None:
-            return (name, got)
-    for name, (match, keys) in _MATCHERS.items():
-        got = match(f)
-        if got is not None:
-            return (name, dict(zip(keys, got)))
-    if fam is not None:
-        for n in range(SEARCH_BOUND + 1):
-            if _match_a1(f, fam, n):
-                return ("A1", {"theta_index": n})
-        d = as_implies(f)
-        if d is not None and isinstance(d[0], ForallSO) \
-                and fam.arity_supported(d[0].var.arity):
-            for n in range(SEARCH_BOUND + 1):
-                if _match_a6(f, fam, n):
-                    return ("A6", {"theta_index": n})
+    for name, (match, keys, _, _) in AXIOMS.items():
+        if keys == ("arity",):
+            indices = (f.var.arity,) if type(f) is ForallSO else ()
+        elif keys == _MEMBER:
+            indices = range(SEARCH_BOUND + 1) if fam is not None else ()
+        else:
+            indices = (None,)
+        for n in indices:
+            got = match(f, n, fam)
+            if got is not None:
+                return (name, dict(zip(keys, got)))
     return None
 
 
@@ -538,59 +521,14 @@ def _check_justified_line(proof: Proof, lines, i: int, line: ProofLine,
     template of the proof."""
     f = line.formula
     j = line.justification
-    fam = proof.family
     if isinstance(j, Premise):
         if not 0 <= j.index < len(proof.premises):
             return f"premise index {j.index} out of range"
         if f != proof.premises[j.index]:
             return "formula differs from the cited premise"
         return None
-    if isinstance(j, FOAxiom):
-        if j.schema in SCHEMATA:
-            got = _match_schema(j.schema, f)
-        elif j.schema in ("Q1", "Q2"):
-            got = _MATCHERS[j.schema][0](f)
-        else:
-            return f"unknown schema {j.schema}"
-        if got is None:
-            return f"not an instance of {j.schema}"
-        return None
-    if isinstance(j, EqAxiom):
-        if not proof.sig.identity:
-            return "identity axioms are disabled for this signature"
-        if j.schema not in ("refl", "subst"):
-            return f"unknown identity schema {j.schema}"
-        if _MATCHERS["eq-" + j.schema][0](f) is None:
-            return f"not an instance of identity {j.schema}"
-        return None
-    if isinstance(j, A1):
-        if fam is None:
-            return "no family attached to the proof"
-        if not _match_a1(f, fam, j.theta_index):
-            return f"not the comprehension instance for member {j.theta_index}"
-        return None
-    if isinstance(j, A2):
-        if not proof.sig.identity:
-            return "extensionality needs identity"
-        if not _match_a2(f, j.arity):
-            return f"not the extensionality instance at arity {j.arity}"
-        return None
-    if isinstance(j, A3):
-        if not proof.sig.identity:
-            return "replacement needs identity"
-        if _match_replacement(f, SOEq) is None:
-            return "not a replacement instance"
-        return None
-    if isinstance(j, A4):
-        if _match_instance(f, SOVar) is None:
-            return "not a universal-instance axiom"
-        return None
-    if isinstance(j, A5):
-        if _match_distribution(f, SOVar) is None:
-            return "not a distribution axiom"
-        return None
-    if isinstance(j, A6):
-        if j.theta_index is None:
+    if isinstance(j, Axiom):
+        if j.schema == "A6" and j.index is None:
             if not in_template:
                 return "meta-index instantiation outside a template"
             d = as_implies(f)
@@ -600,11 +538,17 @@ def _check_justified_line(proof: Proof, lines, i: int, line: ProofLine,
             if d[1].var != d[0].var or d[1].body != d[0].body:
                 return "inst atom does not match the quantified formula"
             return None
-        if fam is None:
+        if j.schema not in AXIOMS:
+            group, _, word = j.schema.rpartition(" ")
+            if group == "eq" and not proof.sig.identity:
+                return _NO_IDENTITY
+            return f"unknown {'identity ' if group == 'eq' else ''}schema {word}"
+        match, keys, identity, refusal = AXIOMS[j.schema]
+        if identity is not None and not proof.sig.identity:
+            return identity
+        if keys == _MEMBER and proof.family is None:
             return "no family attached to the proof"
-        if not _match_a6(f, fam, j.theta_index):
-            return f"not the instantiation axiom for member {j.theta_index}"
-        return None
+        return refusal.format(j.index) if match(f, j.index, proof.family) is None else None
     if isinstance(j, MP):
         if not (0 <= j.implication < i and 0 <= j.antecedent < i):
             return "detachment cites a line that is not strictly earlier"
@@ -678,9 +622,7 @@ def instantiate_template(t: OmegaTemplate, proof: Proof, n: int) -> Proof:
     memo: dict = {}
     lines = []
     for line in t.lines:
-        j = line.justification
-        if isinstance(j, A6) and j.theta_index is None:
-            j = A6(n)
+        j = Axiom("A6", n) if line.justification == _META else line.justification
         lines.append(ProofLine(rewrite(line.formula, step, memo), j))
     # the lines are normal (template lines, A6 consequents and rebuilds of
     # normal parts), so the copy skips Proof's normalizing scan of each line
@@ -768,59 +710,56 @@ class _LineBuilder:
 
     def _emit(self, formula: Formula, justification) -> int:
         formula = normalize(formula)
-        key = formula
-        if key in self._index:
-            return self._index[key]
-        self.lines.append(ProofLine(formula, justification))
-        idx = len(self.lines) - 1
-        self._index[key] = idx
+        idx = self._index.get(formula)
+        if idx is None:
+            idx = self._index[formula] = len(self.lines)
+            self.lines.append(ProofLine(formula, justification))
         return idx
 
     def repeat_last(self, i: int) -> int:
         """Re-emit line i verbatim so it becomes the final line."""
         if i == len(self.lines) - 1:
             return i
-        line = self.lines[i]
-        self.lines.append(line)
+        self.lines.append(self.lines[i])
         return len(self.lines) - 1
 
     def premise(self, k: int) -> int:
         return self._emit(self.premises[k], Premise(k))
 
     def schema(self, name: str, *parts) -> int:
-        return self._emit(build_schema(name, *parts), FOAxiom(name))
+        return self._emit(build_schema(name, *parts), Axiom(name))
 
     def instance(self, v, phi, t) -> int:
-        j = FOAxiom("Q1") if isinstance(v, FOVar) else A4()
+        j = Axiom("Q1" if isinstance(v, FOVar) else "A4")
         return self._emit(build_instance(v, phi, t), j)
 
     q1 = a4 = instance
 
     def distribution(self, v, a, b) -> int:
-        j = FOAxiom("Q2") if isinstance(v, FOVar) else A5()
+        j = Axiom("Q2" if isinstance(v, FOVar) else "A5")
         return self._emit(build_distribution(v, a, b), j)
 
     q2 = a5 = distribution
 
     def eq_refl(self, t) -> int:
-        return self._emit(build_eq_refl(t), EqAxiom("refl"))
+        return self._emit(build_eq_refl(t), Axiom("eq-refl"))
 
     def eq_subst(self, t1, t2, phi, phi_prime) -> int:
-        return self._emit(build_eq_subst(t1, t2, phi, phi_prime), EqAxiom("subst"))
+        return self._emit(build_eq_subst(t1, t2, phi, phi_prime), Axiom("eq-subst"))
 
     def a1(self, theta_index: int) -> int:
         return self._emit(build_a1(self.family.member_at(theta_index)),
-                          A1(theta_index))
+                          Axiom("A1", theta_index))
 
     def a2(self, arity: int) -> int:
-        return self._emit(build_a2(arity), A2(arity))
+        return self._emit(build_a2(arity), Axiom("A2", arity))
 
     def a3(self, vm, vn, phi, phi_prime) -> int:
-        return self._emit(build_a3(vm, vn, phi, phi_prime), A3())
+        return self._emit(build_a3(vm, vn, phi, phi_prime), Axiom("A3"))
 
     def a6(self, v, phi, theta_index: int) -> int:
         member = self.family.arity_member(v.arity, theta_index)
-        return self._emit(build_a6(v, phi, member), A6(theta_index))
+        return self._emit(build_a6(v, phi, member), Axiom("A6", theta_index))
 
     def mp(self, implication: int, antecedent: int) -> int:
         d = as_implies(self.formula_at(implication))
@@ -886,7 +825,7 @@ class _LineBuilder:
 class TemplateBuilder(_LineBuilder):
     def a6_meta(self, v: SOVar, phi) -> int:
         phi = normalize(phi)
-        return self._emit(implies(ForallSO(v, phi), InstAtom(v, phi)), A6(None))
+        return self._emit(implies(ForallSO(v, phi), InstAtom(v, phi)), _META)
 
     def build(self, name: str) -> OmegaTemplate:
         return OmegaTemplate(name, tuple(self.lines))
@@ -936,9 +875,8 @@ def apply_deduction(proof: Proof) -> Proof:
         if isinstance(j, Premise) and j.index == len(new_premises):
             return builder.imp_identity(phi)
         # the other premises keep their indices
-        if isinstance(j, (Premise, FOAxiom, EqAxiom, A1, A2, A3, A4, A5, A6)):
-            base = builder._emit(line.formula, j)
-            return builder.weaken(base, phi)
+        if isinstance(j, (Premise, Axiom)):
+            return builder.weaken(builder._emit(line.formula, j), phi)
         if isinstance(j, MP):
             return builder.under(mapping[j.implication], mapping[j.antecedent])
         if isinstance(j, (GenFO, GenSO)):
@@ -989,26 +927,16 @@ def _parse_justification(text: str, in_template: bool):
     kind = words[0]
     if kind == "premise":
         return Premise(int(words[1]) - 1)
-    if kind == "ax":
-        return FOAxiom(words[1])
-    if kind == "eq":
-        return EqAxiom(words[1])
-    if kind == "A1":
-        return A1(int(words[1]))
-    if kind == "A2":
-        return A2(int(words[1]))
-    if kind == "A3":
-        return A3()
-    if kind == "A4":
-        return A4()
-    if kind == "A5":
-        return A5()
-    if kind == "A6":
-        if words[1] == "n":
+    if kind in _WORDS:
+        return Axiom(_WORDS[kind].get(words[1], f"{kind} {words[1]}"))
+    if kind in ("A1", "A2", "A6"):
+        if kind == "A6" and words[1] == "n":
             if not in_template:
                 raise FormulaError("the meta-index belongs inside templates")
-            return A6(None)
-        return A6(int(words[1]))
+            return _META
+        return Axiom(kind, int(words[1]))
+    if kind in ("A3", "A4", "A5"):
+        return Axiom(kind)
     if kind == "mp":
         return MP(int(words[1]) - 1, int(words[2]) - 1)
     if kind in ("gen", "genso"):

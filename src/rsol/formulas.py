@@ -856,6 +856,28 @@ _TOKEN = re.compile(r"""
 # 309 (alpha_key and eval walk the normal form, three levels per source level).
 MAX_DEPTH = 100
 
+# The most nodes `parse` accepts in the normal form of a formula with a
+# biconditional: `normalize` writes both operands of <-> twice, so an
+# n-operand chain has 10 * 2^(n-1) - 9 nodes, and 18 or more are refused.
+MAX_NORMAL_NODES = 2 ** 20
+
+# the nodes `normalize` writes for one node of each type with sugar
+_SUGAR_NODES = {Or: 4, Implies: 3, Iff: 7, ExistsFO: 3, ExistsSO: 3}
+
+
+def _normal_size(f: Formula) -> int:
+    """The nodes of normalize(f) counted as a tree, without building it: a
+    node under k biconditionals is written 2^k times."""
+    total, stack = 0, [(f, 1)]
+    while stack:
+        g, copies = stack.pop()
+        total += copies * _SUGAR_NODES.get(type(g), 1)
+        if type(g) is Iff:
+            copies *= 2
+        stack.extend((h, copies) for h in children(g))
+    return total
+
+
 _CANON_FO = re.compile(r"x(\d+)")
 _CANON_SO = re.compile(r"X(\d+)(?:\^(\d+))?")
 _BARE_FO = re.compile(r"[uvwyz]\d*|x")
@@ -1149,5 +1171,7 @@ def parse(text: str, sig: Signature, allow_inst: bool = False) -> Formula:
     # nest without nesting the parse
     if len(tokens) > MAX_DEPTH and _depth(f, MAX_DEPTH) > MAX_DEPTH:
         raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", 0)
+    if ("<->" in text or "↔" in text) and _normal_size(f) > MAX_NORMAL_NODES:
+        raise ParseError(f"normal form has more than {MAX_NORMAL_NODES} nodes", 0)
     validate(f, sig)
     return f

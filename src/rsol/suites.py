@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 
 from . import boolean as ba
 from .calculus import (
-    Proof, ProofLine, apply_deduction, check_proof, spot_check_template,
+    MP, R3, GenFO, GenSO, Premise, Proof, ProofLine, apply_deduction,
+    build_a1, build_a2, build_a3, build_a4, build_a5, build_a6, check_proof,
+    spot_check_template,
 )
 from .corpus import (
     CORPUS_SIG, LEMMA_SIG, collapse_catalog, collapse_sentences, lemma_bodies,
@@ -31,7 +33,6 @@ from .structures import (
     truth_algebra,
 )
 from .theta import ThetaFamily, all_fo, dsl, weak_so
-from .calculus import build_a1, build_a2, build_a3, build_a4, build_a5, build_a6
 
 
 @dataclass
@@ -357,11 +358,8 @@ def _load_bearing_lines(proof: Proof):
         for attr in ("implication", "antecedent", "line"):
             if hasattr(j, attr):
                 cited.add(getattr(j, attr))
-    referencing = tuple(
-        j for j in [proof.lines[-1].justification]
-        if type(j).__name__ in ("MP", "GenFO", "GenSO", "R3", "Premise"))
     out = sorted(cited)
-    if referencing:
+    if isinstance(proof.lines[-1].justification, (MP, GenFO, GenSO, R3, Premise)):
         out.append(len(proof.lines) - 1)
     return out
 

@@ -8,6 +8,8 @@ import time
 
 import pytest
 
+from rsol import suites
+from rsol.calculus import Verdict
 from rsol.corpus import collapse_catalog, collapse_sentences, proof_corpus
 from rsol.suites import (
     suite_collapse, suite_dsl_orbits, suite_kernel, suite_lemma_reg, suite_rs,
@@ -137,3 +139,18 @@ def test_criterion_8_kernel_robustness():
            f"({mut['alpha_equivalent_accepted']} alpha-equivalent survivors), "
            f"{ded['transformed']} premise discharges re-checked",
            time.time() - start, 120)
+
+
+@pytest.mark.parametrize("target,fault,failing", [
+    ("check_proof", lambda proof: Verdict(True),
+     {"mutation-survived", "mutations-rejected"}),
+    ("apply_deduction", lambda proof: proof,
+     {"deduction-failed", "deduction-accepted"}),
+    ("spot_check_template", lambda template, proof, bound: Verdict(False, reason="injected"),
+     {"spot-check-failed", "spot-checks"}),
+], ids=["kernel-accepts-everything", "deduction-returns-its-input", "spot-check-rejects"])
+def test_kernel_suite_records_an_injected_fault(monkeypatch, target, fault, failing):
+    monkeypatch.setattr(suites, target, fault)
+    result = suite_kernel(seed=3)
+    assert not result.ok
+    assert {r["check"] for r in result.records if r["status"] == "fail"} == failing

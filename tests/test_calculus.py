@@ -7,8 +7,8 @@ import pytest
 
 from rsol import calculus
 from rsol.calculus import (
-    A1, A2, A3, A4, A5, A6, SCHEMATA, EqAxiom, FOAxiom, GenFO, GenSO, MP,
-    OmegaTemplate, Premise, Proof, ProofBuilder, ProofLine, R3,
+    AXIOMS, SCHEMATA, Axiom, GenFO, GenSO, MP, OmegaTemplate, Premise, Proof,
+    ProofBuilder, ProofLine, R3,
     TemplateBuilder, _match_distribution, _match_instance, _match_replacement,
     _match_schema, apply_deduction, build_instance,
     build_a1, build_a2, build_a3, build_a4, build_a5, build_a6,
@@ -180,8 +180,8 @@ def test_template_uniformity_rejection():
     phi = SOApp(X0, (Const("c0"),))
     inst = InstAtom(X0, normalize(phi))
     bad = OmegaTemplate("bad", (
-        ProofLine(implies(inst, inst), FOAxiom("P1")),
-        ProofLine(implies(ForallSO(X0, normalize(phi)), inst), A6(None)),
+        ProofLine(implies(inst, inst), Axiom("P1")),
+        ProofLine(implies(ForallSO(X0, normalize(phi)), inst), Axiom("A6")),
     ))
     proof = Proof(SIG, WEAK, [], [ProofLine(
         implies(ForallSO(X0, normalize(phi)), ForallSO(X0, normalize(phi))),
@@ -232,7 +232,7 @@ def test_spot_check_reports_witness():
     # formula claims the meta-instantiation but the justification pins
     # member 2, so instances at other indices fail
     bad = OmegaTemplate("b", (
-        ProofLine(implies(ForallSO(X0, phi), InstAtom(X0, phi)), A6(2)),))
+        ProofLine(implies(ForallSO(X0, phi), InstAtom(X0, phi)), Axiom("A6", 2)),))
     proof = Proof(SIG, WEAK, [], [ProofLine(
         implies(ForallSO(X0, phi), ForallSO(X0, phi)), R3("b"))], {"b": bad})
     v = spot_check_template(bad, proof, 5)
@@ -244,7 +244,7 @@ def test_instantiate_template_gives_concrete_a6():
     proof = self_implication_proof(WEAK, phi)
     inst = instantiate_template(proof.templates["t1"], proof, 3)
     accepted(inst)
-    assert inst.lines[0].justification == A6(3)
+    assert inst.lines[0].justification == Axiom("A6", 3)
 
 
 def test_gen_and_quantifier_axioms():
@@ -348,11 +348,11 @@ def test_apply_deduction_r3_with_premise_inside_template():
 def test_directed_checks_accept_alpha_variants():
     # the comprehension instance with a different bound relation variable
     f = build_a1(WEAK.member_at(0), so_index=7)
-    proof = Proof(SIG, WEAK, [], [ProofLine(f, A1(0))])
+    proof = Proof(SIG, WEAK, [], [ProofLine(f, Axiom("A1", 0))])
     accepted(proof)
     member = WEAK.arity_member(1, 0)
     g = build_a6(SOVar(4, 1), SOApp(SOVar(4, 1), (Var(x0),)), member)
-    proof = Proof(SIG, WEAK, [], [ProofLine(g, A6(0))])
+    proof = Proof(SIG, WEAK, [], [ProofLine(g, Axiom("A6", 0))])
     accepted(proof)
 
 
@@ -419,6 +419,34 @@ def test_axiom_builders_recognized_by_kernel():
     del member
 
 
+# an instance of each entry of AXIOMS made by its builder, and the index cited
+PARTS = (P0c, P1c, normalize(parse("P0(c1)", SIG)))
+INSTANCES = {
+    **{name: (build_schema(name, *PARTS[:len(inspect.signature(schema).parameters)]),
+              None) for name, schema in SCHEMATA.items()},
+    "Q1": (build_q1(x0, PredApp("P0", (Var(x0),)), Const("c0")), None),
+    "Q2": (build_q2(x0, P0c, PredApp("P0", (Var(x0),))), None),
+    "eq-refl": (build_eq_refl(Const("c0")), None),
+    "eq-subst": (build_eq_subst(Const("c0"), Const("c1"), P0c, PARTS[2]), None),
+    "A2": (build_a2(2), 2),
+    "A3": (build_a3(X0, X1, SOApp(X0, (Var(x0),)), SOApp(X1, (Var(x0),))), None),
+    "A4": (build_a4(X0, SOApp(X0, (Var(x0),)), X1), None),
+    "A5": (build_a5(X0, P0c, SOApp(X0, (Var(x0),))), None),
+    "A1": (build_a1(WEAK.member_at(1)), 1),
+    "A6": (build_a6(X0, SOApp(X0, (Var(x0),)), WEAK.arity_member(1, 1)), 1),
+}
+
+
+@pytest.mark.parametrize("name", AXIOMS)
+def test_each_axiom_schema_accepts_and_recognizes_its_builders_instance(name):
+    f, index = INSTANCES[name]
+    accepted(Proof(SIG, WEAK, [], [ProofLine(f, Axiom(name, index))]))
+    got, witness = recognize_axiom(f, WEAK)
+    assert got == name
+    if index is not None:
+        assert witness == dict.fromkeys(AXIOMS[name][1], index)
+
+
 def test_a2_side_condition_arities():
     f = build_a2(2)
     assert recognize_axiom(f) == ("A2", {"arity": 2})
@@ -426,7 +454,7 @@ def test_a2_side_condition_arities():
 
 def test_check_proof_rejects_inst_in_main_lines():
     proof = Proof(SIG, WEAK, [], [
-        ProofLine(InstAtom(X0, SOApp(X0, (Var(x0),))), A4())])
+        ProofLine(InstAtom(X0, SOApp(X0, (Var(x0),))), Axiom("A4"))])
     v = check_proof(proof)
     assert not v.ok and "template" in v.reason
 
@@ -435,20 +463,25 @@ def test_an_inst_atom_is_reported_before_a_bad_atom_of_the_same_line():
     bad = PredApp("P9", (Const("c0"),))
     inst = InstAtom(X0, SOApp(X0, (Const("c0"),)))
     for f in (And(bad, inst), And(inst, bad)):
-        v = check_proof(Proof(SIG, WEAK, [], [ProofLine(f, A4())]))
+        v = check_proof(Proof(SIG, WEAK, [], [ProofLine(f, Axiom("A4"))]))
         assert (v.ok, v.line, v.reason) == (
             False, 0, "inst atoms are only allowed inside templates")
 
 
 PHI = normalize(SOApp(X0, (Const("c0"),)))
 TARGET = implies(ForallSO(X0, PHI), ForallSO(X0, PHI))
-META = ProofLine(implies(ForallSO(X0, PHI), InstAtom(X0, PHI)), A6(None))
+META = ProofLine(implies(ForallSO(X0, PHI), InstAtom(X0, PHI)), Axiom("A6"))
 NO_IDENTITY = Signature(predicates={"P0": 1, "P1": 2}, constants=["c0", "c1"],
                         identity=False)
 
 
 def _one_liner(j, sig=SIG, fam=None, premises=(), f=P0c):
     return Proof(sig, fam, premises, [ProofLine(f, j)])
+
+
+def _read(justification, sig=SIG):
+    """A one-line proof of P0(c0) read from the proof-file format."""
+    return load_proof_text(f"1. P0(c0) ; {justification}", sig, None)
 
 
 def _citing(template_lines, fam=WEAK, target=TARGET):
@@ -464,26 +497,31 @@ PHI2 = SOApp(X2, (Const("c0"), Const("c1")))
 REJECTIONS = {
     "premise-index": (_one_liner(Premise(1), premises=[P0c]),
                       0, "premise index 1 out of range", None),
-    "unknown-schema": (_one_liner(FOAxiom("P9")), 0, "unknown schema P9", None),
-    "unknown-identity-schema": (_one_liner(EqAxiom("sym")),
-                                0, "unknown identity schema sym", None),
-    "identity-disabled": (_one_liner(EqAxiom("refl"), sig=NO_IDENTITY),
+    "unknown-schema": (_one_liner(Axiom("P9")), 0, "unknown schema P9", None),
+    "unknown-schema-A4-after-ax": (_read("ax A4"), 0, "unknown schema A4", None),
+    "unknown-schema-eq-refl-after-ax": (_read("ax eq-refl"), 0,
+                                        "unknown schema eq-refl", None),
+    "unknown-identity-schema": (_read("eq sym"), 0, "unknown identity schema sym", None),
+    "unknown-identity-schema-without-identity": (
+        _read("eq sym", sig=NO_IDENTITY), 0,
+        "identity axioms are disabled for this signature", None),
+    "identity-disabled": (_one_liner(Axiom("eq-refl"), sig=NO_IDENTITY),
                           0, "identity axioms are disabled for this signature", None),
-    "extensionality-without-identity": (_one_liner(A2(1), sig=NO_IDENTITY),
+    "extensionality-without-identity": (_one_liner(Axiom("A2", 1), sig=NO_IDENTITY),
                                         0, "extensionality needs identity", None),
-    "extensionality-at-arity-0": (_one_liner(A2(0)), 0,
+    "extensionality-at-arity-0": (_one_liner(Axiom("A2", 0)), 0,
                                   "not the extensionality instance at arity 0", None),
-    "extensionality-at-arity-minus-1": (_one_liner(A2(-1)), 0,
+    "extensionality-at-arity-minus-1": (_one_liner(Axiom("A2", -1)), 0,
                                         "not the extensionality instance at arity -1", None),
-    "replacement-without-identity": (_one_liner(A3(), sig=NO_IDENTITY),
+    "replacement-without-identity": (_one_liner(Axiom("A3"), sig=NO_IDENTITY),
                                      0, "replacement needs identity", None),
-    "A1-without-family": (_one_liner(A1(0)), 0, "no family attached to the proof", None),
-    "A6-without-family": (_one_liner(A6(0)), 0, "no family attached to the proof", None),
+    "A1-without-family": (_one_liner(Axiom("A1", 0)), 0, "no family attached to the proof", None),
+    "A6-without-family": (_one_liner(Axiom("A6", 0)), 0, "no family attached to the proof", None),
     "template-without-family": (
         _citing([META], fam=None), 0,
         "cited template rejected: no family attached to the proof",
         (None, "no family attached to the proof")),
-    "meta-index-outside-template": (_one_liner(A6(None)), 0,
+    "meta-index-outside-template": (_one_liner(Axiom("A6")), 0,
                                     "meta-index instantiation outside a template", None),
     "nested-infinitary-rule": (
         _citing([ProofLine(P0c, R3("t")), META]), 0,
@@ -508,7 +546,7 @@ REJECTIONS = {
     "premise-differs": (_one_liner(Premise(0), premises=[P1c]),
                         0, "formula differs from the cited premise", None),
     "unknown-justification": (_one_liner("axiom"), 0, "unknown justification 'axiom'", None),
-    "not-a-distribution-axiom": (_one_liner(A5()), 0, "not a distribution axiom", None),
+    "not-a-distribution-axiom": (_one_liner(Axiom("A5")), 0, "not a distribution axiom", None),
     "mp-own-line": (_one_liner(MP(0, 0)),
                     0, "detachment cites a line that is not strictly earlier", None),
     "mp-mismatch": (
@@ -521,37 +559,37 @@ REJECTIONS = {
                                  ProofLine(ForallFO(x1, P0c), GenFO(0, x0))]),
         1, "not the generalization of the cited line", None),
     "final-line-not-into-inst": (
-        _citing([ProofLine(P0c, FOAxiom("P1"))]), 0,
+        _citing([ProofLine(P0c, Axiom("P1"))]), 0,
         "cited template rejected: template t: final line must be an implication "
         "into an inst atom",
         (None, "template t: final line must be an implication into an inst atom")),
     "meta-line-not-schematic": (
-        _citing([ProofLine(implies(P0c, InstAtom(X0, PHI)), A6(None))],
+        _citing([ProofLine(implies(P0c, InstAtom(X0, PHI)), Axiom("A6"))],
                 target=implies(P0c, ForallSO(X0, PHI))), 0,
         "cited template rejected: not a schematic instantiation axiom",
         (0, "not a schematic instantiation axiom")),
     "meta-line-other-body": (
-        _citing([ProofLine(implies(ForallSO(X0, PHI), InstAtom(X0, P0c)), A6(None))],
+        _citing([ProofLine(implies(ForallSO(X0, PHI), InstAtom(X0, P0c)), Axiom("A6"))],
                 target=implies(ForallSO(X0, PHI), ForallSO(X0, P0c))), 0,
         "cited template rejected: inst atom does not match the quantified formula",
         (0, "inst atom does not match the quantified formula")),
     "empty-template": (_citing([]), 0, "cited template rejected: empty template",
                        (None, "empty template")),
     "antecedent-mentions-meta-index": (
-        _citing([ProofLine(implies(InstAtom(X0, PHI), InstAtom(X0, PHI)), FOAxiom("P1"))]),
+        _citing([ProofLine(implies(InstAtom(X0, PHI), InstAtom(X0, PHI)), Axiom("P1"))]),
         0, "cited template rejected: target antecedent mentions the meta-index",
         (None, "target antecedent mentions the meta-index")),
     "nested-inst-in-target": (
         _citing([ProofLine(implies(ForallSO(X0, PHI), InstAtom(X0, InstAtom(X0, PHI))),
-                           A6(None))]),
+                           Axiom("A6"))]),
         0, "cited template rejected: nested inst atoms are not supported",
         (None, "nested inst atoms are not supported")),
     "nested-inst-in-a-line": (
-        _citing([ProofLine(InstAtom(X0, InstAtom(X0, PHI)), A4()), META]),
+        _citing([ProofLine(InstAtom(X0, InstAtom(X0, PHI)), Axiom("A4")), META]),
         0, "cited template rejected: nested inst atoms are not supported",
         (None, "nested inst atoms are not supported")),
     "no-members-of-the-arity": (
-        _citing([ProofLine(implies(ForallSO(X2, PHI2), InstAtom(X2, PHI2)), A6(None))],
+        _citing([ProofLine(implies(ForallSO(X2, PHI2), InstAtom(X2, PHI2)), Axiom("A6"))],
                 fam=dsl(SIG), target=implies(ForallSO(X2, PHI2), ForallSO(X2, PHI2))),
         0, "cited template rejected: family dsl has no members of arity 2",
         (None, "family dsl has no members of arity 2")),
@@ -674,14 +712,14 @@ def test_a6_lines_that_misuse_the_instance_just_built_are_refused(n):
     proof = {item.name: item.proof for item in proof_corpus()}["omega-self-weak"]
     (template,) = proof.templates.values()
     other = ForallSO(X0, SOApp(X0, (Const("c1"),)))
-    for j, forall in ((A6(n + 1), None), (A6(n), other)):
+    for j, forall in ((Axiom("A6", n + 1), None), (Axiom("A6", n), other)):
         inst = instantiate_template(template, proof, n)
         forall_phi, consequent = as_implies(inst.lines[0].formula)
         assert calculus._LAST_A6[0][3] is consequent
         f = implies(forall or forall_phi, consequent)
         v = check_proof(Proof(inst.sig, inst.family, inst.premises, [ProofLine(f, j)]))
         assert not v.ok
-        assert v.reason == f"not the instantiation axiom for member {j.theta_index}"
+        assert v.reason == f"not the instantiation axiom for member {j.index}"
         assert not calculus._LAST_A6[0]   # dropped when the check returns
     accepted(inst)
 
@@ -732,8 +770,8 @@ def test_schema_round_trip(name):
         parts = {p: normalize(random_formula(rng, SIG, rng.randrange(1, 4)))
                  for p in params}
         f = build_schema(name, *parts.values())
-        assert _match_schema(name, f) == parts
-        assert _one_line(f, FOAxiom(name)).ok
+        assert _match_schema(name, f) == tuple(parts.values())
+        assert _one_line(f, Axiom(name)).ok
         filled, occurrences = _fill(pattern, parts)
         assert filled == f
         repeated = [(p, k) for p, count in occurrences.items() if count > 1
@@ -742,14 +780,14 @@ def test_schema_round_trip(name):
         for skew in repeated:
             skewed, _ = _fill(pattern, parts, skew)
             assert _match_schema(name, skewed) is None
-            assert _one_line(skewed, FOAxiom(name)).reason == f"not an instance of {name}"
+            assert _one_line(skewed, Axiom(name)).reason == f"not an instance of {name}"
 
 
 @pytest.mark.parametrize("v", [x0, X0], ids=["Q2", "A5"])
 def test_distribution_round_trip(v):
     forall, other = (ForallFO, SOVar) if isinstance(v, FOVar) else (ForallSO, FOVar)
-    name, justification, witness = (("Q2", FOAxiom("Q2"), {"x": v}) if forall is ForallFO
-                                    else ("A5", A5(), {"vm": v}))
+    name, justification, witness = (("Q2", Axiom("Q2"), {"x": v}) if forall is ForallFO
+                                    else ("A5", Axiom("A5"), {"vm": v}))
     v_atom = PredApp("P0", (Var(v),)) if forall is ForallFO else SOApp(v, (Const("c0"),))
     rng = random.Random(f"distribution/{name}")
     for _ in range(20):
@@ -794,8 +832,8 @@ def test_instance_round_trip(v):
     fo = isinstance(v, FOVar)
     forall, sort = (ForallFO, FOVar) if fo else (ForallSO, SOVar)
     name, justification, keys, reason = (
-        ("Q1", FOAxiom("Q1"), ("x", "t"), "not an instance of Q1") if fo
-        else ("A4", A4(), ("vm", "vn"), "not a universal-instance axiom"))
+        ("Q1", Axiom("Q1"), ("x", "t"), "not an instance of Q1") if fo
+        else ("A4", Axiom("A4"), ("vm", "vn"), "not a universal-instance axiom"))
     at = (lambda w: PredApp("P0", (Var(w),))) if fo else (lambda w: SOApp(w, (Const("c0"),)))
     rng = random.Random(f"instance/{name}")
     for _ in range(20):
@@ -832,8 +870,8 @@ def test_instance_round_trip(v):
 def test_replacement_round_trip(sort):
     fo = sort is FOVar
     name, justification, keys, reason = (
-        ("eq-subst", EqAxiom("subst"), ("t1", "t2"), "not an instance of identity subst")
-        if fo else ("A3", A3(), ("vm", "vn"), "not a replacement instance"))
+        ("eq-subst", Axiom("eq-subst"), ("t1", "t2"), "not an instance of identity subst")
+        if fo else ("A3", Axiom("A3"), ("vm", "vn"), "not a replacement instance"))
     if fo:
         places = (lambda u: PredApp("P0", (u,)), lambda u: PredApp("P1", (u, Const("c0"))),
                   lambda u: TermEq(Const("c1"), u))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import rsol
 from rsol.cli import main
-from rsol.formulas import MAX_DEPTH
+from rsol.formulas import MAX_DEPTH, MAX_NORMAL_NODES
 
 TWO = '{"domain_size": 2, "predicates": {}, "functions": {}, "constants": {}}'
 PRED = ('{"domain_size": 2, "predicates": {"P0": [[0]]}, '
@@ -500,6 +500,16 @@ def test_formula_at_the_depth_limit_parses_and_evaluates(const_json, text):
     assert run_cli(["parse", "--sentence", text])[0] == 0
     assert run_cli(["eval", "--structure", const_json, "--oracle", "all",
                     "--sentence", text])[0] == 0
+
+
+def test_a_biconditional_chain_past_the_node_bound_exits_2_at_once(capsys):
+    # 25 operands normalize to 10 * 2^24 - 9 = 167,772,151 nodes
+    start = time.perf_counter()
+    code = main(["parse", "--sentence", " <-> ".join(["P0(c0)"] * 25)])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"parse error: normal form has more than {MAX_NORMAL_NODES} nodes (at position 0)\n")
 
 
 NO_ATOMS = ('{"domain_size": 2, "predicates": {}, "functions": {}, '

@@ -659,3 +659,38 @@ def test_substitute_fo_many_reads_free_variables_only_where_a_capture_may_be(
     assert innermost(substitute_fo_many(f, {x0: Var(x1)})) == \
         PredApp("P1", (Var(x1), Var(x2)))
     assert len(read) == 1 and read[0] == PredApp("P1", (Var(x0), Var(x1)))
+
+
+def _tree_size(f):
+    """The nodes of f counted as a tree: a subtree two parents share counts twice."""
+    size, stack = 0, [f]
+    while stack:
+        g = stack.pop()
+        size += 1
+        stack.extend(syntax.children(g))
+    return size
+
+
+def test_normal_size_counts_the_normal_form_without_building_it():
+    import random
+    from rsol.sampling import random_formula
+    rng = random.Random("normal_size")
+    with_iff = 0
+    for _ in range(2000):
+        f = random_formula(rng, SIG, 4, [x0, x1], [X0])
+        assert syntax._normal_size(f) == _tree_size(normalize(f)), f
+        with_iff += any(type(g) is Iff for g in syntax.nodes(f))
+    assert with_iff > 200
+    for n in range(1, 12):
+        chain = parse(" <-> ".join(["P0(c0)"] * n), SIG)
+        assert syntax._normal_size(chain) == _tree_size(normalize(chain)) \
+            == 10 * 2 ** (n - 1) - 9
+
+
+def test_parse_refuses_a_biconditional_whose_normal_form_passes_the_bound():
+    # 17 operands: 655,351 nodes; 18: 1,310,711
+    assert syntax._normal_size(parse(" <-> ".join(["P0(c0)"] * 17), SIG)) \
+        == 655_351 <= syntax.MAX_NORMAL_NODES
+    for text in (" <-> ".join(["P0(c0)"] * 18), " ↔ ".join(["P0(c0)"] * 25)):
+        with pytest.raises(ParseError, match="normal form has more than 1048576 nodes"):
+            parse(text, SIG)
