@@ -264,14 +264,17 @@ def build_a6(v: SOVar, phi, member):
 
 # (phi, v, member, consequent) of the last A6 instance built, read and replaced
 # whole: the kernel's rebuild of a line instantiate_template just made gets the
-# same object.  It holds its keys, so their ids stay taken; check_proof empties it.
+# same object, also when the line's phi is an equal copy of the inst atom's, as
+# in a proof file.  It holds member, so its id stays taken; check_proof empties it.
 _LAST_A6: list = [()]
 
 
-def _a6_consequent(phi, v: SOVar, member):
+def _a6_consequent(phi, v: SOVar, member, memo: dict | None = None):
+    """normalize(a6_instantiate(phi, v, member)), through `memo` if given."""
     last = _LAST_A6[0]
-    if not (last and last[0] is phi and last[1] == v and last[2] is member):
-        last = _LAST_A6[0] = (phi, v, member, normalize(a6_instantiate(phi, v, member)))
+    if not (last and last[2] is member and last[1] == v and last[0] == phi):
+        out = a6_instantiate(phi, v, member, {} if memo is None else memo)
+        last = _LAST_A6[0] = (phi, v, member, out)
     return last[3]
 
 
@@ -433,17 +436,19 @@ def _match_a1(f, n: int, fam: ThetaFamily):
 
 
 def _match_a6(f, n: int, fam: ThetaFamily):
-    """(n,) when f is the instantiation axiom for member n.  That instance has
-    one forall per member parameter on its right, so a member with at least
-    as many parameters as f has levels is refused before it is built."""
+    """(n,) when f is the instantiation axiom for member n.  That instance's
+    right side starts with one forall per member parameter, so a member with
+    more parameters than f's right side has leading foralls is refused before
+    the instance is built."""
     d = as_implies(f)
     if d is None or not isinstance(d[0], ForallSO):
         return None
-    v, phi = d[0].var, d[0].body
+    v, phi, right = d[0].var, d[0].body, d[1]
     try:
         member = fam.arity_member(v.arity, n)
-        params = len(member.params)
-        ok = params < _depth(f, params) and alpha_eq(f, build_a6(v, phi, member))
+        for _ in member.params:           # None past the leading foralls
+            right = right.body if type(right) is ForallFO else None
+        ok = right is not None and alpha_eq(f, build_a6(v, phi, member))
     except FormulaError:
         return None
     return (n,) if ok else None
@@ -600,30 +605,32 @@ def check_template(t: OmegaTemplate, proof: Proof) -> Verdict:
                     False,
                     reason=f"family {proof.family.name} has no members of "
                            f"arity {atom.var.arity}")
-    return _check_lines(proof, t.lines, True, {})
+    return _check_lines(proof, t.lines, True, {}, {})
 
 
 def _inst_atoms(f: Formula) -> list:
     return [g for g in nodes(f) if type(g) is InstAtom]
 
 
-def instantiate_template(t: OmegaTemplate, proof: Proof, n: int) -> Proof:
+def instantiate_template(t: OmegaTemplate, proof: Proof, n: int,
+                         memo: dict | None = None) -> Proof:
     """Turn a template into the concrete proof of its n-th premise.  Its lines
-    must be normal, as those of `proof.templates` are."""
+    must be normal, as those of `proof.templates` are.  A `memo` keeps the A6
+    instances' work for the next call (see `a6_instantiate`)."""
     fam = proof.family
 
     def step(f):
         if type(f) is InstAtom:
-            return _a6_consequent(f.body, f.var, fam.arity_member(f.var.arity, n))
+            return _a6_consequent(f.body, f.var, fam.arity_member(f.var.arity, n), memo)
         return None
 
-    # one memo for all lines: a node shared between lines is replaced once, so
+    # one table for all lines: a node shared between lines is replaced once, so
     # the lines share the result and the kernel's comparisons meet the same object
-    memo: dict = {}
+    replaced: dict = {}
     lines = []
     for line in t.lines:
         j = Axiom("A6", n) if line.justification == _META else line.justification
-        lines.append(ProofLine(rewrite(line.formula, step, memo), j))
+        lines.append(ProofLine(rewrite(line.formula, step, replaced), j))
     # the lines are normal (template lines, A6 consequents and rebuilds of
     # normal parts), so the copy skips Proof's normalizing scan of each line
     inst = copy.copy(proof)
@@ -632,24 +639,29 @@ def instantiate_template(t: OmegaTemplate, proof: Proof, n: int) -> Proof:
 
 
 def spot_check_template(t: OmegaTemplate, proof: Proof, bound: int) -> Verdict:
-    """Bounded evidence: instantiate at 0..bound and check each instance."""
+    """Bounded evidence: instantiate at 0..bound and check each instance.  One
+    memo, dropped on return, keeps each instance's substitutions, normal forms
+    and checked nodes, so instance n redoes no work on those of instance n - 1."""
+    memo: dict = {}
     for n in range(bound + 1):
-        v = check_proof(instantiate_template(t, proof, n))
+        v = check_proof(instantiate_template(t, proof, n, memo), memo)
         if not v.ok:
             return Verdict(False, line=v.line,
                            reason=f"instance n={n} rejected: {v.reason}")
     return Verdict(True, reason=f"evidence({bound})")
 
 
-def check_proof(proof: Proof) -> Verdict:
-    """Validate premises, templates cited by R3, and every line."""
+def check_proof(proof: Proof, memo: dict | None = None) -> Verdict:
+    """Validate premises, templates cited by R3, and every line.  A `memo`
+    keeps the line nodes checked against proof.sig, and a later check with
+    the same memo, of a proof over the same signature, skips them."""
     try:
-        return _check_proof(proof)
+        return _check_proof(proof, {} if memo is None else memo.setdefault("seen", {}))
     finally:
         _LAST_A6[0] = ()     # no instance outlives the check that used it
 
 
-def _check_proof(proof: Proof) -> Verdict:
+def _check_proof(proof: Proof, seen: dict) -> Verdict:
     for k, p in enumerate(proof.premises):
         if not is_sentence(p):
             return Verdict(False, reason=f"premise {k} is not a sentence")
@@ -661,16 +673,16 @@ def _check_proof(proof: Proof) -> Verdict:
         return Verdict(False, reason="no lines")
     template_verdicts = {name: check_template(t, proof)
                          for name, t in sorted(proof.templates.items())}
-    return _check_lines(proof, proof.lines, False, template_verdicts)
+    return _check_lines(proof, proof.lines, False, template_verdicts, seen)
 
 
-def _check_lines(proof: Proof, lines, in_template: bool, template_verdicts) -> Verdict:
+def _check_lines(proof: Proof, lines, in_template: bool, template_verdicts,
+                 seen: dict) -> Verdict:
     """The verdict on the lines of a proof or a template: the first line
     whose new atoms do not fit the signature (an inst atom outside a
-    template comes first), or whose justification does not check."""
-    # id -> node for the subformulas of the lines checked so far, so that
-    # a subtree several lines share (template instances) is checked once
-    seen: dict = {}
+    template comes first), or whose justification does not check.  `seen`
+    maps id -> node for the subformulas already checked, so that a subtree
+    several lines share (template instances) is checked once."""
     for i, line in enumerate(lines):
         why = None
         for g in nodes(line.formula, seen):
@@ -987,9 +999,12 @@ def load_proof_text(text: str, sig: Signature, fam: Optional[ThetaFamily],
         formula = parse(m.group(2), sig, allow_inst=current_template is not None)
         try:
             just = _parse_justification(m.group(3), current_template is not None)
-        except IndexError:
-            raise FormulaError(f"line {lineno}: justification {m.group(3)!r} "
-                               f"is missing an argument") from None
+        except (IndexError, ValueError) as exc:     # ValueError: int() of a word
+            if isinstance(exc, FormulaError):
+                raise
+            why = ("is missing an argument" if isinstance(exc, IndexError)
+                   else "has an argument that is not an integer")
+            raise FormulaError(f"line {lineno}: justification {m.group(3)!r} {why}") from None
         target = template_lines if current_template else lines
         target.append(ProofLine(formula, just))
     if current_template is not None:

@@ -508,54 +508,61 @@ def _validate_term(t: Term, sig: Signature) -> None:
 # Normalization and alpha-equivalence
 # ---------------------------------------------------------------------------
 
-def normalize(f: Formula) -> Formula:
+def normalize(f: Formula, memo: dict | None = None) -> Formula:
     """Rewrite sugar (|, ->, <->, exists) into the ~ /\\ forall primitives, on
     explicit stacks.  A scan returns a normal f itself, so normalize(g) is g;
-    f with sugar is rebuilt leaves first, keeping each part that stays the same."""
-    stack = [f]
-    pop, push = stack.pop, stack.append
-    while stack:
-        g = pop()
-        t = type(g)
-        if t is Not or t is ForallFO or t is ForallSO or t is InstAtom:
-            push(g.body)
-        elif t is And:
-            push(g.right)
-            push(g.left)
-        elif t not in _ATOMS:
-            break
-    else:
-        return f
-    # pre-order: in reverse, each node finds its parts' normal forms on the stack
-    order, stack[:] = [], [f]
-    while stack:
-        g = pop()
-        order.append(g)
-        t = type(g)
-        if t in _BINARY:
-            push(g.right)
-            push(g.left)
-        elif SUBFORMULAS[t]:                  # FormulaError if not a formula
-            push(g.body)
-    for g in reversed(order):
-        t = type(g)
-        if t in _ATOMS:
-            push(g)
-        elif t in _BINARY:
-            a, b = pop(), pop()
-            if t is And:
-                push(g if a is g.left and b is g.right else And(a, b))
-            elif t is Iff:
-                push(And(Not(And(a, Not(b))), Not(And(b, Not(a)))))
-            else:
-                push(Not(And(Not(a) if t is Or else a, Not(b))))
+    f with sugar is rebuilt leaves first, keeping each part that stays the same.
+    With a `memo` (id -> (node, normal form), kept across calls), the scan is
+    left out and each node object is normalized once."""
+    if memo is None:
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            t = type(g)
+            if t is Not or t is ForallFO or t is ForallSO or t is InstAtom:
+                stack.append(g.body)
+            elif t is And:
+                stack += (g.right, g.left)
+            elif t not in _ATOMS:
+                break
         else:
-            body = pop()
-            if t is ExistsFO or t is ExistsSO:
-                push(Not((ForallFO if t is ExistsFO else ForallSO)(g.var, Not(body))))
+            return f
+    stack, out = [f], []
+    pop, push, emit = stack.pop, stack.append, out.append
+    while stack:
+        g = pop()
+        t = type(g)
+        if t is tuple:                        # the parts of g[0] are on out
+            g, b = g[0], out.pop()
+            t = type(g)
+            if t in _BINARY:
+                a = out.pop()
+                if t is And:
+                    r = g if a is g.left and b is g.right else And(a, b)
+                elif t is Iff:
+                    r = And(Not(And(a, Not(b))), Not(And(b, Not(a))))
+                else:
+                    r = Not(And(Not(a) if t is Or else a, Not(b)))
+            elif t is ExistsFO or t is ExistsSO:
+                r = Not((ForallFO if t is ExistsFO else ForallSO)(g.var, Not(b)))
             else:
-                push(g if body is g.body else Not(body) if t is Not else t(g.var, body))
-    return stack[0]
+                r = g if b is g.body else Not(b) if t is Not else t(g.var, b)
+        elif memo is not None and id(g) in memo:
+            r = memo[id(g)][1]
+        elif t in _ATOMS:
+            r = g
+        else:
+            push((g,))
+            if t in _BINARY:
+                push(g.right)
+                push(g.left)
+            elif SUBFORMULAS[t]:              # FormulaError if not a formula
+                push(g.body)
+            continue
+        if memo is not None:
+            memo[id(g)] = (g, r)
+        emit(r)
+    return out[0]
 
 
 def as_implies(f: Formula):
@@ -657,12 +664,13 @@ def _subst_args(args: tuple, mapping: Mapping[FOVar, Term]) -> tuple:
 
 
 def substitute_fo_many(f: Formula, mapping: Mapping[FOVar, Term],
-                       on_capture: str = "rename") -> Formula:
+                       on_capture: str = "rename", memo: dict | None = None) -> Formula:
     """Simultaneous capture-avoiding substitution of terms for FO variables.
 
     on_capture='rename' renames clashing binders to the successor of the
     largest index in sight; 'fail' raises CaptureError instead (used by
-    axiom recognizers to enforce free-for side conditions).
+    axiom recognizers to enforce free-for side conditions).  A `memo` is
+    `rewrite`'s, for this mapping only.
     """
     if not mapping:
         return f
@@ -694,7 +702,7 @@ def substitute_fo_many(f: Formula, mapping: Mapping[FOVar, Term],
                 return rebuild(g, (substitute_fo_many(g.body, live, on_capture),))
         return None
 
-    return rewrite(f, step)
+    return rewrite(f, step, memo)
 
 
 def substitute_fo(f: Formula, var: FOVar, term: Term, on_capture: str = "rename") -> Formula:
@@ -733,28 +741,37 @@ def substitute_so(f: Formula, vm: SOVar, vn: SOVar) -> tuple:
     return rewrite(f, step), clean
 
 
-def a6_instantiate(f: Formula, var: SOVar, member) -> Formula:
+def a6_instantiate(f: Formula, var: SOVar, member, memo: dict | None = None) -> Formula:
     """Replace every free application var(t...) in f by the member formula.
 
     `member` supplies a first-order formula with designated slot variables
-    (the relation coordinates) and parameter variables.  Parameters are
-    renamed fresh with respect to f and the result is prefixed with one
-    universal quantifier per parameter, so no new free variables appear.
+    (the relation coordinates) and parameter variables.  Each parameter p is
+    renamed x(p + s), s = max(0, max_fo_index(f) + 1 - the lowest parameter
+    index), past every variable of f (s = 0 for weak-so under f in x0: no
+    walk of the member), and the result is prefixed with one universal
+    quantifier per parameter, so no new free variables appear.  With a `memo`
+    (tables kept across calls), each member node is substituted once per
+    shift and slot arguments, and the result is normalized, its body through
+    the memo: weak-so member n then costs only its last block, as it shares
+    member n - 1's nodes.
     """
     arity = len(member.slots)
     if var.arity != arity:
         raise FormulaError(
             f"{var} has arity {var.arity} but the instantiating formula defines arity {arity}")
-    base = max(max_fo_index(f), max_fo_index(member.formula)) + 1
-    fresh_params = tuple(FOVar(base + i) for i in range(len(member.params)))
-    renamed = {p: Var(q) for p, q in zip(member.params, fresh_params)}
+    low = min(map(operator.attrgetter("index"), member.params), default=0)
+    shift = max(0, max_fo_index(f) + 1 - low)
+    renamed = {p: Var(FOVar(p.index + shift)) for p in member.params} if shift else {}
 
     def step(g):
         t = type(g)
         if t is SOApp and g.var == var:
-            # parameters and slots at once: no fresh parameter occurs in the member
-            return substitute_fo_many(member.formula,
-                                      {**renamed, **dict(zip(member.slots, g.args))})
+            # one simultaneous substitution, so a new name that is also an old one is no
+            # clash; a member's free variables are its slots and parameters, so members
+            # with the same shift and slot arguments substitute a node they share alike
+            slots = tuple(zip(member.slots, g.args))
+            table = None if memo is None else memo.setdefault((shift, slots), {})
+            return substitute_fo_many(member.formula, {**renamed, **dict(slots)}, memo=table)
         if t is SOEq and var in (g.left, g.right):
             raise FormulaError(
                 f"{var} occurs free in a second-order identity; instantiation is undefined")
@@ -763,8 +780,10 @@ def a6_instantiate(f: Formula, var: SOVar, member) -> Formula:
         return None
 
     out = rewrite(f, step)
-    for p in reversed(fresh_params):
-        out = ForallFO(p, out)
+    if memo is not None:
+        out = normalize(out, memo.setdefault("normalize", {}))
+    for p in reversed(member.params):
+        out = ForallFO(renamed[p].var if shift else p, out)
     return out
 
 

@@ -143,30 +143,33 @@ def weak_so(sig: Signature, k: int = 1) -> ThetaFamily:
 
     For k = 1 this is the literal family x = y0 | ... | x = yn; the k > 1
     version conjoins coordinatewise equalities inside each disjunct.  Every
-    member needs identity, and every defined relation is nonempty.
+    member needs identity, and every defined relation is nonempty.  The
+    formulas are built along one left spine: member n's is Or(member n - 1's,
+    block n), with member n - 1's formula as that very object.
     """
     if not sig.identity:
         raise FormulaError("this family needs identity in the signature")
     if k < 1:
         raise FormulaError("relation arity must be >= 1")
-    return ThetaFamily(f"weak-so:{k}", sig, lambda n: _weak_member_parts(k, n),
+    spine: list = []
+    return ThetaFamily(f"weak-so:{k}", sig, lambda n: _weak_member_parts(k, n, spine),
                        arities={k})
 
 
-def _weak_member_parts(k: int, n: int):
+def _weak_member_parts(k: int, n: int, spine: list | None = None):
+    """(formula, slots, params) of member n; `spine` (kept across calls) holds
+    the formulas of members 0, 1, ... built so far."""
+    spine = [] if spine is None else spine
     slots = tuple(FOVar(j) for j in range(k))
     params = tuple(FOVar(k + i) for i in range(k * (n + 1)))
-    disjuncts = []
-    for i in range(n + 1):
+    while len(spine) <= n:
+        i = len(spine)
         eqs = [TermEq(Var(slots[j]), Var(params[i * k + j])) for j in range(k)]
         block = eqs[0]
         for e in eqs[1:]:
             block = And(block, e)
-        disjuncts.append(block)
-    f = disjuncts[0]
-    for d in disjuncts[1:]:
-        f = Or(f, d)
-    return f, slots, params
+        spine.append(Or(spine[-1], block) if spine else block)
+    return spine[n], slots, params
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import copy
+import gc
 import inspect
 import operator
 import random
+import weakref
 
 import pytest
 
@@ -18,9 +20,9 @@ from rsol.calculus import (
 )
 from rsol.formulas import (
     And, Const, ExistsFO, ForallFO, ForallSO, FormulaError, FOVar, Implies, SOEq,
-    InstAtom, Not, PredApp, Signature, SOApp, SOVar, TermEq, Var, alpha_eq,
-    a6_instantiate, as_implies, children, implies, normalize, parse, rebuild,
-    term_fo_vars,
+    InstAtom, Not, Or, PredApp, Signature, SOApp, SOVar, TermEq, Var, alpha_eq,
+    a6_instantiate, as_implies, children, implies, nodes, normalize, parse,
+    rebuild, term_fo_vars,
 )
 from rsol.corpus import proof_corpus
 from rsol.sampling import random_formula
@@ -740,6 +742,110 @@ def test_a_spot_check_builds_each_instance_once(monkeypatch, bound):
     # a second spot check builds every instance again: nothing carries over
     assert spot_check_template(template, proof, bound).ok
     assert calls == 2 * list(range(bound + 1))
+
+
+class _OneWrongMember:
+    """A view of a family whose member k is `wrong` (the rest its own)."""
+
+    def __init__(self, family, k, wrong):
+        self.family, self.k, self.wrong = family, k, wrong
+
+    def arity_member(self, arity, n):
+        return self.wrong if n == self.k else self.family.arity_member(arity, n)
+
+
+def _instantiate_wrong_at(monkeypatch, k, seen_consequents):
+    """Make spot checks build instance k from a member k of weak-so:1 whose
+    block k names x(k + 2) in place of x(k + 1), on the member k - 1 of the
+    family, with the same memo as the other instances; the instance keeps the
+    proof's intact family.  Each consequent built goes to seen_consequents."""
+    real = calculus.instantiate_template
+
+    def instantiate(t, proof, n, memo=None):
+        fam = proof.family
+        if n == k:
+            right = fam.member_at(k)
+            block = TermEq(Var(x0), Var(FOVar(k + 2)))
+            wrong = copy.copy(right)
+            object.__setattr__(wrong, "formula", Or(fam.member_at(k - 1).formula, block)
+                               if k else block)
+            proof = copy.copy(proof)
+            proof.family = _OneWrongMember(fam, k, wrong)
+        inst = real(t, proof, n, memo)
+        inst.family = fam
+        seen_consequents.extend(as_implies(line.formula)[1] for line in inst.lines
+                                if line.justification == Axiom("A6", n))
+        return inst
+
+    monkeypatch.setattr(calculus, "instantiate_template", instantiate)
+
+
+@pytest.mark.parametrize("k", [0, 1, 37])
+@pytest.mark.parametrize("name", ["omega-self-weak", "omega-under-conjunction",
+                                  "omega-with-premise"])
+def test_a_spot_check_refuses_one_wrong_instance_after_the_right_ones(monkeypatch, k, name):
+    # instances 0..k-1 fill the memo, and instance k shares member k - 1's
+    # nodes with them: it must still be refused at its A6 line, as a check
+    # without a memo refuses it
+    proof = {item.name: item.proof for item in proof_corpus()}[name]
+    (template,) = proof.templates.values()
+    consequents: list = []
+    _instantiate_wrong_at(monkeypatch, k, consequents)
+    alone = check_proof(calculus.instantiate_template(template, proof, k))
+    assert not alone.ok and alone.reason == f"not the instantiation axiom for member {k}"
+    assert template.lines[alone.line].justification == Axiom("A6")
+    v = spot_check_template(template, proof, k + 3)
+    assert (v.ok, v.line, v.reason) == (False, alone.line, f"instance n={k} rejected: "
+                                                           f"{alone.reason}")
+    assert len(consequents) == k + 2      # instance k alone, then instances 0..k
+    assert calculus._LAST_A6[0] == ()
+
+
+# its quantified formula reaches x1, so a6_instantiate renames weak-so's parameters
+SHIFTED = ("template t1 over n {\n"
+           "1. forall X0 forall x1 X0(x1) -> inst(X0, forall x1 X0(x1)) ; A6 n\n}\n"
+           "1. forall X0 forall x1 X0(x1) -> forall X0 forall x1 X0(x1) ; R3 t1\n")
+
+
+@pytest.mark.parametrize("bound", [100, 200])
+@pytest.mark.parametrize("name, per_instance", [("omega-self-weak", 8), ("shifted", 9)])
+def test_spot_check_instances_share_all_but_a_constant_number_of_nodes(bound, name,
+                                                                       per_instance):
+    # instance n's lines, past its A6 forall-prefix of n + 1 quantifiers, add
+    # a constant number of node objects to those of instances 0..n-1 (25,656
+    # and 101,306 distinct nodes for omega-self-weak at bounds 100 and 200,
+    # 25,758 and 101,508 for the shifted template, when each instance was
+    # built afresh)
+    proof = (load_proof_text(SHIFTED, SIG, WEAK) if name == "shifted" else
+             {item.name: item.proof for item in proof_corpus()}[name])
+    (template,) = proof.templates.values()
+    memo, seen, prefix = {}, {}, set()
+    for n in range(bound + 1):
+        inst = instantiate_template(template, proof, n, memo)
+        for line in inst.lines:
+            nodes(line.formula, seen)
+        g = as_implies(inst.lines[0].formula)[1]
+        for _ in range(n + 1):
+            assert type(g) is ForallFO
+            prefix.add(id(g))
+            g = g.body
+    assert len(seen.keys() - prefix) <= per_instance * (bound + 1)
+
+
+@pytest.mark.parametrize("k", [None, 5])
+def test_a_spot_check_keeps_no_instance(monkeypatch, k):
+    # on success and on the refused instance k, nothing of the instances
+    # outlives the spot check: its memo goes when it returns
+    proof = {item.name: item.proof for item in proof_corpus()}["omega-self-weak"]
+    (template,) = proof.templates.values()
+    consequents: list = []
+    _instantiate_wrong_at(monkeypatch, -1 if k is None else k, consequents)
+    assert spot_check_template(template, proof, 8).ok is (k is None)
+    assert calculus._LAST_A6[0] == ()
+    refs = [weakref.ref(c) for c in consequents]
+    del consequents[:]
+    gc.collect()
+    assert refs and all(r() is None for r in refs)
 
 
 def _one_line(f, justification):

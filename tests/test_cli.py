@@ -414,6 +414,19 @@ def test_justification_missing_its_argument_exits_3(tmp_path, capsys, justificat
         f"error: line 1: justification {justification!r} is missing an argument\n")
 
 
+@pytest.mark.parametrize("justification", [
+    "premise x", "A1 x", "A6 x", "mp 1 y", "gen x0 z", "genso X0 z",
+])
+def test_justification_with_a_non_integer_argument_exits_3(tmp_path, capsys, justification):
+    proof = tmp_path / "words.prf"
+    proof.write_text(f"1. P0(c0) ; {justification}\n", encoding="utf-8")
+    code = main(["prove-check", "--proof", str(proof)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: line 1: justification {justification!r} has an argument "
+        f"that is not an integer\n")
+
+
 @pytest.mark.parametrize("line", [
     "1. P0(c0) ; A2 2000",
     "1. forall X0^2000 forall X1^2000 (X0^2000 = X1^2000) ; A2 2000",

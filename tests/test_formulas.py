@@ -141,11 +141,12 @@ def test_substitute_so():
 
 
 def test_a6_instantiate_weak_so_shape():
-    # member: x0 = x1 with slot x0 and parameter x1
+    # member: x0 = x1 with slot x0 and parameter x1, which is already past
+    # the x0 of f and keeps its name
     member = FakeMember(TermEq(Var(x0), Var(x1)), [x0], [x1])
     f = ForallFO(x0, SOApp(X0, (Var(x0),)))
     out = a6_instantiate(f, X0, member)
-    assert out == ForallFO(x2, ForallFO(x0, TermEq(Var(x0), Var(x2))))
+    assert out == ForallFO(x1, ForallFO(x0, TermEq(Var(x0), Var(x1))))
     assert alpha_eq(out, parse("forall y forall x (x = y)", SIG))
 
 
@@ -484,11 +485,21 @@ def test_normalize_and_alpha_eq_walk_a_5000_deep_chain():
     assert h is atom
 
 
-def _a6_rename_then_substitute(f, var, member, on_capture="rename"):
+def _a6_rename_then_substitute(f, var, member, on_capture="rename", past_both=False):
     """a6_instantiate as two substitutions: the member's parameters renamed
-    fresh once, then its slots replaced by each application's arguments."""
-    base = max(syntax.max_fo_index(f), syntax.max_fo_index(member.formula)) + 1
-    fresh = tuple(FOVar(base + i) for i in range(len(member.params)))
+    once, each p to x(p + s) with s = max(0, max_fo_index(f) + 1 - the lowest
+    parameter index), then its slots replaced by each application's
+    arguments.  With past_both, the i-th parameter is renamed past every
+    index of f and of the member instead, the rule before s."""
+    if past_both:
+        base = max(syntax.max_fo_index(f), syntax.max_fo_index(member.formula)) + 1
+        fresh = tuple(FOVar(base + i) for i in range(len(member.params)))
+    else:
+        low = min((p.index for p in member.params), default=0)
+        shift = max(0, syntax.max_fo_index(f) + 1 - low)
+        fresh = tuple(FOVar(p.index + shift) for p in member.params)
+    # two steps are one simultaneous substitution while no new name is a slot
+    assert not set(fresh) & set(member.slots)
     theta = substitute_fo_many(member.formula,
                                {p: Var(q) for p, q in zip(member.params, fresh)})
 
@@ -527,7 +538,10 @@ def test_a6_instantiate_substitutes_once_as_renaming_then_substituting(spec, ari
         for text in bodies:
             body = normalize(parse(text, SIG))
             want = _a6_rename_then_substitute(body, var, member)
-            assert a6_instantiate(body, var, member) == want
+            got = a6_instantiate(body, var, member)
+            assert got == want
+            assert alpha_eq(got, _a6_rename_then_substitute(body, var, member,
+                                                            past_both=True))
             try:
                 _a6_rename_then_substitute(body, var, member, on_capture="fail")
             except CaptureError:

@@ -234,21 +234,18 @@ def test_arity_member_view():
 
 
 def test_weak_so_member_is_built_alone(monkeypatch):
-    # member n of weak-so depends on no earlier member, so building it
-    # builds exactly one member
+    # member n of weak-so is built without building members 0..n-1: only its
+    # formula's left spine, whose left child is member n - 1's formula
     import rsol.theta as th
-    calls = []
-    parts = th._weak_member_parts
-
-    def counted(k, n):
-        calls.append(n)
-        return parts(k, n)
-
-    monkeypatch.setattr(th, "_weak_member_parts", counted)
+    built = []
+    check = th.ThetaMember.__post_init__
+    monkeypatch.setattr(th.ThetaMember, "__post_init__",
+                        lambda m: built.append(m.index) or check(m))
     fam = weak_so(SIG, 1)
     assert fam.member_at(40).index == 40 and len(fam.member_at(40).params) == 41
     assert fam.arity_member(1, 40) is fam.member_at(40)
-    assert calls == [40]
+    assert built == [40]
+    assert fam.member_at(40).formula.left is fam.member_at(39).formula
 
 
 def test_weak_so_cardinality_property():
