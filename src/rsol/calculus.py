@@ -20,6 +20,7 @@ import inspect
 import re
 from dataclasses import dataclass, field
 from itertools import repeat
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
 from .formulas import (
@@ -264,16 +265,23 @@ def build_a6(v: SOVar, phi, member):
 
 # (phi, v, member, consequent) of the last A6 instance built, read and replaced
 # whole: the kernel's rebuild of a line instantiate_template just made gets the
-# same object, also when the line's phi is an equal copy of the inst atom's, as
-# in a proof file.  It holds member, so its id stays taken; check_proof empties it.
+# same object (a proof file's line, with its own phi, gets a build without the
+# memo).  It holds its keys, so their ids stay taken; check_proof empties it.
 _LAST_A6: list = [()]
 
 
-def _a6_consequent(phi, v: SOVar, member, memo: dict | None = None):
-    """normalize(a6_instantiate(phi, v, member)), through `memo` if given."""
+def _a6_consequent(phi, v: SOVar, member, memo=None):
+    """normalize(a6_instantiate(phi, v, member)).  Its prefix is normal, so it
+    is taken off and only the body goes through a spot check's `memo`."""
     last = _LAST_A6[0]
-    if not (last and last[2] is member and last[1] == v and last[0] == phi):
-        out = a6_instantiate(phi, v, member, {} if memo is None else memo)
+    if not (last and last[0] is phi and last[1] == v and last[2] is member):
+        out, names = a6_instantiate(phi, v, member, memo and memo.tables), []
+        for _ in member.params:
+            names.append(out.var)
+            out = out.body
+        out = normalize(out, memo and memo.normal)
+        for q in reversed(names):
+            out = ForallFO(q, out)
         last = _LAST_A6[0] = (phi, v, member, out)
     return last[3]
 
@@ -438,8 +446,7 @@ def _match_a1(f, n: int, fam: ThetaFamily):
 def _match_a6(f, n: int, fam: ThetaFamily):
     """(n,) when f is the instantiation axiom for member n.  That instance's
     right side starts with one forall per member parameter, so a member with
-    more parameters than f's right side has leading foralls is refused before
-    the instance is built."""
+    more is refused before the instance is built."""
     d = as_implies(f)
     if d is None or not isinstance(d[0], ForallSO):
         return None
@@ -612,11 +619,10 @@ def _inst_atoms(f: Formula) -> list:
     return [g for g in nodes(f) if type(g) is InstAtom]
 
 
-def instantiate_template(t: OmegaTemplate, proof: Proof, n: int,
-                         memo: dict | None = None) -> Proof:
+def instantiate_template(t: OmegaTemplate, proof: Proof, n: int, memo=None) -> Proof:
     """Turn a template into the concrete proof of its n-th premise.  Its lines
-    must be normal, as those of `proof.templates` are.  A `memo` keeps the A6
-    instances' work for the next call (see `a6_instantiate`)."""
+    must be normal, as those of `proof.templates` are.  A spot check's `memo`
+    keeps the A6 instances' work for the next call."""
     fam = proof.family
 
     def step(f):
@@ -640,23 +646,24 @@ def instantiate_template(t: OmegaTemplate, proof: Proof, n: int,
 
 def spot_check_template(t: OmegaTemplate, proof: Proof, bound: int) -> Verdict:
     """Bounded evidence: instantiate at 0..bound and check each instance.  One
-    memo, dropped on return, keeps each instance's substitutions, normal forms
-    and checked nodes, so instance n redoes no work on those of instance n - 1."""
-    memo: dict = {}
+    memo, dropped on return, keeps a6_instantiate's substitution tables,
+    normalize's memo for the instance bodies and the line nodes checked, so
+    instance n redoes no work on those of instance n - 1."""
+    memo = SimpleNamespace(tables={}, normal={}, seen={})
     for n in range(bound + 1):
-        v = check_proof(instantiate_template(t, proof, n, memo), memo)
+        v = check_proof(instantiate_template(t, proof, n, memo), memo.seen)
         if not v.ok:
             return Verdict(False, line=v.line,
                            reason=f"instance n={n} rejected: {v.reason}")
     return Verdict(True, reason=f"evidence({bound})")
 
 
-def check_proof(proof: Proof, memo: dict | None = None) -> Verdict:
-    """Validate premises, templates cited by R3, and every line.  A `memo`
-    keeps the line nodes checked against proof.sig, and a later check with
-    the same memo, of a proof over the same signature, skips them."""
+def check_proof(proof: Proof, seen: dict | None = None) -> Verdict:
+    """Validate premises, templates cited by R3, and every line.  `seen`
+    (id -> node) holds line nodes an earlier check of a proof over the same
+    signature checked: this check skips them and adds its own."""
     try:
-        return _check_proof(proof, {} if memo is None else memo.setdefault("seen", {}))
+        return _check_proof(proof, {} if seen is None else seen)
     finally:
         _LAST_A6[0] = ()     # no instance outlives the check that used it
 
@@ -676,8 +683,7 @@ def _check_proof(proof: Proof, seen: dict) -> Verdict:
     return _check_lines(proof, proof.lines, False, template_verdicts, seen)
 
 
-def _check_lines(proof: Proof, lines, in_template: bool, template_verdicts,
-                 seen: dict) -> Verdict:
+def _check_lines(proof: Proof, lines, in_template: bool, template_verdicts, seen) -> Verdict:
     """The verdict on the lines of a proof or a template: the first line
     whose new atoms do not fit the signature (an inst atom outside a
     template comes first), or whose justification does not check.  `seen`
@@ -999,9 +1005,9 @@ def load_proof_text(text: str, sig: Signature, fam: Optional[ThetaFamily],
         formula = parse(m.group(2), sig, allow_inst=current_template is not None)
         try:
             just = _parse_justification(m.group(3), current_template is not None)
+        except FormulaError:
+            raise
         except (IndexError, ValueError) as exc:     # ValueError: int() of a word
-            if isinstance(exc, FormulaError):
-                raise
             why = ("is missing an argument" if isinstance(exc, IndexError)
                    else "has an argument that is not an integer")
             raise FormulaError(f"line {lineno}: justification {m.group(3)!r} {why}") from None

@@ -512,21 +512,20 @@ def normalize(f: Formula, memo: dict | None = None) -> Formula:
     """Rewrite sugar (|, ->, <->, exists) into the ~ /\\ forall primitives, on
     explicit stacks.  A scan returns a normal f itself, so normalize(g) is g;
     f with sugar is rebuilt leaves first, keeping each part that stays the same.
-    With a `memo` (id -> (node, normal form), kept across calls), the scan is
-    left out and each node object is normalized once."""
-    if memo is None:
-        stack = [f]
-        while stack:
-            g = stack.pop()
-            t = type(g)
-            if t is Not or t is ForallFO or t is ForallSO or t is InstAtom:
-                stack.append(g.body)
-            elif t is And:
-                stack += (g.right, g.left)
-            elif t not in _ATOMS:
-                break
-        else:
-            return f
+    A `memo` (id -> (node, normal form), kept across calls) only caches: each
+    node object it holds is normalized once."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is Not or t is ForallFO or t is ForallSO or t is InstAtom:
+            stack.append(g.body)
+        elif t is And:
+            stack += (g.right, g.left)
+        elif t not in _ATOMS:
+            break
+    else:
+        return f
     stack, out = [f], []
     pop, push, emit = stack.pop, stack.append, out.append
     while stack:
@@ -669,8 +668,10 @@ def substitute_fo_many(f: Formula, mapping: Mapping[FOVar, Term],
 
     on_capture='rename' renames clashing binders to the successor of the
     largest index in sight; 'fail' raises CaptureError instead (used by
-    axiom recognizers to enforce free-for side conditions).  A `memo` is
-    `rewrite`'s, for this mapping only.
+    axiom recognizers to enforce free-for side conditions).  A `memo`
+    (`rewrite`'s) may be shared by calls whose mappings agree on every
+    variable free in both formulas: with one, each binder's body gets a call
+    of its own, so the memo holds only nodes free in no variable but f's.
     """
     if not mapping:
         return f
@@ -698,7 +699,7 @@ def substitute_fo_many(f: Formula, mapping: Mapping[FOVar, Term],
                     fresh = FOVar(top + 1)
                     body = substitute_fo_many(g.body, {g.var: Var(fresh)})
                     return t(fresh, substitute_fo_many(body, live, on_capture))
-            if len(live) < len(mapping):
+            if memo is not None or len(live) < len(mapping):
                 return rebuild(g, (substitute_fo_many(g.body, live, on_capture),))
         return None
 
@@ -741,7 +742,7 @@ def substitute_so(f: Formula, vm: SOVar, vn: SOVar) -> tuple:
     return rewrite(f, step), clean
 
 
-def a6_instantiate(f: Formula, var: SOVar, member, memo: dict | None = None) -> Formula:
+def a6_instantiate(f: Formula, var: SOVar, member, tables: dict | None = None) -> Formula:
     """Replace every free application var(t...) in f by the member formula.
 
     `member` supplies a first-order formula with designated slot variables
@@ -749,11 +750,9 @@ def a6_instantiate(f: Formula, var: SOVar, member, memo: dict | None = None) -> 
     renamed x(p + s), s = max(0, max_fo_index(f) + 1 - the lowest parameter
     index), past every variable of f (s = 0 for weak-so under f in x0: no
     walk of the member), and the result is prefixed with one universal
-    quantifier per parameter, so no new free variables appear.  With a `memo`
-    (tables kept across calls), each member node is substituted once per
-    shift and slot arguments, and the result is normalized, its body through
-    the memo: weak-so member n then costs only its last block, as it shares
-    member n - 1's nodes.
+    quantifier per parameter, so no new free variables appear.  `tables` maps
+    a shift and slot arguments to the memo of the member substitutions made
+    with them: weak-so member n then costs its last block, the rest shared.
     """
     arity = len(member.slots)
     if var.arity != arity:
@@ -768,9 +767,9 @@ def a6_instantiate(f: Formula, var: SOVar, member, memo: dict | None = None) -> 
         if t is SOApp and g.var == var:
             # one simultaneous substitution, so a new name that is also an old one is no
             # clash; a member's free variables are its slots and parameters, so members
-            # with the same shift and slot arguments substitute a node they share alike
+            # with the same shift and slot arguments map those free in both alike
             slots = tuple(zip(member.slots, g.args))
-            table = None if memo is None else memo.setdefault((shift, slots), {})
+            table = None if tables is None else tables.setdefault((shift, slots), {})
             return substitute_fo_many(member.formula, {**renamed, **dict(slots)}, memo=table)
         if t is SOEq and var in (g.left, g.right):
             raise FormulaError(
@@ -780,8 +779,6 @@ def a6_instantiate(f: Formula, var: SOVar, member, memo: dict | None = None) -> 
         return None
 
     out = rewrite(f, step)
-    if memo is not None:
-        out = normalize(out, memo.setdefault("normalize", {}))
     for p in reversed(member.params):
         out = ForallFO(renamed[p].var if shift else p, out)
     return out

@@ -4,6 +4,7 @@ import inspect
 import operator
 import random
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,7 +27,7 @@ from rsol.formulas import (
 )
 from rsol.corpus import proof_corpus
 from rsol.sampling import random_formula
-from rsol.theta import dsl, weak_so
+from rsol.theta import all_fo, dsl, weak_so
 
 SIG = Signature(predicates={"P0": 1, "P1": 2}, constants=["c0", "c1"])
 x0, x1 = FOVar(0), FOVar(1)
@@ -801,6 +802,11 @@ def test_a_spot_check_refuses_one_wrong_instance_after_the_right_ones(monkeypatc
     assert calculus._LAST_A6[0] == ()
 
 
+# the README's proof
+SELF_PRF = ("template t1 over n {\n"
+            "1. forall X0 X0(c0) -> inst(X0, X0(c0)) ; A6 n\n}\n"
+            "1. forall X0 X0(c0) -> forall X0 X0(c0) ; R3 t1\n")
+
 # its quantified formula reaches x1, so a6_instantiate renames weak-so's parameters
 SHIFTED = ("template t1 over n {\n"
            "1. forall X0 forall x1 X0(x1) -> inst(X0, forall x1 X0(x1)) ; A6 n\n}\n"
@@ -819,7 +825,7 @@ def test_spot_check_instances_share_all_but_a_constant_number_of_nodes(bound, na
     proof = (load_proof_text(SHIFTED, SIG, WEAK) if name == "shifted" else
              {item.name: item.proof for item in proof_corpus()}[name])
     (template,) = proof.templates.values()
-    memo, seen, prefix = {}, {}, set()
+    memo, seen, prefix = SimpleNamespace(tables={}, normal={}, seen={}), {}, set()
     for n in range(bound + 1):
         inst = instantiate_template(template, proof, n, memo)
         for line in inst.lines:
@@ -831,6 +837,48 @@ def test_spot_check_instances_share_all_but_a_constant_number_of_nodes(bound, na
             g = g.body
     assert len(seen.keys() - prefix) <= per_instance * (bound + 1)
 
+
+
+@pytest.mark.parametrize("phi", ["forall x0 forall x2 X0(x2)", "forall x2 X0(x2)",
+                                 "forall x0 forall x2 X0(x0)", "X0(c0)"])
+def test_spot_check_instances_under_all_fo_are_those_built_without_a_memo(phi):
+    # all-fo's members share nodes, and a variable free in one member (a
+    # parameter, renamed when phi reaches past it) is bound in another: member
+    # 33, forall x0 P1(x0, x1), shares P1(x0, x1) with member 3, whose
+    # parameter is x0.  Each instance is the one built without a memo
+    fam = all_fo(SIG)
+    proof = load_proof_text(f"template t1 over n {{\n"
+                            f"1. forall X0 {phi} -> inst(X0, {phi}) ; A6 n\n}}\n"
+                            f"1. forall X0 {phi} -> forall X0 {phi} ; R3 t1\n", SIG, fam)
+    (template,) = proof.templates.values()
+    memo = SimpleNamespace(tables={}, normal={}, seen={})
+    for n in range(200):
+        inst = instantiate_template(template, proof, n, memo)
+        alone = normalize(a6_instantiate(parse(phi, SIG), X0, fam.arity_member(1, n)))
+        assert as_implies(inst.lines[0].formula)[1] == alone, n
+    assert spot_check_template(template, proof, 199).ok
+
+
+@pytest.mark.parametrize("k", [2, 37])
+def test_a_spot_check_of_a_proof_file_refuses_a_corrupt_memo_entry(monkeypatch, k):
+    # instance k takes member k - 1's substituted nodes from the memo, where
+    # they are replaced by member k - 2's: a proof file's A6 line has its own
+    # copy of phi, so the kernel builds that instance again without the memo
+    proof = load_proof_text(SELF_PRF, SIG, WEAK)
+    (template,) = proof.templates.values()
+    real = calculus.instantiate_template
+
+    def instantiate(t, proof, n, memo=None):
+        if n == k:
+            (table,) = memo.tables.values()
+            formulas = [WEAK.member_at(j).formula for j in (k - 1, k - 2)]
+            table[id(formulas[0])] = (formulas[0], table[id(formulas[1])][1])
+        return real(t, proof, n, memo)
+
+    monkeypatch.setattr(calculus, "instantiate_template", instantiate)
+    v = spot_check_template(template, proof, k + 3)
+    assert (v.ok, v.line) == (False, 0)
+    assert v.reason == f"instance n={k} rejected: not the instantiation axiom for member {k}"
 
 @pytest.mark.parametrize("k", [None, 5])
 def test_a_spot_check_keeps_no_instance(monkeypatch, k):

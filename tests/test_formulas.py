@@ -675,6 +675,22 @@ def test_substitute_fo_many_reads_free_variables_only_where_a_capture_may_be(
     assert len(read) == 1 and read[0] == PredApp("P1", (Var(x0), Var(x1)))
 
 
+
+def test_substitute_fo_many_shares_a_memo_only_outside_binders():
+    # P1(x0, x1) is free in x1 on its own and bound in x1 under forall x1; the
+    # mappings agree on x0, the one variable free in both formulas, and the
+    # second one must not reuse the first one's result for the shared node
+    h = PredApp("P1", (Var(x0), Var(x1)))
+    memo: dict = {}
+    assert substitute_fo_many(h, {x0: Const("c0"), x1: Var(x5)}, memo=memo) == \
+        PredApp("P1", (Const("c0"), Var(x5)))
+    assert substitute_fo_many(ForallFO(x1, h), {x0: Const("c0")}, memo=memo) == \
+        ForallFO(x1, PredApp("P1", (Const("c0"), Var(x1))))
+    # outside binders the node is substituted once
+    g = And(h, ForallFO(x1, h))
+    assert substitute_fo_many(g, {x0: Const("c0"), x1: Var(x5)}, memo=memo).left is \
+        substitute_fo_many(h, {x0: Const("c0"), x1: Var(x5)}, memo=memo)
+
 def _tree_size(f):
     """The nodes of f counted as a tree: a subtree two parents share counts twice."""
     size, stack = 0, [f]
