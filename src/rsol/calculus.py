@@ -189,7 +189,7 @@ def build_instance(v, phi, t):
     return implies(_FORALL[type(v)](v, phi), _instance(v, phi, t))
 
 
-build_q1 = build_a4 = build_instance
+build_a4 = build_instance
 
 
 def _distribution(v, a, b):
@@ -210,7 +210,7 @@ def build_distribution(v, a, b):
     return _distribution(v, a, b)
 
 
-build_q2 = build_a5 = build_distribution
+build_a5 = build_distribution
 
 
 def build_eq_refl(t: Term):
@@ -271,17 +271,10 @@ _LAST_A6: list = [()]
 
 
 def _a6_consequent(phi, v: SOVar, member, memo=None):
-    """normalize(a6_instantiate(phi, v, member)).  Its prefix is normal, so it
-    is taken off and only the body goes through a spot check's `memo`."""
+    """a6_instantiate(phi, v, member), through a spot check's `memo`."""
     last = _LAST_A6[0]
     if not (last and last[0] is phi and last[1] == v and last[2] is member):
-        out, names = a6_instantiate(phi, v, member, memo and memo.tables), []
-        for _ in member.params:
-            names.append(out.var)
-            out = out.body
-        out = normalize(out, memo and memo.normal)
-        for q in reversed(names):
-            out = ForallFO(q, out)
+        out = a6_instantiate(phi, v, member, memo and memo.tables, memo and memo.normal)
         last = _LAST_A6[0] = (phi, v, member, out)
     return last[3]
 
@@ -757,7 +750,7 @@ class _LineBuilder:
         j = Axiom("Q2" if isinstance(v, FOVar) else "A5")
         return self._emit(build_distribution(v, a, b), j)
 
-    q2 = a5 = distribution
+    a5 = distribution
 
     def eq_refl(self, t) -> int:
         return self._emit(build_eq_refl(t), Axiom("eq-refl"))
@@ -1005,12 +998,11 @@ def load_proof_text(text: str, sig: Signature, fam: Optional[ThetaFamily],
         formula = parse(m.group(2), sig, allow_inst=current_template is not None)
         try:
             just = _parse_justification(m.group(3), current_template is not None)
-        except FormulaError:
-            raise
-        except (IndexError, ValueError) as exc:     # ValueError: int() of a word
-            why = ("is missing an argument" if isinstance(exc, IndexError)
-                   else "has an argument that is not an integer")
-            raise FormulaError(f"line {lineno}: justification {m.group(3)!r} {why}") from None
+        except (IndexError, ValueError) as exc:     # a FormulaError is a ValueError
+            j = f"justification {m.group(3)!r}"
+            why = {IndexError: f"{j} is missing an argument",
+                   ValueError: f"{j} has an argument that is not an integer"}  # int() of a word
+            raise FormulaError(f"line {lineno}: {why.get(type(exc), exc)}") from None
         target = template_lines if current_template else lines
         target.append(ProofLine(formula, just))
     if current_template is not None:

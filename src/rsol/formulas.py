@@ -742,17 +742,21 @@ def substitute_so(f: Formula, vm: SOVar, vn: SOVar) -> tuple:
     return rewrite(f, step), clean
 
 
-def a6_instantiate(f: Formula, var: SOVar, member, tables: dict | None = None) -> Formula:
-    """Replace every free application var(t...) in f by the member formula.
+def a6_instantiate(f: Formula, var: SOVar, member, tables: dict | None = None,
+                   normal: dict | None = None) -> Formula:
+    """The normal form of f with every free application var(t...) replaced by
+    the member formula.
 
     `member` supplies a first-order formula with designated slot variables
     (the relation coordinates) and parameter variables.  Each parameter p is
     renamed x(p + s), s = max(0, max_fo_index(f) + 1 - the lowest parameter
     index), past every variable of f (s = 0 for weak-so under f in x0: no
-    walk of the member), and the result is prefixed with one universal
-    quantifier per parameter, so no new free variables appear.  `tables` maps
-    a shift and slot arguments to the memo of the member substitutions made
-    with them: weak-so member n then costs its last block, the rest shared.
+    walk of the member), and the normalized body is prefixed with one
+    universal quantifier per parameter, so no new free variables appear.  The
+    two caches change nothing in the result: `tables` maps a shift and slot
+    arguments to the memo of the member substitutions made with them (weak-so
+    member n then costs its last block, the rest shared), and `normal` is
+    normalize's memo for the bodies.
     """
     arity = len(member.slots)
     if var.arity != arity:
@@ -778,7 +782,7 @@ def a6_instantiate(f: Formula, var: SOVar, member, tables: dict | None = None) -
             return g
         return None
 
-    out = rewrite(f, step)
+    out = normalize(rewrite(f, step), normal)
     for p in reversed(member.params):
         out = ForallFO(renamed[p].var if shift else p, out)
     return out

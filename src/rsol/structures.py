@@ -434,23 +434,6 @@ def _definer(s: FiniteStructure, m: ThetaMember):
     return lambda params: frozenset(row for row in rows if run(params + row))
 
 
-def verify_provenance(s: FiniteStructure, fam: ThetaFamily,
-                      family: DefinableFamily) -> bool:
-    """Re-evaluate every recorded witness and compare with the stored relation."""
-    definers: dict = {}               # member index -> its definer, for this call
-    for arity in family.arities():
-        for rel in family.relations(arity):
-            prov = family.provenance(arity, rel)
-            if prov.kind != "theta":
-                return False
-            m = fam.member_at(prov.theta_index)
-            if m.index not in definers:
-                definers[m.index] = _definer(s, m)
-            if definers[m.index](prov.params) != rel:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Automorphisms and exact oracles
 # ---------------------------------------------------------------------------

@@ -42,8 +42,10 @@ class ThetaMember:
     def __post_init__(self):
         if len(self.slots) < 1:
             raise FormulaError("a member must define a relation of arity >= 1")
-        if set(self.slots) & set(self.params):
-            raise FormulaError("slots and parameters overlap")
+        split = self.slots + self.params
+        if len(set(split)) < len(split):
+            twice = next(v for i, v in enumerate(split) if v in split[:i])
+            raise FormulaError(f"{twice} appears twice in the slot/parameter split")
         if not is_first_order(self.formula):
             raise FormulaError("members must be first-order")
         fo, _ = free_variables(self.formula)
@@ -55,9 +57,6 @@ class ThetaMember:
     @property
     def arity(self) -> int:
         return len(self.slots)
-
-    def key(self):
-        return _key(normalize(self.formula), self.slots, self.params)
 
 
 def _key(formula: Formula, slots: tuple, params: tuple):
@@ -413,8 +412,9 @@ def prefix_family(sig: Signature, kind: str, level: int) -> ThetaFamily:
 def load_family(path: str, sig: Signature) -> ThetaFamily:
     """Load a finite family: one `slots ; params ; formula` line per member.
 
-    Slot and parameter fields list variables (params may be empty).  The
-    finite list is cycled so the enumerator stays total on the naturals.
+    Slot and parameter fields list variables (params may be empty).  Each
+    line is checked as a member when it is read.  The finite list is cycled
+    so the enumerator stays total on the naturals.
     """
     members = []
     with open(path, encoding="utf-8") as fh:
@@ -426,6 +426,10 @@ def load_family(path: str, sig: Signature) -> ThetaFamily:
             slots = _parse_vars(parts[0], path, lineno)
             params = _parse_vars(parts[1], path, lineno)
             formula = parse(parts[2].strip(), sig)
+            try:
+                ThetaMember(len(members), formula, slots, params)
+            except FormulaError as exc:
+                raise FormulaError(f"{path}:{lineno}: {exc}") from None
             members.append((formula, slots, params))
     if not members:
         raise FormulaError(f"{path}: no members")

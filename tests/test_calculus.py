@@ -15,8 +15,8 @@ from rsol.calculus import (
     TemplateBuilder, _match_distribution, _match_instance, _match_replacement,
     _match_schema, apply_deduction, build_instance,
     build_a1, build_a2, build_a3, build_a4, build_a5, build_a6,
-    build_distribution, build_eq_refl, build_eq_subst, build_q1,
-    build_q2, build_schema, check_proof, check_template, instantiate_template,
+    build_distribution, build_eq_refl, build_eq_subst, build_schema, check_proof,
+    check_template, instantiate_template,
     load_premises_text, load_proof_text, recognize_axiom, spot_check_template,
 )
 from rsol.formulas import (
@@ -85,7 +85,7 @@ def test_q1_capture_is_not_an_instance():
                   normalize(parse("exists x1 ~(x1 = x1)", SIG)))
     assert recognize_axiom(bad) is None
     with pytest.raises(FormulaError):
-        build_q1(x0, phi, Var(x1))
+        build_instance(x0, phi, Var(x1))
 
 
 def test_a3_partial_replacement():
@@ -415,7 +415,7 @@ def test_axiom_builders_recognized_by_kernel():
     pb.a4(X0, SOApp(X0, (Var(x0),)), X1)
     pb.a5(X0, P0c, SOApp(X0, (Var(x0),)))
     pb.a6(X0, SOApp(X0, (Var(x0),)), 0)
-    pb.q2(x0, P0c, PredApp("P0", (Var(x0),)))
+    pb.distribution(x0, P0c, PredApp("P0", (Var(x0),)))
     pb.eq_refl(Var(x0))
     pb.imp_identity(P0c)
     accepted(pb.build())
@@ -427,8 +427,8 @@ PARTS = (P0c, P1c, normalize(parse("P0(c1)", SIG)))
 INSTANCES = {
     **{name: (build_schema(name, *PARTS[:len(inspect.signature(schema).parameters)]),
               None) for name, schema in SCHEMATA.items()},
-    "Q1": (build_q1(x0, PredApp("P0", (Var(x0),)), Const("c0")), None),
-    "Q2": (build_q2(x0, P0c, PredApp("P0", (Var(x0),))), None),
+    "Q1": (build_instance(x0, PredApp("P0", (Var(x0),)), Const("c0")), None),
+    "Q2": (build_distribution(x0, P0c, PredApp("P0", (Var(x0),))), None),
     "eq-refl": (build_eq_refl(Const("c0")), None),
     "eq-subst": (build_eq_subst(Const("c0"), Const("c1"), P0c, PARTS[2]), None),
     "A2": (build_a2(2), 2),
@@ -725,6 +725,26 @@ def test_a6_lines_that_misuse_the_instance_just_built_are_refused(n):
         assert v.reason == f"not the instantiation axiom for member {j.index}"
         assert not calculus._LAST_A6[0]   # dropped when the check returns
     accepted(inst)
+
+
+def test_the_a6_consequent_is_the_instance_a6_instantiate_built(monkeypatch):
+    # a6_instantiate returns the normal form, so its prefix is built once:
+    # _a6_consequent hands on that very object, with or without a spot
+    # check's memo, and so does instantiate_template in the instance's A6 line
+    built = []
+    monkeypatch.setattr(calculus, "a6_instantiate",
+                        lambda *args: built.append(a6_instantiate(*args)) or built[-1])
+    monkeypatch.setattr(calculus, "_LAST_A6", [()])
+    phi = SOApp(X0, (Var(x1),))
+    for memo in (None, SimpleNamespace(tables={}, normal={}, seen={})):
+        for n in range(8):
+            assert calculus._a6_consequent(phi, X0, WEAK.arity_member(1, n), memo) is built[-1]
+    proof = load_proof_text(SHIFTED, SIG, WEAK)
+    (template,) = proof.templates.values()
+    memo = SimpleNamespace(tables={}, normal={}, seen={})
+    for n in range(8):
+        inst = instantiate_template(template, proof, n, memo)
+        assert as_implies(inst.lines[0].formula)[1] is built[-1]
 
 
 @pytest.mark.parametrize("bound", [0, 6])

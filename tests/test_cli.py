@@ -70,6 +70,21 @@ def test_ktheta_lists_relations(two_json):
     assert "total: {1: 3}" in out
 
 
+@pytest.mark.parametrize("line, message", [
+    ("x0 ; ; X0(x0)", "members must be first-order"),
+    ("x0 ; x1 ; P0(x0)", "free variables [0] do not match the declared slot/parameter split"),
+    ("x0 x0 ; ; x0 = x0", "x0 appears twice in the slot/parameter split"),
+], ids=["second-order", "unused-parameter", "repeated-slot"])
+def test_a_bad_family_file_member_names_its_line(tmp_path, capsys, pred_json, line, message):
+    # the bad member is line 3, past the bound: it is refused as it is read
+    fam = tmp_path / "bad.fam"
+    fam.write_text(f"# two members\nx0 ; ; P0(x0)\n{line}\n", encoding="utf-8")
+    code = main(["ktheta", "--structure", pred_json, "--theta", f"file:{fam}",
+                 "--bound", "0"])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {fam}:3: {message}\n"
+
+
 def test_orbits_command(pred_json):
     code, out = run_cli(["orbits", "--structure", pred_json, "--arity", "1"])
     assert code == 0
@@ -425,6 +440,22 @@ def test_justification_with_a_non_integer_argument_exits_3(tmp_path, capsys, jus
     assert capsys.readouterr().err == (
         f"error: line 1: justification {justification!r} has an argument "
         f"that is not an integer\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1. P0(c0) ; A6 n\n", "line 1: the meta-index belongs inside templates"),
+    ("1. P0(c0) ; gen X0 1\n", "line 1: bad variable 'X0'"),
+    ("1. P0(c0) ; genso x0 1\n", "line 1: bad variable 'x0'"),
+    ("1. P0(c0) ; foo 1\n", "line 1: unknown justification 'foo 1'"),
+    ("# a template\ntemplate t1 over n {\n1. P0(c0) ; genso x0 1\n}\n",
+     "line 3: bad variable 'x0'"),
+], ids=["meta-index", "gen", "genso", "unknown", "in-template"])
+def test_a_justification_that_does_not_read_names_its_line(tmp_path, capsys, text, message):
+    proof = tmp_path / "bad.prf"
+    proof.write_text(text, encoding="utf-8")
+    code = main(["prove-check", "--proof", str(proof)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("line", [

@@ -154,7 +154,7 @@ def test_a6_instantiate_no_parameters():
     member = FakeMember(PredApp("P0", (Var(x0),)), [x0], [])
     f = Implies(SOApp(X0, (Var(x0),)), SOApp(X0, (Var(x1),)))
     out = a6_instantiate(f, X0, member)
-    assert out == Implies(PredApp("P0", (Var(x0),)), PredApp("P0", (Var(x1),)))
+    assert out == normalize(Implies(PredApp("P0", (Var(x0),)), PredApp("P0", (Var(x1),))))
 
 
 def test_a6_instantiate_bound_everywhere():
@@ -192,7 +192,8 @@ def test_a6_capture_inside_member():
     out = a6_instantiate(f, X0, member)
     fo, _ = free_variables(out)
     assert fo == {x1}
-    assert type(out) is ExistsFO and type(out.body) is PredApp     # one quantifier
+    # one quantifier, its x1 renamed past the argument
+    assert out == normalize(ExistsFO(x2, PredApp("P1", (Var(x1), Var(x2)))))
     assert not alpha_eq(out, ExistsFO(x1, PredApp("P1", (Var(x1), Var(x1)))))
 
 
@@ -539,7 +540,7 @@ def test_a6_instantiate_substitutes_once_as_renaming_then_substituting(spec, ari
             body = normalize(parse(text, SIG))
             want = _a6_rename_then_substitute(body, var, member)
             got = a6_instantiate(body, var, member)
-            assert got == want
+            assert got == normalize(want)
             assert alpha_eq(got, _a6_rename_then_substitute(body, var, member,
                                                             past_both=True))
             try:
@@ -548,6 +549,53 @@ def test_a6_instantiate_substitutes_once_as_renaming_then_substituting(spec, ari
                 captured += 1
     # weak-so members bind no variable; each other family meets a capture
     assert captured or spec == "weak-so:1"
+
+
+# members whose formulas use |, -> and exists, of arities 1 and 2
+_SUGARED_FAMILY = ("x0 ; x1 ; x0 = x1 | P0(x1)\n"
+                   "x0 ; ; exists x1 (P0(x1) -> x0 = x1)\n"
+                   "x0 x1 ; x2 ; x0 = x2 -> exists x3 (P1(x3, x1) | x1 = x2)\n")
+
+
+@pytest.mark.parametrize("spec, arity", [
+    ("weak-so:1", 1), ("weak-so:2", 2), ("all-fo", 1), ("all-fo", 2), ("dsl", 1),
+    ("file", 1), ("file", 2),
+])
+def test_a6_instantiate_returns_the_normal_form_with_or_without_caches(tmp_path, spec,
+                                                                       arity):
+    # the instance is normal, and it is the prefix over the normalized body
+    # of the instance built as renaming then substituting, whether or not a
+    # spot check's caches are passed (kept across n, as a spot check keeps them)
+    from rsol.theta import family_from_cli
+    if spec == "file":
+        path = tmp_path / "sugared.fam"
+        path.write_text(_SUGARED_FAMILY, encoding="utf-8")
+        spec = f"file:{path}"
+    phis = {
+        1: ["forall x0 (X0(x0) -> exists x1 X0(x0))", "X0(c0) <-> exists x2 X0(f0(x2))",
+            "forall x0 forall x2 X0(x2)"],
+        2: ["forall x0 (X0^2(x0, x1) -> exists x1 X0^2(x1, x0))",
+            "exists x2 (X0^2(x2, x3) | X0^2(c0, x2))"],
+    }[arity]
+    var = SOVar(0, arity)
+    fam = family_from_cli(spec, SIG)
+    tables, normal = {}, {}
+    for n in range(61):
+        member = fam.arity_member(arity, n)
+        for text in phis:
+            phi = parse(text, SIG)
+            want = _a6_rename_then_substitute(phi, var, member)
+            prefix = []
+            for _ in member.params:
+                prefix.append(want.var)
+                want = want.body
+            want = normalize(want)
+            for q in reversed(prefix):
+                want = ForallFO(q, want)
+            for out in (a6_instantiate(phi, var, member),
+                        a6_instantiate(phi, var, member, tables, normal)):
+                assert normalize(out) is out, (spec, n, text)
+                assert out == want, (spec, n, text)
 
 
 def test_max_fo_index_walks_a_5000_deep_chain():
@@ -589,7 +637,8 @@ def test_the_generic_walkers_take_a_5000_level_formula(shallow_stack):
         # the member's parameter x1 becomes x4, past x3, and is closed on top
         got = a6_instantiate(f, X0, member)
         want = _chain(And(TermEq(Var(x0), Var(FOVar(4))), p0x1))
-        assert type(got) is ForallFO and got.var == FOVar(4) and alpha_eq(got.body, want)
+        assert type(got) is ForallFO and got.var == FOVar(4)
+        assert alpha_eq(got.body, normalize(want))
 
 
 def _substitute_filtering_at_every_binder(f, mapping, on_capture="rename"):

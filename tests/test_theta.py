@@ -9,10 +9,10 @@ from rsol.cli import DEMO_SIG
 from rsol.corpus import COLLAPSE_SIG
 from rsol.formulas import (
     And, Const, ForallFO, FormulaError, FOVar, Not, PredApp, Signature, TermEq,
-    Var, alpha_eq, alpha_key, format_formula, free_variables, parse,
+    Var, alpha_eq, alpha_key, format_formula, free_variables, normalize, parse,
 )
 from rsol.theta import (
-    FormulaEnumerator, ThetaMember, all_fo, classify_prefix, dsl,
+    FormulaEnumerator, ThetaMember, _key, all_fo, classify_prefix, dsl,
     family_from_cli, in_prefix_class, load_family, prefix_family, weak_so,
 )
 
@@ -136,6 +136,12 @@ def test_a_dropped_enumerator_is_freed_at_once():
         gc.enable()
 
 
+def _member_key(m):
+    """The key the enumerators dedupe members by: that of the normal form,
+    with the member's slot/parameter split."""
+    return _key(normalize(m.formula), m.slots, m.params)
+
+
 def _old_member_key(m):
     """The member key by its definition: the alpha key of the formula under
     built binders for the slots, then the parameters."""
@@ -148,7 +154,7 @@ def _old_member_key(m):
 @pytest.mark.parametrize("spec", ["dsl", "all-fo", "all-fo-noparams"])
 def test_member_keys_keep_their_definition(spec):
     for m in family_from_cli(spec, COLLAPSE_SIG).enumerate_up_to(299):
-        assert m.key() == _old_member_key(m)
+        assert _member_key(m) == _old_member_key(m)
 
 
 def test_member_keys_of_sugared_file_members(tmp_path):
@@ -160,10 +166,10 @@ def test_member_keys_of_sugared_file_members(tmp_path):
                  encoding="utf-8")
     fam = load_family(str(p), SIG)
     for m in fam.enumerate_up_to(3):
-        assert m.key() == _old_member_key(m)
+        assert _member_key(m) == _old_member_key(m)
     # sugar and its normal form share a key
-    assert fam.member_at(0).key() == ThetaMember(
-        0, parse("~(~x0 = x1 & ~P0(x1))", SIG), (FOVar(0),), (FOVar(1),)).key()
+    assert _member_key(fam.member_at(0)) == _member_key(ThetaMember(
+        0, parse("~(~x0 = x1 & ~P0(x1))", SIG), (FOVar(0),), (FOVar(1),)))
 
 
 def test_dsl_first_member_matches_bruteforce():
@@ -179,13 +185,13 @@ def test_dsl_members_have_no_parameters():
     for m in fam.enumerate_up_to(5):
         assert m.params == ()
         assert m.arity == 1
-    keys = {m.key() for m in fam.enumerate_up_to(5)}
+    keys = {_member_key(m) for m in fam.enumerate_up_to(5)}
     assert len(keys) == 6
 
 
 def test_enumerators_injective_up_to_alpha():
     for fam in (weak_so(SIG, 1), dsl(SIG), all_fo(SIG)):
-        keys = {m.key() for m in fam.enumerate_up_to(50)}
+        keys = {_member_key(m) for m in fam.enumerate_up_to(50)}
         assert len(keys) == 51, fam.name
 
 
@@ -300,8 +306,13 @@ def test_prefix_family_members_stay_in_class():
 def test_member_invariants_enforced():
     with pytest.raises(FormulaError):
         ThetaMember(0, parse("P0(x0)", SIG), (FOVar(0), FOVar(1)), ())
-    with pytest.raises(FormulaError):
+    with pytest.raises(FormulaError, match="x0 appears twice"):
         ThetaMember(0, parse("P0(x0)", SIG), (FOVar(0),), (FOVar(0),))
+    # a variable repeated within the slots, or within the parameters
+    with pytest.raises(FormulaError, match="x0 appears twice"):
+        ThetaMember(0, parse("x0 = x0", SIG), (FOVar(0), FOVar(0)), ())
+    with pytest.raises(FormulaError, match="x1 appears twice"):
+        ThetaMember(0, parse("x0 = x1", SIG), (FOVar(0),), (FOVar(1), FOVar(1)))
 
 
 def test_load_family(tmp_path):
