@@ -9,7 +9,9 @@ avoiding a chosen non-unit element.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -73,9 +75,11 @@ class BooleanAlgebra:
 
 
 class PowersetAlgebra(BooleanAlgebra):
-    """Subsets of a finite atom set, as frozensets."""
+    """Subsets of a finite atom set, as frozensets.  Each operation is the
+    frozenset operator itself, one C call without a Python frame."""
 
     MAX_ATOMS_ENUMERATED = 20
+    meet, join, le = operator.and_, operator.or_, operator.le
 
     def __init__(self, atoms: Iterable):
         self.atoms = tuple(atoms)
@@ -83,18 +87,7 @@ class PowersetAlgebra(BooleanAlgebra):
             raise AlgebraError("duplicate atoms")
         self.zero = frozenset()
         self.one = frozenset(self.atoms)
-
-    def meet(self, a, b):
-        return a & b
-
-    def join(self, a, b):
-        return a | b
-
-    def complement(self, a):
-        return self.one - a
-
-    def le(self, a, b) -> bool:
-        return a <= b
+        self.complement = self.one.__sub__
 
     def elements(self):
         if len(self.atoms) > self.MAX_ATOMS_ENUMERATED:
@@ -119,8 +112,11 @@ class FreeBooleanAlgebra(BooleanAlgebra):
     """Free algebra on g generators; an element is its truth table.
 
     The table is an int bitmask over the 2^g valuations, so equality is
-    exhaustive valuation and the operations are bitwise.
+    exhaustive valuation and the operations are bitwise.  `le` stays the
+    inherited one: `<=` on ints is the numeric order, not inclusion.
     """
+
+    meet, join = operator.and_, operator.or_
 
     def __init__(self, generators: int):
         if not 0 < generators <= 16:
@@ -129,6 +125,7 @@ class FreeBooleanAlgebra(BooleanAlgebra):
         self.width = 1 << generators
         self.zero = 0
         self.one = (1 << self.width) - 1
+        self.complement = self.one.__xor__
 
     def generator(self, i: int) -> int:
         if not 0 <= i < self.generators:
@@ -138,15 +135,6 @@ class FreeBooleanAlgebra(BooleanAlgebra):
             if valuation >> i & 1:
                 mask |= 1 << valuation
         return mask
-
-    def meet(self, a, b):
-        return a & b
-
-    def join(self, a, b):
-        return a | b
-
-    def complement(self, a):
-        return self.one ^ a
 
     def elements(self):
         if self.generators > 4:
@@ -232,7 +220,7 @@ def builtin_algebras() -> dict:
 # Regular families
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class RegularEntry:
     """A subset with a designated join or meet.
 
@@ -331,7 +319,7 @@ def check_ultrafilter_on_samples(alg: BooleanAlgebra, member: Callable, samples)
     return True
 
 
-@dataclass
+@dataclass(slots=True)
 class CompatVerdict:
     status: str                   # 'true' | 'false' | 'inconclusive'
     inspected: int
@@ -399,7 +387,7 @@ def check_f_compatible(alg: BooleanAlgebra, member: Callable, entry: RegularEntr
 # The decreasing-chain construction
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class ChainStep:
     entry_name: str
     action: str                   # 'bound-side' | 'witness' | 'decide'
@@ -407,15 +395,15 @@ class ChainStep:
     value: object
 
 
-class Membership:
-    """Total membership procedure for the constructed ultrafilter."""
+class Membership(functools.partial):
+    """Total membership procedure for the constructed ultrafilter: x is in
+    it iff `final` <= x.  A partial of `alg.le`, so a carrier whose `le` is
+    a builtin answers without a Python frame."""
 
-    def __init__(self, alg: BooleanAlgebra, final):
-        self.alg = alg
-        self.final = final
-
-    def __call__(self, x) -> bool:
-        return self.alg.le(self.final, x)
+    def __new__(cls, alg: BooleanAlgebra, final):
+        self = super().__new__(cls, alg.le, final)
+        self.alg, self.final = alg, final
+        return self
 
 
 class PrincipalCofiniteMembership:
@@ -473,6 +461,7 @@ def rs_construct(alg: BooleanAlgebra, entries, avoid,
         decide_steps = len(carrier or ()) or 64
 
     decided_count = 0
+    complements = {}                    # each join bound's, computed once
 
     def decide_one():
         nonlocal b, decided_count
@@ -491,7 +480,12 @@ def rs_construct(alg: BooleanAlgebra, entries, avoid,
     for entry in entries:
         up = entry.kind == "join"
         c = entry.bound
-        blocker = alg.complement(c) if up else c
+        if up:
+            blocker = complements.get(c)
+            if blocker is None:
+                blocker = complements[c] = alg.complement(c)
+        else:
+            blocker = c
         low = alg.meet(b, blocker)
         if low != alg.zero:
             b = b if low == b else low
@@ -527,12 +521,13 @@ def rs_construct(alg: BooleanAlgebra, entries, avoid,
 def powerset_full_family(alg: PowersetAlgebra) -> list:
     """Every subset of the carrier as both a join and a meet entry."""
     elements = alg.elements()
+    canonical = {e: e for e in elements}    # one bound object per value
     entries = []
     for i, subset in enumerate(_subsets(elements)):
-        entries.append(RegularEntry("join", alg.join_all(subset),
-                                    members=tuple(subset), name=f"join{i}"))
-        entries.append(RegularEntry("meet", alg.meet_all(subset),
-                                    members=tuple(subset), name=f"meet{i}"))
+        entries.append(RegularEntry("join", canonical[alg.join_all(subset)],
+                                    members=subset, name=f"join{i}"))
+        entries.append(RegularEntry("meet", canonical[alg.meet_all(subset)],
+                                    members=subset, name=f"meet{i}"))
     return entries
 
 

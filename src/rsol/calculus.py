@@ -28,8 +28,8 @@ from .formulas import (
     FormulaError, FOVar, Func, Iff, InstAtom, Not, Signature, SOApp, SOEq,
     PredApp, SOVar, Term, TermEq, Var, _depth, _validate_node, a6_instantiate,
     alpha_eq, as_implies, canonical_variable, children, content_lines,
-    free_variables, implies, is_sentence, nodes, normalize, parse, rewrite,
-    substitute_fo, substitute_so, term_fo_vars, validate,
+    free_variables, implies, is_sentence, nodes, normalize, parse, parse_line,
+    rewrite, substitute_fo, substitute_so, term_fo_vars, validate,
 )
 from .theta import ThetaFamily
 
@@ -995,7 +995,7 @@ def load_proof_text(text: str, sig: Signature, fam: Optional[ThetaFamily],
             raise FormulaError(
                 f"line {lineno}: index {m.group(1)} out of order "
                 f"(expected {expected_index})")
-        formula = parse(m.group(2), sig, allow_inst=current_template is not None)
+        formula = parse_line(f"line {lineno}", m.group(2), sig, current_template is not None)
         try:
             just = _parse_justification(m.group(3), current_template is not None)
         except (IndexError, ValueError) as exc:     # a FormulaError is a ValueError

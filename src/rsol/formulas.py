@@ -27,6 +27,10 @@ class ParseError(FormulaError):
         self.position = position
 
 
+class NestingError(ParseError):
+    """A formula nested deeper than MAX_DEPTH, refused as a whole."""
+
+
 class CaptureError(FormulaError):
     """Substitution would capture a variable and renaming was disallowed."""
 
@@ -1003,8 +1007,8 @@ class _Parser:
     def nested(self, parse) -> Formula:
         """Run one nested parse, refusing nesting deeper than MAX_DEPTH."""
         if self.depth == MAX_DEPTH:
-            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels",
-                             self.peek().pos)
+            raise NestingError(f"formula nested deeper than {MAX_DEPTH} levels",
+                               self.peek().pos)
         self.depth += 1
         f = parse()
         self.depth -= 1
@@ -1190,8 +1194,22 @@ def parse(text: str, sig: Signature, allow_inst: bool = False) -> Formula:
     # a formula is no deeper than its number of tokens; long operator chains
     # nest without nesting the parse
     if len(tokens) > MAX_DEPTH and _depth(f, MAX_DEPTH) > MAX_DEPTH:
-        raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", 0)
+        raise NestingError(f"formula nested deeper than {MAX_DEPTH} levels", 0)
     if ("<->" in text or "↔" in text) and _normal_size(f) > MAX_NORMAL_NODES:
         raise ParseError(f"normal form has more than {MAX_NORMAL_NODES} nodes", 0)
     validate(f, sig)
     return f
+
+
+def parse_line(where: str, text: str, sig: Signature, allow_inst: bool = False) -> Formula:
+    """`parse` for the formula on one line of a file: a parse error starts
+    with `where`, the line's label, since its position counts from the
+    formula's start.  A NestingError refuses the formula as a whole and
+    reads the same in every command."""
+    try:
+        return parse(text, sig, allow_inst)
+    except NestingError:
+        raise
+    except ParseError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise

@@ -27,7 +27,7 @@ from operator import itemgetter
 from .formulas import (
     And, Const, ForallFO, FormulaError, FOVar, Func, Not, Or, PredApp,
     Formula, Signature, TermEq, Var, _alpha_walk, canonical_variable,
-    content_lines, free_variables, is_first_order, normalize, parse,
+    content_lines, free_variables, is_first_order, normalize, parse_line,
 )
 
 
@@ -425,7 +425,7 @@ def load_family(path: str, sig: Signature) -> ThetaFamily:
                     f"{path}:{lineno}: expected 'slots ; params ; formula'")
             slots = _parse_vars(parts[0], path, lineno)
             params = _parse_vars(parts[1], path, lineno)
-            formula = parse(parts[2].strip(), sig)
+            formula = parse_line(f"{path}:{lineno}", parts[2].strip(), sig)
             try:
                 ThetaMember(len(members), formula, slots, params)
             except FormulaError as exc:

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,8 @@ from rsol.boolean import (
     fincof_atoms_entry, free_algebra, is_ultrafilter, powerset_algebra,
     powerset_full_family, rs_construct, verify_entry,
 )
+from rsol.formulas import Signature
+from rsol.structures import FiniteStructure, truth_algebra
 
 
 def sample_triples(alg, rng, count=60):
@@ -434,3 +437,68 @@ def test_rs_construct_keeps_its_output_and_one_object_per_chain_value(name, want
             _plain(approx.final))).encode())
         assert len({id(b) for b in approx.chain}) == len(set(approx.chain)), avoid
     assert h.hexdigest() == want
+
+
+@pytest.fixture(scope="module")
+def traced_full_family():
+    """powerset:4's full family and the bytes its construction leaves
+    allocated."""
+    alg = powerset_algebra(4)
+    tracemalloc.start()
+    try:
+        entries = powerset_full_family(alg)
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return alg, entries, traced
+
+
+def test_full_family_keeps_one_object_per_bound_value(traced_full_family):
+    # 131,072 entries over 16 bound values
+    alg, entries, traced = traced_full_family
+    assert len(entries) == 131_072
+    assert traced < 40_000_000, traced
+    # the singleton members are the carrier's own objects, one per value
+    carrier = {id(m) for e in entries for m in e.members}
+    assert len(carrier) == 16
+    assert all(id(e.bound) in carrier for e in entries)
+    approx = rs_construct(alg, entries, frozenset({1, 3}))
+    blockers = [s.element for s in approx.steps if s.action == "bound-side"]
+    assert blockers and len({id(x) for x in blockers}) <= 16
+
+
+def _membership_cases():
+    """(algebra, finals, elements) on which a membership is compared."""
+    fincof = FiniteCofiniteAlgebra()
+    samples = list(itertools.islice(fincof.enumerate_elements(), 40))
+    truth = truth_algebra(FiniteStructure(Signature(predicates={"P0": 1}), 2,
+                                          predicates={"P0": [(0,)]}), 2).algebra
+    cases = [(fincof, samples[:12], samples)]
+    for alg in (powerset_algebra(3), free_algebra(2), truth):
+        cases.append((alg, alg.elements(), alg.elements()))
+    return cases
+
+
+def test_membership_is_the_order_above_its_final_element():
+    for alg, finals, xs in _membership_cases():
+        for f in finals:
+            member = Membership(alg, f)
+            assert (member.alg, member.final) == (alg, f)
+            assert [member(x) for x in xs] == [alg.le(f, x) for x in xs], (alg, f)
+
+
+def _verdicts(alg, member, entries):
+    return [(v.status, v.inspected, v.witness, v.reason) for v in (
+        check_f_compatible(alg, member, e) for e in entries)]
+
+
+def test_membership_gives_the_verdicts_of_a_python_predicate(traced_full_family):
+    small = powerset_algebra(3)
+    family = powerset_full_family(small)
+    for final in small.elements():
+        assert _verdicts(small, Membership(small, final), family) == _verdicts(
+            small, lambda x: small.le(final, x), family), final
+    alg, entries, _ = traced_full_family
+    final = rs_construct(alg, entries, frozenset({1, 3})).final
+    assert _verdicts(alg, Membership(alg, final), entries) == _verdicts(
+        alg, lambda x: alg.le(final, x), entries)

@@ -85,6 +85,23 @@ def test_a_bad_family_file_member_names_its_line(tmp_path, capsys, pred_json, li
     assert capsys.readouterr().err == f"error: {fam}:3: {message}\n"
 
 
+def test_a_parse_error_in_a_family_file_names_its_line(tmp_path, capsys, pred_json):
+    fam = tmp_path / "bad.fam"
+    fam.write_text("x0 ; ; P0(x0)\nx0 ; ; P0(x0\n", encoding="utf-8")
+    code = main(["ktheta", "--structure", pred_json, "--theta", f"file:{fam}",
+                 "--bound", "0"])
+    assert (code, capsys.readouterr()) == (2, (
+        "", f"parse error: {fam}:2: expected rparen, found '' (at position 5)\n"))
+
+
+def test_a_parse_error_in_a_proof_file_names_its_line(tmp_path, capsys):
+    proof = tmp_path / "bad.prf"
+    proof.write_text("1. P0(c0) ; ax P1\n2. P0(c0 ; ax P1\n", encoding="utf-8")
+    code = main(["prove-check", "--proof", str(proof)])
+    assert (code, capsys.readouterr()) == (2, (
+        "", "parse error: line 2: expected rparen, found '' (at position 5)\n"))
+
+
 def test_orbits_command(pred_json):
     code, out = run_cli(["orbits", "--structure", pred_json, "--arity", "1"])
     assert code == 0
