@@ -245,15 +245,6 @@ class RegularEntry:
         if self.members is not None:
             self.members = tuple(self.members)
 
-    @property
-    def finite(self) -> bool:
-        return self.members is not None
-
-    def iter_members(self) -> Iterator:
-        if self.members is not None:
-            return iter(self.members)
-        return self.enumerator()
-
 
 @dataclass
 class EntryVerdict:
@@ -269,26 +260,28 @@ class EntryVerdict:
 def verify_entry(alg: BooleanAlgebra, entry: RegularEntry, prefix: int = 64) -> EntryVerdict:
     """Check the claimed bound: exactly for finite entries, else on a prefix.
 
-    For an infinite join entry the bound must dominate every inspected
-    member; if the inspected members already join up to the bound the
-    claim is exact after all.
+    Each member is tested against the bound by one `alg.le`.  For an
+    infinite join entry the bound must dominate every inspected member; if
+    the inspected members already join up to the bound the claim is exact
+    after all.
     """
     up = entry.kind == "join"
+    le, c, members = alg.le, entry.bound, entry.members
+    step = alg.join if up else alg.meet
     acc = alg.zero if up else alg.one
     count = 0
-    for i, s in enumerate(entry.iter_members()):
-        if not entry.finite and i >= prefix:
+    for s in entry.enumerator() if members is None else members:
+        if members is None and count >= prefix:
             return EntryVerdict("prefix", count)
-        ok = alg.le(s, entry.bound) if up else alg.le(entry.bound, s)
-        if not ok:
-            return EntryVerdict("violation", count, violation_index=i)
-        acc = alg.join(acc, s) if up else alg.meet(acc, s)
+        if not (le(s, c) if up else le(c, s)):
+            return EntryVerdict("violation", count, count)
+        acc = step(acc, s)
         count += 1
-        if not entry.finite and acc == entry.bound:
+        if members is None and acc == c:
             return EntryVerdict("exact", count)
-    if acc == entry.bound:
+    if acc == c:
         return EntryVerdict("exact", count)
-    return EntryVerdict("violation", count, violation_index=None)
+    return EntryVerdict("violation", count, None)
 
 
 # ---------------------------------------------------------------------------
@@ -336,51 +329,39 @@ def check_f_compatible(alg: BooleanAlgebra, member: Callable, entry: RegularEntr
     (members sit below the bound).  For an in-filter bound the search for
     a member witness is budgeted; running out is inconclusive unless the
     entry is finite or the membership procedure structurally rules out
-    all members (`rules_out`).  Meet entries are dual.
+    all members (`rules_out`).  Meet entries are dual.  With a `Membership`
+    each test is one `alg.le` against the final chain element, and the
+    members are scanned in one loop.
     """
     up = entry.kind == "join"
     bound_in = member(entry.bound)
-    rules_out = getattr(member, "rules_out", None)
-
-    def scan(want: bool):
-        """First member whose filter membership equals `want`, within budget."""
-        count = 0
-        for s in entry.iter_members():
-            if count >= budget:
-                return None, count, True
-            count += 1
-            if member(s) == want:
-                return s, count, False
-        return None, count, False
-
-    if up:
-        if bound_in:
-            witness, seen, cut = scan(True)
-            if witness is not None:
-                return CompatVerdict("true", seen, witness=witness)
-            if not cut:
-                return CompatVerdict("false", seen,
-                                     reason="bound in filter, no member is")
-            if rules_out is not None and rules_out(entry):
-                return CompatVerdict("false", seen,
-                                     reason="bound in filter, members provably out")
-            return CompatVerdict("inconclusive", seen, reason="budget")
-        witness, seen, cut = scan(True)
-        if witness is not None:
-            return CompatVerdict("false", seen, witness=witness,
-                                 reason="member in filter forces the join in")
-        # no member can sit in an upward-closed filter missing the bound
-        return CompatVerdict("true", seen, reason="upward closure")
-    if bound_in:
+    if bound_in and not up:
         # upward closure settles every member at once
-        return CompatVerdict("true", 0, reason="meet in filter bounds all members")
-    witness, seen, cut = scan(False)
-    if witness is not None:
-        return CompatVerdict("true", seen, witness=witness)
-    if not cut:
-        return CompatVerdict("false", seen,
-                             reason="all members in filter, meet is not")
-    return CompatVerdict("inconclusive", seen, reason="budget")
+        return CompatVerdict("true", 0, None, "meet in filter bounds all members")
+    # a witness (a member in the filter for a join, out of it for a meet)
+    # shows compatibility, except under a join whose bound is out
+    proves = bound_in or not up
+    members = entry.members
+    seen = 0
+    for s in entry.enumerator() if members is None else members:
+        if seen >= budget:
+            break
+        seen += 1
+        if member(s) == up:
+            if proves:
+                return CompatVerdict("true", seen, s, "")
+            return CompatVerdict("false", seen, s, "member in filter forces the join in")
+    else:
+        if proves:
+            return CompatVerdict("false", seen, None, "bound in filter, no member is"
+                                 if up else "all members in filter, meet is not")
+    if not proves:
+        # no member can sit in an upward-closed filter missing the bound
+        return CompatVerdict("true", seen, None, "upward closure")
+    rules_out = getattr(member, "rules_out", None)
+    if up and rules_out is not None and rules_out(entry):
+        return CompatVerdict("false", seen, None, "bound in filter, members provably out")
+    return CompatVerdict("inconclusive", seen, None, "budget")
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +412,17 @@ class UltrafilterApprox:
         return not self.membership(element)
 
 
+class _Complements(dict):
+    """Each element's complement, computed on its first lookup."""
+
+    def __init__(self, complement):
+        self.complement = complement
+
+    def __missing__(self, x):
+        y = self[x] = self.complement(x)
+        return y
+
+
 def rs_construct(alg: BooleanAlgebra, entries, avoid,
                  decide_steps: Optional[int] = None,
                  witness_budget: int = 10_000) -> UltrafilterApprox:
@@ -440,14 +432,18 @@ def rs_construct(alg: BooleanAlgebra, entries, avoid,
     either forces the bound's complement into the chain or commits to a
     member witness (one must overlap the chain when the chain sits below
     the bound, because the bound distributes over the chain element);
-    meet entries are dual.  Element decisions, in the order of
-    `alg.enumerate_elements()`, are interleaved one per entry, then continued
-    until `decide_steps` is exhausted.  Every chain element stays nonzero, so the emitted
+    meet entries are dual.  Each choice is one `alg.le`, since b ∧ ¬c = 0
+    exactly when b <= c, and the chain's next element is a meet only when
+    it moves.  Element decisions, in the order of `alg.enumerate_elements()`,
+    are interleaved one per entry, then continued until `decide_steps` is
+    exhausted.  Every chain element stays nonzero, so the emitted
     membership procedure is an ultrafilter on the decided fragment.
     """
     if avoid == alg.one:
         raise AlgebraError("cannot avoid the unit element")
-    b = alg.complement(avoid)
+    meet, le = alg.meet, alg.le
+    comp = _Complements(alg.complement)     # one object per complement value
+    b = comp[avoid]
     chain = [b]
     steps: list = []
 
@@ -459,63 +455,52 @@ def rs_construct(alg: BooleanAlgebra, entries, avoid,
         carrier, enum_iter = None, iter(())
     if decide_steps is None:
         decide_steps = len(carrier or ()) or 64
+    decisions = itertools.islice(enum_iter, max(decide_steps, 0))
 
-    decided_count = 0
-    complements = {}                    # each join bound's, computed once
-
-    def decide_one():
-        nonlocal b, decided_count
-        for e in enum_iter:
-            low = alg.meet(b, e)
-            inside = low != alg.zero
-            if not inside:
-                low = alg.meet(b, alg.complement(e))
-            b = b if low == b else low      # one chain object per value
-            steps.append(ChainStep("", "decide", e, inside))
-            chain.append(b)
-            decided_count += 1
-            return True
-        return False
+    def decide(b, e):
+        inside = not le(b, comp[e])         # b overlaps e
+        if inside and not le(b, e):
+            b = meet(b, e)                  # one chain object per value
+        steps.append(ChainStep("", "decide", e, inside))
+        chain.append(b)
+        return b
 
     for entry in entries:
         up = entry.kind == "join"
         c = entry.bound
-        if up:
-            blocker = complements.get(c)
-            if blocker is None:
-                blocker = complements[c] = alg.complement(c)
+        # a join goes to ¬c unless b <= c, a meet to c unless b <= ¬c
+        if not le(b, c if up else comp[c]):
+            x = comp[c] if up else c
+            if not le(b, x):
+                b = meet(b, x)
+            steps.append(ChainStep(entry.name, "bound-side", x, None))
         else:
-            blocker = c
-        low = alg.meet(b, blocker)
-        if low != alg.zero:
-            b = b if low == b else low
-            steps.append(ChainStep(entry.name, "bound-side", blocker, None))
-        else:
-            found = False
-            for i, s in enumerate(entry.iter_members()):
-                if i >= witness_budget:
+            members = entry.members
+            count = 0
+            for s in entry.enumerator() if members is None else members:
+                if count >= witness_budget:
                     raise BudgetExhausted(entry.name)
-                cand = alg.meet(b, s) if up else alg.meet(b, alg.complement(s))
-                if cand != alg.zero:
-                    b = b if cand == b else cand
+                count += 1
+                # a join's witness overlaps b, a meet's misses part of b
+                if not le(b, comp[s] if up else s):
+                    x = s if up else comp[s]
+                    if not le(b, x):
+                        b = meet(b, x)
                     steps.append(ChainStep(entry.name, "witness", s, None))
-                    found = True
                     break
-            if not found:
+            else:
                 # a finite entry ran dry although b sat under the claimed
                 # bound; the designated join/meet cannot be correct
                 raise BoundRefuted(entry.name)
         chain.append(b)
-        if decided_count < decide_steps:
-            decide_one()
-
-    while decided_count < decide_steps:
-        if not decide_one():
+        for e in decisions:
+            b = decide(b, e)
             break
+    for e in decisions:
+        b = decide(b, e)
 
-    membership = Membership(alg, b)
     return UltrafilterApprox(chain=chain, steps=steps, final=b,
-                             membership=membership)
+                             membership=Membership(alg, b))
 
 
 def powerset_full_family(alg: PowersetAlgebra) -> list:

@@ -28,7 +28,7 @@ from .formulas import (
     FormulaError, FOVar, Func, Iff, InstAtom, Not, Signature, SOApp, SOEq,
     PredApp, SOVar, Term, TermEq, Var, _depth, _validate_node, a6_instantiate,
     alpha_eq, as_implies, canonical_variable, children, content_lines,
-    free_variables, implies, is_sentence, nodes, normalize, parse, parse_line,
+    free_variables, implies, is_sentence, nodes, normalize, parse_line,
     rewrite, substitute_fo, substitute_so, term_fo_vars, validate,
 )
 from .theta import ThetaFamily
@@ -930,7 +930,8 @@ _LINE_RX = re.compile(r"^\s*(\d+)\s*\.\s*(.+?)\s*;\s*(.+?)\s*$")
 
 
 def load_premises_text(text: str, sig: Signature) -> list:
-    return [parse(line, sig) for _, line in content_lines(text.splitlines())]
+    return [parse_line(f"line {lineno}", line, sig)
+            for lineno, line in content_lines(text.splitlines())]
 
 
 def _parse_justification(text: str, in_template: bool):

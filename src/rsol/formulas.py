@@ -1202,14 +1202,11 @@ def parse(text: str, sig: Signature, allow_inst: bool = False) -> Formula:
 
 
 def parse_line(where: str, text: str, sig: Signature, allow_inst: bool = False) -> Formula:
-    """`parse` for the formula on one line of a file: a parse error starts
-    with `where`, the line's label, since its position counts from the
-    formula's start.  A NestingError refuses the formula as a whole and
-    reads the same in every command."""
+    """`parse` for the formula on one line of a file: a parse error,
+    nesting included, starts with `where`, the line's label, since its
+    position counts from the formula's start."""
     try:
         return parse(text, sig, allow_inst)
-    except NestingError:
-        raise
     except ParseError as exc:
         exc.args = (f"{where}: {exc}",)
         raise

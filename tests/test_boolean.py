@@ -250,7 +250,7 @@ def test_check_f_compatible_meet_over_budget():
     alg = FiniteCofiniteAlgebra()
     atoms = fincof_atoms_entry(alg)
     e = RegularEntry("meet", alg.zero, name="co-atoms", enumerator=lambda: (
-        alg.complement(a) for a in atoms.iter_members()))
+        alg.complement(a) for a in atoms.enumerator()))
     v = check_f_compatible(alg, PrincipalCofiniteMembership(alg), e, budget=50)
     assert (v.status, v.reason, v.inspected) == ("inconclusive", "budget", 50)
 
@@ -437,6 +437,120 @@ def test_rs_construct_keeps_its_output_and_one_object_per_chain_value(name, want
             _plain(approx.final))).encode())
         assert len({id(b) for b in approx.chain}) == len(set(approx.chain)), avoid
     assert h.hexdigest() == want
+
+
+def _compat_runs(name):
+    """(algebra, membership, budget, entries) of one compatibility digest: each
+    chain's membership over the case's entries; on the small finite cases
+    also random sets of elements, which are no filters, so that every
+    refuting verdict occurs; on fincof also the cofinite filter at budget
+    50, over entries that can and cannot rule out their members."""
+    alg, entries, avoids, steps = _rs_case(name)
+    for avoid in avoids:
+        yield (alg, rs_construct(alg, entries, avoid, decide_steps=steps).membership,
+               10_000, entries)
+    if name in ("powerset:3", "free:2"):
+        rng = random.Random(0)
+        elements = alg.elements()
+        for _ in range(8):
+            sample = set(rng.sample(elements, len(elements) // 2))
+            yield alg, sample.__contains__, 10_000, entries
+    if name == "fincof":
+        atoms = entries[0]
+        yield alg, PrincipalCofiniteMembership(alg), 50, [
+            atoms,
+            RegularEntry("join", alg.one, enumerator=atoms.enumerator, name="bare"),
+            RegularEntry("meet", alg.zero, name="co-atoms", enumerator=lambda: (
+                alg.complement(a) for a in atoms.enumerator()))]
+
+
+@pytest.mark.parametrize("name, want", [
+    ("powerset:3", "f9dc197422048d6f77bde1ff18489553e473c8b9c819b113c219a2c43f3db206"),
+    ("powerset:4", "99dee0bb9a63ecedfb965375d89abd10543109d47728c215602725480f571d98"),
+    ("free:2", "bd7d4b179b54cbd7c7b9713ee289c9c1c2a867edf438956af0de56744dd413d1"),
+    ("fincof", "a13f47c944a56dd8939c7b425ff6533a26e404e45b67d4df64c325d3b76d771f"),
+], ids=["powerset:3", "powerset:4", "free:2", "fincof"])
+def test_check_f_compatible_keeps_every_verdict(name, want):
+    # status, inspected count, witness and reason of every verdict, as
+    # digested from a check that decided each member by a Python scan
+    h = hashlib.sha256()
+    for alg, member, budget, entries in _compat_runs(name):
+        for e in entries:
+            v = check_f_compatible(alg, member, e, budget=budget)
+            h.update(repr((v.status, v.inspected, _plain(v.witness), v.reason)).encode())
+    assert h.hexdigest() == want
+
+
+def _refusal_by_meets(alg, entries, avoid, decide_steps, witness_budget):
+    """The error and entry name at which a chain that tests each entry by a
+    meet compared with zero stops, or None if it decides every entry."""
+    b = alg.complement(avoid)
+    carrier = iter(alg.elements()[:decide_steps])
+    for entry in entries:
+        up = entry.kind == "join"
+        low = alg.meet(b, alg.complement(entry.bound) if up else entry.bound)
+        if low == alg.zero:
+            for i, s in enumerate(entry.members):
+                if i >= witness_budget:
+                    return BudgetExhausted, entry.name
+                low = alg.meet(b, s if up else alg.complement(s))
+                if low != alg.zero:
+                    break
+            else:
+                return BoundRefuted, entry.name
+        b = low
+        for e in carrier:
+            low = alg.meet(b, e)
+            b = low if low != alg.zero else alg.meet(b, alg.complement(e))
+            break
+    return None
+
+
+def _verdict_by_meets(alg, entry):
+    """verify_entry's (status, checked, violation_index) on a finite entry,
+    with each order test made by a meet compared with zero."""
+    up = entry.kind == "join"
+    acc = alg.zero if up else alg.one
+    for i, s in enumerate(entry.members):
+        outside = (alg.meet(s, alg.complement(entry.bound)) if up
+                   else alg.meet(entry.bound, alg.complement(s)))
+        if outside != alg.zero:
+            return "violation", i, i
+        acc = alg.join(acc, s) if up else alg.meet(acc, s)
+    return ("exact" if acc == entry.bound else "violation"), len(entry.members), None
+
+
+@pytest.mark.parametrize("name", ["powerset:3", "free:2"])
+def test_refusals_match_a_chain_decided_by_meets(name):
+    # families with some bounds replaced at random: the chain must refuse on
+    # the entry, and run out of budget at the budget, that a chain deciding
+    # by meets does, and verify_entry must flag the same member
+    alg, entries, _, _ = _rs_case(name)
+    elements = alg.elements()
+    rng = random.Random(0)
+    seen = set()
+    for _ in range(300):
+        family = list(entries)
+        for i in rng.sample(range(len(family)), rng.randint(1, 3)):
+            e = family[i]
+            family[i] = RegularEntry(e.kind, rng.choice(elements), members=e.members,
+                                     name=e.name)
+            v = verify_entry(alg, family[i])
+            assert (v.status, v.checked, v.violation_index) == _verdict_by_meets(
+                alg, family[i])
+        avoid = rng.choice(elements[:-1])
+        steps = rng.choice([0, 2, None])
+        budget = rng.choice([1, 2, 10_000])
+        want = _refusal_by_meets(alg, family, avoid,
+                                 len(elements) if steps is None else steps, budget)
+        try:
+            rs_construct(alg, family, avoid, decide_steps=steps, witness_budget=budget)
+            got = None
+        except (BoundRefuted, BudgetExhausted) as exc:
+            got = type(exc), exc.entry_name
+        assert got == want, (avoid, steps, budget)
+        seen.add(got[0] if got else None)
+    assert seen == {None, BoundRefuted, BudgetExhausted}
 
 
 @pytest.fixture(scope="module")

@@ -102,6 +102,19 @@ def test_a_parse_error_in_a_proof_file_names_its_line(tmp_path, capsys):
         "", "parse error: line 2: expected rparen, found '' (at position 5)\n"))
 
 
+def test_a_too_deep_formula_in_a_file_names_its_line(tmp_path, capsys, pred_json):
+    deep = "~" * 150 + "P0(c0)"
+    fam, proof = tmp_path / "deep.fam", tmp_path / "deep.prf"
+    fam.write_text(f"x0 ; ; P0(x0)\n ; ; {deep}\n", encoding="utf-8")
+    proof.write_text(f"1. P0(c0) ; ax P1\n2. {deep} ; ax P1\n", encoding="utf-8")
+    refused = "formula nested deeper than 100 levels (at position 100)\n"
+    assert main(["ktheta", "--structure", pred_json, "--theta", f"file:{fam}",
+                 "--bound", "0"]) == 2
+    assert capsys.readouterr() == ("", f"parse error: {fam}:2: {refused}")
+    assert main(["prove-check", "--proof", str(proof)]) == 2
+    assert capsys.readouterr() == ("", f"parse error: line 2: {refused}")
+
+
 def test_orbits_command(pred_json):
     code, out = run_cli(["orbits", "--structure", pred_json, "--arity", "1"])
     assert code == 0
@@ -548,8 +561,11 @@ def test_deep_input_exits_2(tmp_path, capsys, const_json, command, name):
         args = ["prove-check", "--proof", str(proof)]
     code = main(args)
     err = capsys.readouterr().err
+    # a formula read from a file's line is named by that line
+    where = "line 1: " if command == "prove-check" else ""
     assert code == 2
-    assert err.startswith("parse error: formula nested deeper than") and err.count("\n") == 1
+    assert err.startswith(f"parse error: {where}formula nested deeper than")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", [
@@ -660,8 +676,8 @@ PREMISE_PROOF = ("1. P0(c0) ; premise 1\n"
 @pytest.mark.parametrize("premises, code, out, err", [
     ("# two premises\nP0(c0)\n\n  P0(c0) -> P0(c1)\n", 0,
      "accepted (3 lines, 0 templates)\n", ""),
-    ("P0(c0)\nP0(c0) -> P0(c1\n", 2, "", "parse error: expected rparen, found '' "
-                                         "(at position 15)\n"),
+    ("P0(c0)\nP0(c0) -> P0(c1\n", 2, "", "parse error: line 2: expected rparen, "
+                                         "found '' (at position 15)\n"),
     ("P0(x0)\nP0(c0) -> P0(c1)\n", 4, "rejected: premise 0 is not a sentence\n", ""),
 ], ids=["comment-and-blank-line", "malformed", "free-variable"])
 def test_prove_check_reads_a_premise_file(tmp_path, capsys, premises, code, out, err):
