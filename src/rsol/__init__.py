@@ -11,7 +11,7 @@ from .formulas import (
     Not, And, Or, Implies, Iff, ForallFO, ExistsFO, ForallSO, ExistsSO,
     Formula, FormulaError, ParseError, a6_instantiate, alpha_eq,
     format_formula, free_variables, is_sentence, normalize, parse,
-    substitute_fo, substitute_so,
+    substitute, substitute_fo,
 )
 from .theta import (
     ThetaFamily, ThetaMember, all_fo, classify_prefix, dsl, load_family,

@@ -55,12 +55,6 @@ class BooleanAlgebra:
         """Full carrier for finite algebras, None otherwise."""
         return None
 
-    def enumerate_elements(self) -> Iterator:
-        els = self.elements()
-        if els is None:
-            raise AlgebraError(f"{self!r} has no element enumerator")
-        return iter(els)
-
     def meet_all(self, items):
         out = self.one
         for a in items:
@@ -434,10 +428,12 @@ def rs_construct(alg: BooleanAlgebra, entries, avoid,
     the bound, because the bound distributes over the chain element);
     meet entries are dual.  Each choice is one `alg.le`, since b ∧ ¬c = 0
     exactly when b <= c, and the chain's next element is a meet only when
-    it moves.  Element decisions, in the order of `alg.enumerate_elements()`,
-    are interleaved one per entry, then continued until `decide_steps` is
-    exhausted.  Every chain element stays nonzero, so the emitted
-    membership procedure is an ultrafilter on the decided fragment.
+    it moves.  Element decisions, in the order of the carrier `alg.elements()`
+    lists (of `alg.enumerate_elements()` when it lists none: the
+    finite-cofinite algebra), are interleaved one per entry, then continued
+    until `decide_steps` is exhausted.  Every chain element stays nonzero,
+    so the emitted membership procedure is an ultrafilter on the decided
+    fragment.
     """
     if avoid == alg.one:
         raise AlgebraError("cannot avoid the unit element")

@@ -29,7 +29,7 @@ from .formulas import (
     PredApp, SOVar, Term, TermEq, Var, _depth, _validate_node, a6_instantiate,
     alpha_eq, as_implies, canonical_variable, children, content_lines,
     free_variables, implies, is_sentence, nodes, normalize, parse_line,
-    rewrite, substitute_fo, substitute_so, term_fo_vars, validate,
+    rewrite, substitute, term_fo_vars, validate,
 )
 from .theta import ThetaFamily
 
@@ -170,23 +170,13 @@ def build_schema(name: str, *parts):
 _FORALL = {FOVar: ForallFO, SOVar: ForallSO}
 
 
-def _instance(v, phi, t):
-    """phi with t for the free occurrences of v; FormulaError unless t is
-    free for v in phi."""
-    if isinstance(v, FOVar):
-        return substitute_fo(phi, v, t, on_capture="fail")
-    inst, clean = substitute_so(phi, v, t)
-    if not clean:
-        raise FormulaError(f"{t} is not free for {v}")
-    return inst
-
-
 def build_instance(v, phi, t):
     """Universal instance, forall v phi -> phi[t/v]: Q1 when v is a
     first-order variable and t a term, A4 when v is a relation variable and
-    t one of the same arity."""
+    t one of the same arity; CaptureError, a FormulaError, unless t is free
+    for v in phi."""
     phi = normalize(phi)
-    return implies(_FORALL[type(v)](v, phi), _instance(v, phi, t))
+    return implies(_FORALL[type(v)](v, phi), substitute(phi, {v: t}, "fail"))
 
 
 build_a4 = build_instance
@@ -369,7 +359,7 @@ def _match_instance(f, sort):
     # t is what psi has at the first place where phi has v
     t = next((b for a, b, _ in _diffs(phi, psi, old) if a == old), None)
     try:
-        return (v, t) if t is not None and _instance(v, phi, t) == psi else None
+        return (v, t) if t is not None and substitute(phi, {v: t}, "fail") == psi else None
     except FormulaError:
         return None
 

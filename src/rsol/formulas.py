@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 
@@ -325,11 +325,12 @@ def nodes(f: Formula, seen: dict | None = None) -> list:
     return out
 
 
-def rewrite(f: Formula, step, memo: dict | None = None) -> Formula:
+def rewrite(f: Formula, step, memo: dict | None = None, build=None) -> Formula:
     """f with each outermost part g whose step(g) is not None replaced by it, and
-    the nodes above rebuilt leaves first as by `rebuild`, on explicit stacks;
-    step meets the parts in pre-order, left to right.  With a `memo` (id ->
-    (node, result), kept across calls), each node object is rewritten once."""
+    the nodes above rebuilt leaves first by build(node, new parts), `rebuild` if
+    None, on explicit stacks; step meets the parts in pre-order, left to right.
+    With a `memo` (id -> (node, result), kept across calls), each node object is
+    rewritten once."""
     stack, out = [f], []
     pop, push, emit = stack.pop, stack.append, out.append
     while stack:
@@ -337,7 +338,9 @@ def rewrite(f: Formula, step, memo: dict | None = None) -> Formula:
         if type(g) is tuple:                  # the parts of g[0] are on out
             g, b = g[0], out.pop()
             t = type(g)
-            if t in _BINARY:
+            if build is not None:
+                r = build(g, (out.pop(), b) if t in _BINARY else (b,))
+            elif t in _BINARY:                # rebuild, written out for speed
                 a = out.pop()
                 r = g if a is g.left and b is g.right else t(a, b)
             else:
@@ -443,28 +446,18 @@ def _max_term_index(t: Term) -> int:
     return max((_max_term_index(a) for a in t.args), default=-1)
 
 
-def max_fo_index(f: Formula) -> int:
-    """Largest first-order variable index in f, -1 if none."""
+def max_index(f: Formula, sort: type) -> int:
+    """Largest index of a variable of type sort (FOVar or SOVar) occurring
+    anywhere in f, bound or free; -1 if none."""
     top = -1
     for g in nodes(f):
         t = type(g)
-        if t is PredApp or t is SOApp or t is TermEq:
-            terms = (g.left, g.right) if t is TermEq else g.args
-            top = max([top, *map(_max_term_index, terms)])
-        elif t in FO_QUANT:
-            top = max(top, g.var.index)
-    return top
-
-
-def max_so_index(f: Formula) -> int:
-    """Largest second-order variable index occurring anywhere in f, -1 if none."""
-    top = -1
-    for g in nodes(f):
-        t = type(g)
-        if t is SOEq:
-            top = max(top, g.left.index, g.right.index)
-        elif t is SOApp or t in SO_QUANT or t is InstAtom:
-            top = max(top, g.var.index)
+        if t in BINDERS or t is SOApp or t is SOEq:
+            for v in (g.left, g.right) if t is SOEq else (g.var,):
+                if type(v) is sort:
+                    top = max(top, v.index)
+        if sort is FOVar and (t is PredApp or t is SOApp or t is TermEq):
+            top = max([top, *map(_max_term_index, (g.left, g.right) if t is TermEq else g.args)])
     return top
 
 
@@ -515,7 +508,7 @@ def _validate_term(t: Term, sig: Signature) -> None:
 def normalize(f: Formula, memo: dict | None = None) -> Formula:
     """Rewrite sugar (|, ->, <->, exists) into the ~ /\\ forall primitives, on
     explicit stacks.  A scan returns a normal f itself, so normalize(g) is g;
-    f with sugar is rebuilt leaves first, keeping each part that stays the same.
+    f with sugar is rebuilt by `rewrite`, keeping each part that stays the same.
     A `memo` (id -> (node, normal form), kept across calls) only caches: each
     node object it holds is normalized once."""
     stack = [f]
@@ -530,42 +523,21 @@ def normalize(f: Formula, memo: dict | None = None) -> Formula:
             break
     else:
         return f
-    stack, out = [f], []
-    pop, push, emit = stack.pop, stack.append, out.append
-    while stack:
-        g = pop()
-        t = type(g)
-        if t is tuple:                        # the parts of g[0] are on out
-            g, b = g[0], out.pop()
-            t = type(g)
-            if t in _BINARY:
-                a = out.pop()
-                if t is And:
-                    r = g if a is g.left and b is g.right else And(a, b)
-                elif t is Iff:
-                    r = And(Not(And(a, Not(b))), Not(And(b, Not(a))))
-                else:
-                    r = Not(And(Not(a) if t is Or else a, Not(b)))
-            elif t is ExistsFO or t is ExistsSO:
-                r = Not((ForallFO if t is ExistsFO else ForallSO)(g.var, Not(b)))
-            else:
-                r = g if b is g.body else Not(b) if t is Not else t(g.var, b)
-        elif memo is not None and id(g) in memo:
-            r = memo[id(g)][1]
-        elif t in _ATOMS:
-            r = g
-        else:
-            push((g,))
-            if t in _BINARY:
-                push(g.right)
-                push(g.left)
-            elif SUBFORMULAS[t]:              # FormulaError if not a formula
-                push(g.body)
-            continue
-        if memo is not None:
-            memo[id(g)] = (g, r)
-        emit(r)
-    return out[0]
+    return rewrite(f, lambda g: None, memo, _primitive)
+
+
+def _primitive(g: Formula, kids) -> Formula:
+    """g over its normalized parts kids, sugar written in the primitives."""
+    t = type(g)
+    if t is Or or t is Implies:
+        a, b = kids
+        return Not(And(Not(a) if t is Or else a, Not(b)))
+    if t is Iff:
+        a, b = kids
+        return And(Not(And(a, Not(b))), Not(And(b, Not(a))))
+    if t is ExistsFO or t is ExistsSO:
+        return Not((ForallFO if t is ExistsFO else ForallSO)(g.var, Not(kids[0])))
+    return rebuild(g, kids)
 
 
 def as_implies(f: Formula):
@@ -666,45 +638,68 @@ def _subst_args(args: tuple, mapping: Mapping[FOVar, Term]) -> tuple:
     return args if all(map(operator.is_, new, args)) else new
 
 
-def substitute_fo_many(f: Formula, mapping: Mapping[FOVar, Term],
-                       on_capture: str = "rename", memo: dict | None = None) -> Formula:
-    """Simultaneous capture-avoiding substitution of terms for FO variables.
+def _value_variables(value) -> frozenset:
+    """The variables of a substitution's value: a term, or a relation variable."""
+    return frozenset((value,)) if type(value) is SOVar else term_fo_vars(value)
 
-    on_capture='rename' renames clashing binders to the successor of the
-    largest index in sight; 'fail' raises CaptureError instead (used by
-    axiom recognizers to enforce free-for side conditions).  A `memo`
-    (`rewrite`'s) may be shared by calls whose mappings agree on every
-    variable free in both formulas: with one, each binder's body gets a call
-    of its own, so the memo holds only nodes free in no variable but f's.
+
+def substitute(f: Formula, mapping: Mapping, on_capture: str = "rename",
+               memo: dict | None = None) -> Formula:
+    """Simultaneous capture-avoiding substitution of terms for first-order
+    variables and relation variables for relation variables of equal arity.
+
+    A quantifier that would capture a value's variable is renamed to the
+    successor of the largest index of its sort in sight, by one call under
+    the mapping plus old -> fresh; on_capture='fail' raises CaptureError
+    instead (the free-for side conditions of Q1 and A4).  An `inst` atom
+    binds its variable but is never renamed.  A `memo` (`rewrite`'s) may be
+    shared by calls whose mappings agree on every variable free in both
+    formulas: with one, each binder's body gets a call of its own, so the
+    memo holds only nodes free in no variable but f's.
     """
+    for k, v in mapping.items():
+        if type(k) is SOVar and k.arity != v.arity:
+            raise FormulaError(f"arities differ: {k} vs {v}")
     if not mapping:
         return f
+    # a binder can capture only a variable some value mentions
+    reach = frozenset().union(*map(_value_variables, mapping.values()))
 
     def step(g):
         t = type(g)
-        if t is PredApp or t is SOApp:
+        if t is PredApp:
             args = _subst_args(g.args, mapping)
-            return g if args is g.args else t(g.name if t is PredApp else g.var, args)
+            return g if args is g.args else PredApp(g.name, args)
+        if t is SOApp:
+            var, args = mapping.get(g.var, g.var), _subst_args(g.args, mapping)
+            return g if var is g.var and args is g.args else SOApp(var, args)
         if t is TermEq:
             left, right = _subst_term(g.left, mapping), _subst_term(g.right, mapping)
             return g if left is g.left and right is g.right else TermEq(left, right)
-        if t in FO_QUANT:
+        if t is SOEq:
+            left, right = mapping.get(g.left, g.left), mapping.get(g.right, g.right)
+            return g if left is g.left and right is g.right else SOEq(left, right)
+        if t in BINDERS:
             # the body gets a call of its own when g drops a key or renames g.var
-            live = {k: v for k, v in mapping.items() if k != g.var}
-            # a capture needs a term that mentions g.var, for a key free in the body
-            if any(g.var in term_fo_vars(term) for term in live.values()):
-                free_body, _ = free_variables(g.body)
-                live = {k: v for k, v in live.items() if k in free_body}
-                if any(g.var in term_fo_vars(term) for term in live.values()):
+            live = mapping
+            if g.var in mapping:
+                live = {k: v for k, v in mapping.items() if k != g.var}
+            # a capture needs a value that mentions g.var, for a key free in the body
+            if g.var in reach and t is not InstAtom:
+                free_fo, free_so = free_variables(g.body)
+                live = {k: v for k, v in live.items() if k in free_fo or k in free_so}
+                mentioned = [w for v in live.values() for w in _value_variables(v)]
+                if g.var in mentioned:
                     if on_capture == "fail":
                         raise CaptureError(f"{g.var} would be captured")
-                    top = max([g.var.index, max_fo_index(g.body)]
-                              + [_max_term_index(term) for term in live.values()])
-                    fresh = FOVar(top + 1)
-                    body = substitute_fo_many(g.body, {g.var: Var(fresh)})
-                    return t(fresh, substitute_fo_many(body, live, on_capture))
+                    sort = type(g.var)
+                    top = max([g.var.index, max_index(g.body, sort)]
+                              + [w.index for w in mentioned if type(w) is sort])
+                    fresh = replace(g.var, index=top + 1)
+                    old = Var(fresh) if sort is FOVar else fresh
+                    return t(fresh, substitute(g.body, {**live, g.var: old}, on_capture))
             if memo is not None or len(live) < len(mapping):
-                return rebuild(g, (substitute_fo_many(g.body, live, on_capture),))
+                return rebuild(g, (substitute(g.body, live, on_capture),))
         return None
 
     return rewrite(f, step, memo)
@@ -712,38 +707,7 @@ def substitute_fo_many(f: Formula, mapping: Mapping[FOVar, Term],
 
 def substitute_fo(f: Formula, var: FOVar, term: Term, on_capture: str = "rename") -> Formula:
     """Capture-avoiding substitution of one term for one FO variable."""
-    return substitute_fo_many(f, {var: term}, on_capture)
-
-
-def substitute_so(f: Formula, vm: SOVar, vn: SOVar) -> tuple:
-    """Replace free occurrences of vm by vn in applications and identities.
-
-    Returns (formula, free_for_held).  When a binder on vn would capture
-    the incoming variable the binder is renamed and free_for_held is
-    False, mirroring the side condition of the universal-instance schema.
-    """
-    if vm.arity != vn.arity:
-        raise FormulaError(f"arities differ: {vm} vs {vn}")
-    clean = True
-
-    def step(g):
-        nonlocal clean
-        t = type(g)
-        if t is SOApp:
-            return SOApp(vn, g.args) if g.var == vm else g
-        if t is SOEq and vm in (g.left, g.right):
-            return SOEq(vn if g.left == vm else g.left, vn if g.right == vm else g.right)
-        if t in BINDERS and g.var == vm:
-            return g
-        if t in SO_QUANT and g.var == vn and vm in free_variables(g.body)[1]:
-            # one call of its own per renamed binder
-            clean = False
-            fresh = SOVar(max(max_so_index(g.body), vm.index, vn.index) + 1, g.var.arity)
-            body, _ = substitute_so(g.body, g.var, fresh)
-            return t(fresh, substitute_so(body, vm, vn)[0])
-        return None
-
-    return rewrite(f, step), clean
+    return substitute(f, {var: term}, on_capture)
 
 
 def a6_instantiate(f: Formula, var: SOVar, member, tables: dict | None = None,
@@ -753,7 +717,7 @@ def a6_instantiate(f: Formula, var: SOVar, member, tables: dict | None = None,
 
     `member` supplies a first-order formula with designated slot variables
     (the relation coordinates) and parameter variables.  Each parameter p is
-    renamed x(p + s), s = max(0, max_fo_index(f) + 1 - the lowest parameter
+    renamed x(p + s), s = max(0, max_index(f, FOVar) + 1 - the lowest parameter
     index), past every variable of f (s = 0 for weak-so under f in x0: no
     walk of the member), and the normalized body is prefixed with one
     universal quantifier per parameter, so no new free variables appear.  The
@@ -767,7 +731,7 @@ def a6_instantiate(f: Formula, var: SOVar, member, tables: dict | None = None,
         raise FormulaError(
             f"{var} has arity {var.arity} but the instantiating formula defines arity {arity}")
     low = min(map(operator.attrgetter("index"), member.params), default=0)
-    shift = max(0, max_fo_index(f) + 1 - low)
+    shift = max(0, max_index(f, FOVar) + 1 - low)
     renamed = {p: Var(FOVar(p.index + shift)) for p in member.params} if shift else {}
 
     def step(g):
@@ -778,7 +742,7 @@ def a6_instantiate(f: Formula, var: SOVar, member, tables: dict | None = None,
             # with the same shift and slot arguments map those free in both alike
             slots = tuple(zip(member.slots, g.args))
             table = None if tables is None else tables.setdefault((shift, slots), {})
-            return substitute_fo_many(member.formula, {**renamed, **dict(slots)}, memo=table)
+            return substitute(member.formula, {**renamed, **dict(slots)}, memo=table)
         if t is SOEq and var in (g.left, g.right):
             raise FormulaError(
                 f"{var} occurs free in a second-order identity; instantiation is undefined")
@@ -945,14 +909,11 @@ def _lex(text: str) -> list:
         if not m:
             raise ParseError(f"unexpected character {text[i]!r}", i)
         kind = m.lastgroup
-        if kind == "ident" and m.group("ident") is None:
-            kind = None
         if kind != "ws":
-            tok_kind = kind
             word = m.group(0)
             if kind == "ident" and word in ("forall", "exists"):
-                tok_kind = word
-            out.append(_Tok(tok_kind, word, i))
+                kind = word
+            out.append(_Tok(kind, word, i))
         i = m.end()
     out.append(_Tok("eof", "", len(text)))
     return out

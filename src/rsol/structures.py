@@ -18,7 +18,6 @@ lists their relations; the family-backed providers (`MaterializedK`,
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -957,7 +956,9 @@ def _quantifier_entry(s: FiniteStructure, v: int, body: Formula, which: str,
     Items iii-vi read members 0..bound of the per-arity view of the family,
     which refuses an arity that the family has no members of.  A negative
     bound holds no member and is refused for every item.
-    `ta`, if given, is the truth algebra on A^v to build the classes in.
+    `ta`, if given, is the truth algebra on A^v to build the classes of
+    items iii-vi in; items i/ii build theirs over s with the constants, on
+    the same tuples.
     """
     if which not in _ITEMS:
         raise EvalError(f"unknown item {which!r}")
@@ -968,10 +969,9 @@ def _quantifier_entry(s: FiniteStructure, v: int, body: Formula, which: str,
     if which in ("i", "ii"):
         if not isinstance(var, FOVar):
             raise EvalError("items i/ii quantify a first-order variable")
-        # the same algebra over s expanded by one constant per element
+        # the algebra over s expanded by one constant per element
         s, consts = s.with_element_constants()
-        ta = copy.copy(ta or truth_algebra(s, v))
-        ta.structure = s
+        ta = truth_algebra(s, v)
         if not is_first_order(body):
             if fam is None or bound is None:
                 raise EvalError("second-order bodies need a family and bound")

@@ -63,6 +63,19 @@ def test_eval_orbits_vs_weak(two_json):
     assert code == 0 and "True" in out
 
 
+def test_eval_all_orbits_ranges_over_every_arity(tmp_path):
+    # E is a union of orbits of pairs on the rigid path 0 -> 1 -> 2: the
+    # all-orbits oracle has it, the orbits oracle has no binary relation
+    path = tmp_path / "path.json"
+    path.write_text('{"domain_size": 3, "predicates": {"E": [[0, 1], [1, 2]]}}',
+                    encoding="utf-8")
+    sentence = "exists X^2 forall x forall y (X^2(x, y) <-> E(x, y))"
+    for oracle, value in (("all-orbits", "True"), ("orbits", "False")):
+        code, out = run_cli(["eval", "--structure", str(path), "--oracle", oracle,
+                             "--sentence", sentence])
+        assert code == 0 and out.endswith(f"->  {value}\n"), (oracle, out)
+
+
 def test_ktheta_lists_relations(two_json):
     code, out = run_cli(["ktheta", "--structure", two_json,
                          "--theta", "weak-so:1", "--bound", "1"])
@@ -436,6 +449,11 @@ def test_random_structure_ignores_hash_seed():
     ('{"domain_size": 2, "constants": {"c": "0"}}', "constant c must be an integer"),
     ('{"domain_size": 2, "constants": {"c": 1.0}}', "constant c must be an integer"),
     ('{"domain_size": 2, "identity": "no"}', "identity must be true or false"),
+    # the signature's refusals: one name for two symbols, a predicate of arity 0
+    ('{"domain_size": 2, "predicates": {"P": [[0]]}, "constants": {"P": 0}}',
+     "duplicate symbol name 'P'"),
+    ('{"domain_size": 2, "arities": {"P": 0}, "predicates": {"P": []}}',
+     "predicate 'P' must have arity >= 1"),
 ])
 def test_malformed_structure_exits_3(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"

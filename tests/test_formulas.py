@@ -8,8 +8,8 @@ from rsol.formulas import (
     And, CaptureError, Const, ExistsFO, ExistsSO, ForallFO, ForallSO, FOVar,
     FormulaError, Func, Iff, Implies, InstAtom, Not, Or, ParseError, PredApp,
     Signature, SOApp, SOEq, SOVar, TermEq, Var, a6_instantiate, alpha_eq,
-    alpha_key, format_formula, free_variables, is_sentence, normalize, parse,
-    substitute_fo, substitute_fo_many, substitute_so, validate,
+    alpha_key, format_formula, free_variables, is_sentence, max_index, normalize,
+    parse, substitute, substitute_fo, validate,
 )
 import rsol.formulas as syntax
 
@@ -32,6 +32,12 @@ def test_signature_rejects_variable_like_names():
         Signature(predicates={"X0": 1})
     with pytest.raises(FormulaError):
         Signature(constants=["x3"])
+
+
+def test_variables_refuse_a_negative_index():
+    for make in (lambda: FOVar(-1), lambda: SOVar(-1), lambda: SOVar(-1, 2)):
+        with pytest.raises(FormulaError, match="variable index must be >= 0"):
+            make()
 
 
 def test_signature_folds_zero_ary_functions():
@@ -96,6 +102,17 @@ def test_roundtrip_examples():
             assert parse(format_formula(f, unicode=unicode), SIG) == f
 
 
+def test_a_template_line_prints_and_parses_back():
+    # an inst atom is printed as inst(V, body) and read back under allow_inst
+    f = parse("forall X0 (X0(c0) & exists x1 X0(x1)) -> inst(X0, X0(c0) & exists x1 X0(x1))",
+              SIG, allow_inst=True)
+    assert type(f.right) is InstAtom
+    for unicode in (True, False):
+        text = format_formula(f, unicode=unicode)
+        assert "inst(X0, " in text
+        assert alpha_eq(parse(text, SIG, allow_inst=True), f)
+
+
 def test_print_exists_both_ways():
     f = parse("exists X0 P0(c0)", SIG)
     plain = format_formula(normalize(f))
@@ -131,13 +148,29 @@ def test_substitute_fo_no_free_occurrence():
 
 
 def test_substitute_so():
-    out, clean = substitute_so(SOApp(X0, (Var(x0),)), X0, X1)
-    assert out == SOApp(X1, (Var(x0),)) and clean
+    # relation variables for relation variables: a capture renames the
+    # binder, or is refused under "fail"; arities must agree
+    assert substitute(SOApp(X0, (Var(x0),)), {X0: X1}, "fail") == SOApp(X1, (Var(x0),))
     f = ForallSO(X1, SOEq(X0, X1))
-    out, clean = substitute_so(f, X0, X1)
-    assert out == ForallSO(SOVar(2, 1), SOEq(X1, SOVar(2, 1))) and not clean
+    assert substitute(f, {X0: X1}) == ForallSO(SOVar(2, 1), SOEq(X1, SOVar(2, 1)))
+    with pytest.raises(CaptureError):
+        substitute(f, {X0: X1}, "fail")
     with pytest.raises(FormulaError):
-        substitute_so(SOApp(X0, (Var(x0),)), X0, SOVar(1, 2))
+        substitute(SOApp(X0, (Var(x0),)), {X0: SOVar(1, 2)})
+    with pytest.raises(FormulaError, match="arities differ"):
+        substitute(PredApp("P0", (Var(x0),)), {X0: SOVar(1, 2)})
+
+
+def test_a_renamed_binder_is_past_every_value():
+    # the fresh name passes the values of the keys free in the body as well
+    # as the body, or the renamed binder would capture x3 / X3 in its turn
+    x3, x4 = FOVar(3), FOVar(4)
+    f = ForallFO(x1, And(PredApp("P1", (Var(x0), Var(x1))), PredApp("P0", (Var(x2),))))
+    assert substitute(f, {x0: Var(x1), x2: Var(x3)}) == \
+        ForallFO(x4, And(PredApp("P1", (Var(x1), Var(x4))), PredApp("P0", (Var(x3),))))
+    X2, X3, X4 = SOVar(2, 1), SOVar(3, 1), SOVar(4, 1)
+    g = ForallSO(X1, And(SOEq(X0, X1), SOEq(X2, X2)))
+    assert substitute(g, {X0: X1, X2: X3}) == ForallSO(X4, And(SOEq(X1, X4), SOEq(X3, X3)))
 
 
 def test_a6_instantiate_weak_so_shape():
@@ -286,7 +319,7 @@ def test_disjoint_substitutions_commute(f, t, s):
         return
     one = substitute_fo(substitute_fo(f, va, t), vb, s)
     other = substitute_fo(substitute_fo(f, vb, s), va, t)
-    both = substitute_fo_many(f, {va: t, vb: s})
+    both = substitute(f, {va: t, vb: s})
     assert alpha_eq(one, other)
     assert alpha_eq(one, both)
 
@@ -396,10 +429,9 @@ def test_normalize_of_a_normal_formula_is_that_formula(f):
 def test_rewrites_share_the_subtrees_they_leave_alone():
     untouched = ForallSO(X1, SOEq(X1, SOVar(2, 1)))
     f = normalize(And(Or(_P, untouched), _Q))
-    out, clean = substitute_so(f, X1, X0)
-    assert out is f and clean
-    assert substitute_fo_many(f, {x2: Const("c0")}) is f
-    g = substitute_fo_many(f, {x1: Const("c0")})
+    assert substitute(f, {X1: X0}, "fail") is f
+    assert substitute(f, {x2: Const("c0")}) is f
+    g = substitute(f, {x1: Const("c0")})
     assert g is not f and g.left is f.left
 
 
@@ -432,7 +464,7 @@ def _renamed(f, shift):
         return t(w, _renamed(substitute_fo(f.body, f.var, Var(w)), shift))
     if t in (ForallSO, ExistsSO):
         w = SOVar(f.var.index + shift, f.var.arity)
-        return t(w, _renamed(substitute_so(f.body, f.var, w)[0], shift))
+        return t(w, _renamed(substitute(f.body, {f.var: w}), shift))
     return syntax.rebuild(f, [_renamed(g, shift) for g in syntax.children(f)])
 
 
@@ -488,26 +520,24 @@ def test_normalize_and_alpha_eq_walk_a_5000_deep_chain():
 
 def _a6_rename_then_substitute(f, var, member, on_capture="rename", past_both=False):
     """a6_instantiate as two substitutions: the member's parameters renamed
-    once, each p to x(p + s) with s = max(0, max_fo_index(f) + 1 - the lowest
+    once, each p to x(p + s) with s = max(0, max_index(f, FOVar) + 1 - the lowest
     parameter index), then its slots replaced by each application's
     arguments.  With past_both, the i-th parameter is renamed past every
     index of f and of the member instead, the rule before s."""
     if past_both:
-        base = max(syntax.max_fo_index(f), syntax.max_fo_index(member.formula)) + 1
+        base = max(max_index(f, FOVar), max_index(member.formula, FOVar)) + 1
         fresh = tuple(FOVar(base + i) for i in range(len(member.params)))
     else:
         low = min((p.index for p in member.params), default=0)
-        shift = max(0, syntax.max_fo_index(f) + 1 - low)
+        shift = max(0, max_index(f, FOVar) + 1 - low)
         fresh = tuple(FOVar(p.index + shift) for p in member.params)
     # two steps are one simultaneous substitution while no new name is a slot
     assert not set(fresh) & set(member.slots)
-    theta = substitute_fo_many(member.formula,
-                               {p: Var(q) for p, q in zip(member.params, fresh)})
+    theta = substitute(member.formula, {p: Var(q) for p, q in zip(member.params, fresh)})
 
     def walk(g):
         if type(g) is SOApp and g.var == var:
-            return substitute_fo_many(theta, dict(zip(member.slots, g.args)),
-                                      on_capture)
+            return substitute(theta, dict(zip(member.slots, g.args)), on_capture)
         if type(g) in syntax.BINDERS and g.var == var:
             return g
         return syntax.rebuild(g, [walk(k) for k in syntax.children(g)])
@@ -603,10 +633,10 @@ def test_max_fo_index_walks_a_5000_deep_chain():
     f = ExistsFO(FOVar(7000), PredApp("P0", (Var(FOVar(4999)),)))
     for k in reversed(range(4999)):
         f = Or(PredApp("P0", (Var(FOVar(k)),)), f)
-    assert syntax.max_fo_index(f) == 7000
-    assert syntax.max_fo_index(f.right) == 7000
-    assert syntax.max_fo_index(Or(TermEq(Var(x5), Const("c0")), SOApp(X0, (Var(x2),)))) == 5
-    assert syntax.max_fo_index(SOEq(X0, X1)) == -1
+    assert max_index(f, FOVar) == 7000
+    assert max_index(f.right, FOVar) == 7000
+    assert max_index(Or(TermEq(Var(x5), Const("c0")), SOApp(X0, (Var(x2),))), FOVar) == 5
+    assert max_index(SOEq(X0, X1), FOVar) == -1
 
 
 def _chain(leaf, levels=5000):
@@ -628,12 +658,12 @@ def test_the_generic_walkers_take_a_5000_level_formula(shallow_stack):
         validate(f, SIG)
         with pytest.raises(FormulaError, match="unknown predicate 'Q9'"):
             validate(_chain(PredApp("Q9", (Var(x0),))), SIG)
-        assert syntax.max_fo_index(f) == 3 and syntax.max_so_index(f) == 2
+        assert max_index(f, FOVar) == 3 and max_index(f, SOVar) == 2
         # x3 is bound at every fourth level: the mapping narrows at the first
-        got = substitute_fo_many(f, {x0: Var(x5), FOVar(3): Var(x5)})
+        got = substitute(f, {x0: Var(x5), FOVar(3): Var(x5)})
         assert alpha_eq(got, _chain(And(SOApp(X0, (Var(x5),)), p0x1)))
-        got, clean = substitute_so(f, X0, X1)
-        assert clean and alpha_eq(got, _chain(And(SOApp(X1, (Var(x0),)), p0x1)))
+        got = substitute(f, {X0: X1}, "fail")
+        assert alpha_eq(got, _chain(And(SOApp(X1, (Var(x0),)), p0x1)))
         # the member's parameter x1 becomes x4, past x3, and is closed on top
         got = a6_instantiate(f, X0, member)
         want = _chain(And(TermEq(Var(x0), Var(FOVar(4))), p0x1))
@@ -642,12 +672,12 @@ def test_the_generic_walkers_take_a_5000_level_formula(shallow_stack):
 
 
 def _substitute_filtering_at_every_binder(f, mapping, on_capture="rename"):
-    """substitute_fo_many as it was written before, reading the free
+    """First-order substitution as it was written before, reading the free
     variables of the body at every first-order quantifier."""
     def walk(g, mapping):
         t = type(g)
         if t in (PredApp, SOApp, TermEq):
-            return substitute_fo_many(g, mapping, on_capture)
+            return substitute(g, mapping, on_capture)
         if t in (ForallFO, ExistsFO):
             live = {k: v for k, v in mapping.items()
                     if k != g.var and k in free_variables(g.body)[0]}
@@ -656,7 +686,7 @@ def _substitute_filtering_at_every_binder(f, mapping, on_capture="rename"):
             if any(g.var in syntax.term_fo_vars(term) for term in live.values()):
                 if on_capture == "fail":
                     raise CaptureError(f"{g.var} would be captured")
-                top = max([g.var.index, syntax.max_fo_index(g.body)]
+                top = max([g.var.index, max_index(g.body, FOVar)]
                           + [syntax._max_term_index(term) for term in live.values()])
                 fresh = FOVar(top + 1)
                 return t(fresh, walk(walk(g.body, {g.var: Var(fresh)}), live))
@@ -682,18 +712,18 @@ def test_substitute_fo_many_agrees_with_filtering_at_every_binder():
         mapping = {v: rng.choice(terms) for v in rng.sample(xs, rng.randint(1, 3))}
         for f in (normalize(raw), raw):
             want = _substitute_filtering_at_every_binder(f, mapping)
-            got = substitute_fo_many(f, mapping)
+            got = substitute(f, mapping)
             assert got == want and (got is f) == (want is f), (f, mapping)
             unchanged += got is f
-            renamed += syntax.max_fo_index(got) > 2
+            renamed += max_index(got, FOVar) > 2
             try:
                 _substitute_filtering_at_every_binder(f, mapping, "fail")
             except CaptureError:
                 captured += 1
                 with pytest.raises(CaptureError):
-                    substitute_fo_many(f, mapping, "fail")
+                    substitute(f, mapping, "fail")
             else:
-                assert substitute_fo_many(f, mapping, "fail") == want
+                assert substitute(f, mapping, "fail") == want
         sugared += normalize(raw) is not raw
     assert unchanged > 1000 and renamed > 100 and captured > 100 and sugared > 1000
 
@@ -714,12 +744,12 @@ def test_substitute_fo_many_reads_free_variables_only_where_a_capture_may_be(
             g = g.body
         return g
 
-    assert innermost(substitute_fo_many(f, {x0: Const("c0")})) == \
+    assert innermost(substitute(f, {x0: Const("c0")})) == \
         PredApp("P1", (Const("c0"), Var(x1)))
     assert read == []
     # x0 := x1 may be captured by forall x1, the innermost binder: only its
     # body is read, and that binder is renamed to x2
-    assert innermost(substitute_fo_many(f, {x0: Var(x1)})) == \
+    assert innermost(substitute(f, {x0: Var(x1)})) == \
         PredApp("P1", (Var(x1), Var(x2)))
     assert len(read) == 1 and read[0] == PredApp("P1", (Var(x0), Var(x1)))
 
@@ -731,14 +761,187 @@ def test_substitute_fo_many_shares_a_memo_only_outside_binders():
     # second one must not reuse the first one's result for the shared node
     h = PredApp("P1", (Var(x0), Var(x1)))
     memo: dict = {}
-    assert substitute_fo_many(h, {x0: Const("c0"), x1: Var(x5)}, memo=memo) == \
+    assert substitute(h, {x0: Const("c0"), x1: Var(x5)}, memo=memo) == \
         PredApp("P1", (Const("c0"), Var(x5)))
-    assert substitute_fo_many(ForallFO(x1, h), {x0: Const("c0")}, memo=memo) == \
+    assert substitute(ForallFO(x1, h), {x0: Const("c0")}, memo=memo) == \
         ForallFO(x1, PredApp("P1", (Const("c0"), Var(x1))))
     # outside binders the node is substituted once
     g = And(h, ForallFO(x1, h))
-    assert substitute_fo_many(g, {x0: Const("c0"), x1: Var(x5)}, memo=memo).left is \
-        substitute_fo_many(h, {x0: Const("c0"), x1: Var(x5)}, memo=memo)
+    assert substitute(g, {x0: Const("c0"), x1: Var(x5)}, memo=memo).left is \
+        substitute(h, {x0: Const("c0"), x1: Var(x5)}, memo=memo)
+
+
+def _so_indices(f):
+    """The indices of the relation variables written anywhere in f."""
+    return [v.index for g in syntax.nodes(f)
+            for v in ((g.left, g.right) if type(g) is SOEq else (g.var,)
+                      if type(g) in (SOApp, ForallSO, ExistsSO, InstAtom) else ())]
+
+
+def _substitute_so_before(f, vm, vn):
+    """Relation-variable substitution as it was written before: the formula
+    with vn for the free vm, and whether vn was free for vm; a capturing
+    binder is renamed by two walks of its body."""
+    clean = True
+
+    def step(g):
+        nonlocal clean
+        t = type(g)
+        if t is SOApp:
+            return SOApp(vn, g.args) if g.var == vm else g
+        if t is SOEq and vm in (g.left, g.right):
+            return SOEq(vn if g.left == vm else g.left, vn if g.right == vm else g.right)
+        if t in syntax.BINDERS and g.var == vm:
+            return g
+        if t in (ForallSO, ExistsSO) and g.var == vn and vm in free_variables(g.body)[1]:
+            clean = False
+            fresh = SOVar(max([*_so_indices(g.body), vm.index, vn.index]) + 1, g.var.arity)
+            body, _ = _substitute_so_before(g.body, g.var, fresh)
+            return t(fresh, _substitute_so_before(body, vm, vn)[0])
+        return None
+
+    return syntax.rewrite(f, step), clean
+
+
+_SO_POOL = [X0, X1, SOVar(2, 1)]
+
+
+def _so_formula(rng):
+    """A random formula over _SO_POOL, joined to one relation identity or
+    `inst` atom, which random_formula does not write."""
+    from rsol.sampling import random_formula
+    f = random_formula(rng, SIG, 4, [x0, x1], _SO_POOL)
+    a, b = rng.choice(_SO_POOL), rng.choice(_SO_POOL)
+    extra = rng.choice([SOEq(a, b), ForallSO(a, SOEq(a, b)),
+                        InstAtom(a, random_formula(rng, SIG, 2, [x0, x1], _SO_POOL))])
+    return And(f, extra) if rng.random() < 0.5 else And(extra, f)
+
+
+def test_substitute_agrees_with_the_relation_substitution_before():
+    # the same output and shared subtrees as the two-walk renaming, and
+    # "fail" refuses exactly the substitutions where vn was not free for vm
+    import random
+    rng = random.Random("substitute/so-differential")
+    unchanged = renamed = captured = 0
+    for _ in range(3000):
+        f = _so_formula(rng)
+        vm, vn = rng.sample(_SO_POOL, 2)
+        f = normalize(f) if rng.random() < 0.5 else f
+        want, clean = _substitute_so_before(f, vm, vn)
+        got = substitute(f, {vm: vn})
+        assert got == want and (got is f) == (want is f), (f, vm, vn)
+        unchanged += got is f
+        renamed += max(_so_indices(got), default=-1) > 2
+        if clean:
+            assert substitute(f, {vm: vn}, "fail") == want
+        else:
+            captured += 1
+            with pytest.raises(CaptureError):
+                substitute(f, {vm: vn}, "fail")
+    assert unchanged > 300 and renamed > 100 and captured > 100
+
+
+def test_a_mixed_substitution_is_its_two_halves_in_turn():
+    # when no value mentions a key, terms for x-keys and relation variables
+    # for X-keys at once are the first-order half, then the relation half
+    import random
+    rng = random.Random("substitute/mixed")
+    terms = [Var(x0), Var(x1), Var(x2), Const("c0"), Func("f0", (Var(x1),))]
+    captured = 0
+    for _ in range(3000):
+        f = _so_formula(rng)
+        fo = {v: rng.choice(terms) for v in rng.sample([x0, x1], rng.randint(1, 2))}
+        so = dict([rng.sample(_SO_POOL, 2)])
+        if any(k in syntax.term_fo_vars(t) for k in fo for t in fo.values()) \
+                or set(so) & set(so.values()):
+            continue
+        both = {**fo, **so}
+        assert substitute(f, both) == substitute(substitute(f, fo), so), (f, both)
+        try:
+            want = substitute(substitute(f, fo, "fail"), so, "fail")
+        except CaptureError:
+            captured += 1
+            with pytest.raises(CaptureError):
+                substitute(f, both, "fail")
+        else:
+            assert substitute(f, both, "fail") == want
+    assert captured > 100
+
+
+def _normalize_before(f, memo=None):
+    """normalize as it was written before, with a rebuild loop of its own."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is Not or t is ForallFO or t is ForallSO or t is InstAtom:
+            stack.append(g.body)
+        elif t is And:
+            stack += (g.right, g.left)
+        elif t not in (PredApp, TermEq, SOApp, SOEq):
+            break
+    else:
+        return f
+    stack, out = [f], []
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is tuple:
+            g, b = g[0], out.pop()
+            t = type(g)
+            if t in (And, Or, Implies, Iff):
+                a = out.pop()
+                if t is And:
+                    r = g if a is g.left and b is g.right else And(a, b)
+                elif t is Iff:
+                    r = And(Not(And(a, Not(b))), Not(And(b, Not(a))))
+                else:
+                    r = Not(And(Not(a) if t is Or else a, Not(b)))
+            elif t is ExistsFO or t is ExistsSO:
+                r = Not((ForallFO if t is ExistsFO else ForallSO)(g.var, Not(b)))
+            else:
+                r = g if b is g.body else Not(b) if t is Not else t(g.var, b)
+        elif memo is not None and id(g) in memo:
+            r = memo[id(g)][1]
+        elif t in (PredApp, TermEq, SOApp, SOEq):
+            r = g
+        else:
+            stack.append((g,))
+            stack += (g.right, g.left) if t in (And, Or, Implies, Iff) else (g.body,)
+            continue
+        if memo is not None:
+            memo[id(g)] = (g, r)
+        out.append(r)
+    return out[0]
+
+
+def test_normalize_agrees_with_its_own_loop_before():
+    # the same normal forms and shared subtrees, alone and with memos kept
+    # across calls; a node object met twice gives one result object
+    import random
+    from rsol.sampling import random_formula
+    rng = random.Random("normalize/differential")
+    memo, memo_before = {}, {}
+    normal = twice = 0
+    for _ in range(3000):
+        f = random_formula(rng, SIG, 4, [x0, x1, x2], [X0, X1])
+        if rng.random() < 0.3:
+            f = rng.choice([Or, Iff, And])(f, f)
+        want = _normalize_before(f)
+        got = normalize(f)
+        assert got == want and (got is f) == (want is f), f
+        assert normalize(got) is got
+        normal += got is f
+        got_memo = normalize(f, memo)
+        assert got_memo == _normalize_before(f, memo_before) == want
+        assert normalize(f, memo) is got_memo
+        if type(f) is Or and f.left is f.right and got_memo is not f:
+            twice += 1
+            assert got_memo.body.left.body is got_memo.body.right.body
+    assert memo.keys() == memo_before.keys()
+    assert all(memo[k][1] == memo_before[k][1] for k in memo)
+    assert normal > 300 and twice > 100
+
 
 def _tree_size(f):
     """The nodes of f counted as a tree: a subtree two parents share counts twice."""

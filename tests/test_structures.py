@@ -23,7 +23,9 @@ from rsol.structures import (
     _FixedFamilyK, _all_relations, _compile, _definer, _masks,
 )
 from rsol.sampling import random_structure
-from rsol.theta import ThetaMember, _weak_member_parts, all_fo, dsl, weak_so
+from rsol.theta import (
+    ThetaMember, _weak_member_parts, all_fo, dsl, prefix_family, weak_so,
+)
 
 EMPTY_SIG = Signature()
 P_SIG = Signature(predicates={"P0": 1})
@@ -668,6 +670,10 @@ def test_exact_provider_selection():
     assert isinstance(exact_provider_for(weak_so(EMPTY_SIG, 1)), WeakSOExactK)
     assert isinstance(exact_provider_for(dsl(EMPTY_SIG)), OrbitK)
     assert isinstance(exact_provider_for(all_fo(EMPTY_SIG)), AllRelationsK)
+    every = exact_provider_for(all_fo(EMPTY_SIG, parameters=False))
+    assert type(every) is OrbitK and every.arities is None
+    with pytest.raises(EvalError, match="no exact oracle for family 'exists-n:1'"):
+        exact_provider_for(prefix_family(EMPTY_SIG, "exists", 1))
 
 
 def test_materialized_model_materializes_once(monkeypatch):
