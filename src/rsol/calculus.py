@@ -547,7 +547,7 @@ def _check_justified_line(proof: Proof, lines, i: int, line: ProofLine,
     if isinstance(j, MP):
         if not (0 <= j.implication < i and 0 <= j.antecedent < i):
             return "detachment cites a line that is not strictly earlier"
-        if lines[j.implication].formula != implies(lines[j.antecedent].formula, f):
+        if as_implies(lines[j.implication].formula) != (lines[j.antecedent].formula, f):
             return "implication line does not match antecedent and conclusion"
         return None
     if isinstance(j, (GenFO, GenSO)):

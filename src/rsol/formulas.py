@@ -5,7 +5,8 @@ variables carry an index and a relation arity (X0^1, X3^2, ...).
 Negation, conjunction and the two universal quantifiers are primitive;
 disjunction, implication, biconditional and the existentials are kept in
 the AST as sugar and removed by `normalize`.  Semantic and proof-level
-code operates on normalized formulas only.
+code operates on normalized formulas only.  A node keeps two facts once
+computed, its hash and a mark that it is normal, neither a dataclass field.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Mapping
 
 
@@ -150,12 +151,52 @@ class Func(Term):
 
 class Formula:
     __slots__ = ()
+    # two facts a node keeps once computed, set by object.__setattr__, since
+    # reading a node's __dict__ would build a dict object for it
+    _hash = None            # the structural hash, stored by `__hash__`
+    _normal = False         # set by `normalize` on a node it found normal
 
     def __str__(self):
         return format_formula(self)
 
+    def __hash__(self):
+        """Store the hash of `_KEY`'s key in each part without one, post-order, on a stack."""
+        stack = [self]
+        while self._hash is None:
+            g = stack[-1]
+            key = _KEY[type(g)](g)
+            if key[-1] is None or key[-2] is None:     # a part has none: the last first
+                stack.append(getattr(g, SUBFORMULAS[type(g)][-1]) if key[-1] is None else g.left)
+            else:
+                object.__setattr__(stack.pop(), "_hash", hash(key))
+        return self._hash
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        """Structure on an explicit stack, skipping shared parts; unequal stored hashes: False."""
+        if self is other or type(other) is not type(self):
+            return self is other or NotImplemented
+        stack = [self, other]
+        while stack:
+            b, a = stack.pop(), stack.pop()
+            while a is not b:                 # down the left parts, the right ones stacked
+                t, ha, hb = type(a), a._hash, b._hash
+                if type(b) is not t or ha is not None and hb is not None and ha != hb:
+                    return False
+                if t in _BINARY:
+                    stack += (a.right, b.right)
+                    a, b = a.left, b.left
+                elif t in _ATOMS:
+                    if _KEY[t](a) != _KEY[t](b):
+                        return False
+                    break
+                elif t is not Not and a.var != b.var:
+                    return False
+                else:
+                    a, b = a.body, b.body
+        return True
+
+
+@dataclass(frozen=True, eq=False)
 class PredApp(Formula):
     name: str
     args: tuple
@@ -164,13 +205,13 @@ class PredApp(Formula):
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TermEq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SOApp(Formula):
     var: SOVar
     args: tuple
@@ -182,7 +223,7 @@ class SOApp(Formula):
                 f"{self.var} applied to {len(self.args)} arguments, arity is {self.var.arity}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SOEq(Formula):
     left: SOVar
     right: SOVar
@@ -193,60 +234,60 @@ class SOEq(Formula):
                 f"identity between {self.left} and {self.right}: arities differ")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForallFO(Formula):
     var: FOVar
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExistsFO(Formula):
     var: FOVar
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForallSO(Formula):
     var: SOVar
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExistsSO(Formula):
     var: SOVar
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstAtom(Formula):
     """Schematic atom used by proof templates.
 
@@ -287,6 +328,13 @@ SUBFORMULAS = _ShapeTable({
     ForallFO: ("body",), ExistsFO: ("body",),
     ForallSO: ("body",), ExistsSO: ("body",), InstAtom: ("body",),
 })
+# node type -> the key of its hash: a number for the type, then each field,
+# a subformula by its stored hash (None when it has none), so parts come last
+for _tag, _t in enumerate(SUBFORMULAS):
+    _t._tag = _tag
+_KEY = {t: operator.attrgetter("_tag", *(f.name + "._hash" if f.name in names else f.name
+                                         for f in fields(t)))
+        for t, names in SUBFORMULAS.items()}
 
 
 def children(f: Formula) -> tuple:
@@ -507,21 +555,23 @@ def _validate_term(t: Term, sig: Signature) -> None:
 
 def normalize(f: Formula, memo: dict | None = None) -> Formula:
     """Rewrite sugar (|, ->, <->, exists) into the ~ /\\ forall primitives, on
-    explicit stacks.  A scan returns a normal f itself, so normalize(g) is g;
-    f with sugar is rebuilt by `rewrite`, keeping each part that stays the same.
+    explicit stacks.  A scan returns a normal f itself, marking each node it walked
+    for later scans to stop at; `rewrite` rebuilds f with sugar, sharing unchanged parts.
     A `memo` (id -> (node, normal form), kept across calls) only caches: each
     node object it holds is normalized once."""
-    stack = [f]
+    stack, walked = [f], []
     while stack:
         g = stack.pop()
         t = type(g)
-        if t is Not or t is ForallFO or t is ForallSO or t is InstAtom:
-            stack.append(g.body)
-        elif t is And:
-            stack += (g.right, g.left)
+        if t is Not or t is And or t is ForallFO or t is ForallSO or t is InstAtom:
+            if not g._normal:
+                walked.append(g)
+                stack += (g.right, g.left) if t is And else (g.body,)
         elif t not in _ATOMS:
             break
     else:
+        for g in walked:
+            object.__setattr__(g, "_normal", True)
         return f
     return rewrite(f, lambda g: None, memo, _primitive)
 
@@ -604,19 +654,8 @@ def alpha_key(f: Formula):
 
 
 def alpha_eq(f: Formula, g: Formula) -> bool:
-    """Whether f and g are alpha-equivalent: compared node for node on an explicit
-    stack, skipping parts they share as one object, then by keys if they differ."""
-    stack = [(f, g)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        a, b = pop()
-        if a is not b:
-            t = type(a)
-            if type(b) is not t or (a != b if t in _ATOMS else t in BINDERS and a.var != b.var):
-                return alpha_key(f) == alpha_key(g)
-            for name in SUBFORMULAS[t]:
-                push((getattr(a, name), getattr(b, name)))
-    return True
+    """Whether f and g are alpha-equivalent: equal, or else of equal keys."""
+    return f == g or alpha_key(f) == alpha_key(g)
 
 
 # ---------------------------------------------------------------------------
@@ -660,49 +699,50 @@ def substitute(f: Formula, mapping: Mapping, on_capture: str = "rename",
     for k, v in mapping.items():
         if type(k) is SOVar and k.arity != v.arity:
             raise FormulaError(f"arities differ: {k} vs {v}")
-    if not mapping:
-        return f
-    # a binder can capture only a variable some value mentions
+    # a binder can capture only a variable some value mentions, never a fresh one
     reach = frozenset().union(*map(_value_variables, mapping.values()))
 
-    def step(g):
-        t = type(g)
-        if t is PredApp:
-            args = _subst_args(g.args, mapping)
-            return g if args is g.args else PredApp(g.name, args)
-        if t is SOApp:
-            var, args = mapping.get(g.var, g.var), _subst_args(g.args, mapping)
-            return g if var is g.var and args is g.args else SOApp(var, args)
-        if t is TermEq:
-            left, right = _subst_term(g.left, mapping), _subst_term(g.right, mapping)
-            return g if left is g.left and right is g.right else TermEq(left, right)
-        if t is SOEq:
-            left, right = mapping.get(g.left, g.left), mapping.get(g.right, g.right)
-            return g if left is g.left and right is g.right else SOEq(left, right)
-        if t in BINDERS:
-            # the body gets a call of its own when g drops a key or renames g.var
-            live = mapping
-            if g.var in mapping:
-                live = {k: v for k, v in mapping.items() if k != g.var}
-            # a capture needs a value that mentions g.var, for a key free in the body
-            if g.var in reach and t is not InstAtom:
-                free_fo, free_so = free_variables(g.body)
-                live = {k: v for k, v in live.items() if k in free_fo or k in free_so}
-                mentioned = [w for v in live.values() for w in _value_variables(v)]
-                if g.var in mentioned:
-                    if on_capture == "fail":
-                        raise CaptureError(f"{g.var} would be captured")
-                    sort = type(g.var)
-                    top = max([g.var.index, max_index(g.body, sort)]
-                              + [w.index for w in mentioned if type(w) is sort])
-                    fresh = replace(g.var, index=top + 1)
-                    old = Var(fresh) if sort is FOVar else fresh
-                    return t(fresh, substitute(g.body, {**live, g.var: old}, on_capture))
-            if memo is not None or len(live) < len(mapping):
-                return rebuild(g, (substitute(g.body, live, on_capture),))
-        return None
+    def under(f, mapping, memo=None):
+        def step(g):
+            t = type(g)
+            if t is PredApp:
+                args = _subst_args(g.args, mapping)
+                return g if args is g.args else PredApp(g.name, args)
+            if t is SOApp:
+                var, args = mapping.get(g.var, g.var), _subst_args(g.args, mapping)
+                return g if var is g.var and args is g.args else SOApp(var, args)
+            if t is TermEq:
+                left, right = _subst_term(g.left, mapping), _subst_term(g.right, mapping)
+                return g if left is g.left and right is g.right else TermEq(left, right)
+            if t is SOEq:
+                left, right = mapping.get(g.left, g.left), mapping.get(g.right, g.right)
+                return g if left is g.left and right is g.right else SOEq(left, right)
+            if t in BINDERS:
+                # the body gets a call of its own when g drops a key or renames g.var
+                live = mapping
+                if g.var in mapping:
+                    live = {k: v for k, v in mapping.items() if k != g.var}
+                # a capture needs a value that mentions g.var, for a key free in the body
+                if g.var in reach and t is not InstAtom:
+                    free_fo, free_so = free_variables(g.body)
+                    live = {k: v for k, v in live.items() if k in free_fo or k in free_so}
+                    mentioned = [w for v in live.values() for w in _value_variables(v)]
+                    if g.var in mentioned:
+                        if on_capture == "fail":
+                            raise CaptureError(f"{g.var} would be captured")
+                        sort = type(g.var)
+                        top = max([g.var.index, max_index(g.body, sort)]
+                                  + [w.index for w in mentioned if type(w) is sort])
+                        fresh = replace(g.var, index=top + 1)
+                        old = Var(fresh) if sort is FOVar else fresh
+                        return t(fresh, under(g.body, {**live, g.var: old}))
+                if memo is not None or len(live) < len(mapping):
+                    return rebuild(g, (under(g.body, live),))
+            return None
 
-    return rewrite(f, step, memo)
+        return rewrite(f, step, memo) if mapping else f
+
+    return under(f, mapping, memo)
 
 
 def substitute_fo(f: Formula, var: FOVar, term: Term, on_capture: str = "rename") -> Formula:

@@ -976,3 +976,106 @@ def test_parse_refuses_a_biconditional_whose_normal_form_passes_the_bound():
     for text in (" <-> ".join(["P0(c0)"] * 18), " ↔ ".join(["P0(c0)"] * 25)):
         with pytest.raises(ParseError, match="normal form has more than 1048576 nodes"):
             parse(text, SIG)
+
+
+# ---------------------------------------------------------------------------
+# Nodes that keep their hash and a normal mark
+# ---------------------------------------------------------------------------
+
+def _deep_chain(leaf, levels=5000):
+    """leaf under `levels` levels that cycle through ~, _ & P0(c0) and forall
+    x0, every node built here, so two calls share no object but the variables."""
+    f = leaf
+    for k in range(levels):
+        f = (Not(f) if k % 3 == 0 else And(f, PredApp("P0", (Const("c0"),))) if k % 3 == 1
+             else ForallFO(x0, f))
+    return f
+
+
+def test_hashing_and_equality_take_no_recursion(shallow_stack):
+    a = _deep_chain(PredApp("P1", (Var(x0), Var(x1))))
+    b = _deep_chain(PredApp("P1", (Var(x0), Var(x1))))
+    c = _deep_chain(PredApp("P1", (Var(x1), Var(x0))))
+    with shallow_stack(100):
+        # first with no hash stored, so equality walks to the bottom
+        assert a == b and not a == c and a != c
+        assert hash(a) == hash(b)
+        hash(c)
+        assert a == b and not a == c and b != c
+
+
+_FIELDS = {
+    PredApp: ["name", "args"], TermEq: ["left", "right"], SOApp: ["var", "args"],
+    SOEq: ["left", "right"], Not: ["body"], And: ["left", "right"],
+    Or: ["left", "right"], Implies: ["left", "right"], Iff: ["left", "right"],
+    ForallFO: ["var", "body"], ExistsFO: ["var", "body"], ForallSO: ["var", "body"],
+    ExistsSO: ["var", "body"], InstAtom: ["var", "body"],
+}
+
+
+@pytest.mark.parametrize("f", ONE_OF_EACH, ids=lambda f: type(f).__name__)
+def test_the_caches_stay_out_of_a_nodes_fields(f):
+    import dataclasses
+    import weakref
+    cls = type(f)
+    assert [field.name for field in dataclasses.fields(cls)] == _FIELDS[cls]
+    assert set(_FIELDS) == set(syntax.SUBFORMULAS)
+    normalize(f)
+    hash(f)
+    assert weakref.ref(f)() is f
+    shallow, deep = copy.copy(f), copy.deepcopy(f)
+    assert shallow == f and deep == f and hash(deep) == hash(f)
+    assert type(deep) is cls and deep is not f
+    assert dataclasses.replace(f) == f and hash(dataclasses.replace(f)) == hash(f)
+
+
+def test_equal_random_formulas_hash_alike():
+    import random
+    from rsol.sampling import random_formula
+    rng = random.Random("hash/equal")
+    groups: dict = {}
+    for _ in range(2000):
+        f = random_formula(rng, SIG, rng.randint(0, 2), [x0], [X0])
+        groups.setdefault(repr(f), []).append(f)
+    repeated = [g for g in groups.values() if len(g) > 1]
+    assert len(repeated) > 50
+    for g in repeated:
+        assert len({hash(f) for f in g}) == 1 and all(f == g[0] for f in g)
+    firsts = [g[0] for g in groups.values()]
+    assert all(f != h for f, h in zip(firsts, firsts[1:]))
+
+
+_SUGAR = (Or, Implies, Iff, ExistsFO, ExistsSO)
+
+
+def test_normalize_with_and_without_marks_agrees():
+    import random
+    from rsol.sampling import random_formula
+    rng = random.Random("normalize/marks")
+    sugared = 0
+    for _ in range(1500):
+        raw = random_formula(rng, SIG, 4, [x0, x1], [X0, X1])
+        for f in (raw, normalize(copy.deepcopy(raw))):
+            fresh = copy.deepcopy(f)          # before f's first normalize: no marks
+            n = normalize(f)
+            assert normalize(n) is n and normalize(n) is n
+            assert normalize(fresh) == n == normalize(f)
+            if n is f:
+                assert normalize(fresh) is fresh
+            # a node with sugar is never marked, though all its parts may be
+            assert not any(g._normal for g in syntax.nodes(f) if type(g) in _SUGAR)
+            assert all(g._normal for g in syntax.nodes(n) if syntax.children(g))
+        sugared += normalize(raw) is not raw
+    assert sugared > 500
+
+
+@pytest.mark.parametrize("t", _SUGAR, ids=lambda t: t.__name__)
+def test_a_node_with_sugar_over_marked_parts_stays_unmarked(t):
+    parts = [Not(_P), And(_P, _Q)]
+    for part in parts:
+        assert normalize(part) is part and part._normal
+    f = t(*parts) if t in (Or, Implies, Iff) else t(x0 if t is ExistsFO else X0, parts[0])
+    n = normalize(f)
+    assert n is not f and not f._normal
+    assert normalize(f) is not f and not f._normal
+    assert normalize(n) is n and n._normal
