@@ -330,7 +330,9 @@ def _diffs(a, b, old):
     """The outermost places where a and b differ, left to right, as triples:
     the part of a, the part of b, and the variables of both sorts bound above
     them.  An occurrence of old in a, and binders of different variables,
-    are each one whole difference and are not entered."""
+    are each one whole difference and are not entered.  Both sides are hashed
+    first, so that a test of unequal parts stops at their stored hashes."""
+    hash(a), hash(b)
     stack = [(a, b, frozenset())]
     while stack:
         a, b, bound = stack.pop()

@@ -800,12 +800,22 @@ def a6_instantiate(f: Formula, var: SOVar, member, tables: dict | None = None,
 # Printing
 # ---------------------------------------------------------------------------
 
-_UNI = {"not": "¬", "and": "∧", "or": "∨", "imp": "→",
-        "iff": "↔", "forall": "∀", "exists": "∃"}
-_ASC = {"not": "~", "and": "&", "or": "|", "imp": "->", "iff": "<->",
-        "forall": "forall ", "exists": "exists "}
+_UNI = {"not": "¬", "forall": "∀", "exists": "∃"}
+_ASC = {"not": "~", "forall": "forall ", "exists": "exists "}
 
-_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
+# One row per binary connective, loosest first: the token kind, the node type,
+# the ASCII and Unicode spellings, and whether a chain of it groups to the
+# right.  A connective's level is its row index; ~ and the quantifiers bind
+# tighter than every row.  The lexer, the parser and the printer read it.
+_CONNECTIVES = (
+    ("iff", Iff, "<->", "↔", False),
+    ("imp", Implies, "->", "→", True),
+    ("or", Or, "|", "∨", False),
+    ("and", And, "&", "∧", False),
+)
+# token kind or node type -> its row's level
+_LEVEL = {row[k]: level for level, row in enumerate(_CONNECTIVES) for k in (0, 1)}
+_UNARY = len(_CONNECTIVES)
 
 
 def format_term(t: Term) -> str:
@@ -832,23 +842,16 @@ def format_formula(f: Formula, unicode: bool = True) -> str:
         if isinstance(g, SOEq):
             return f"{g.left} = {g.right}"
         if isinstance(g, Not):
-            return f"{sym['not']}{go(g.body, _PREC_UNARY)}"
-        if isinstance(g, And):
-            s = f"{go(g.left, _PREC_AND)} {sym['and']} {go(g.right, _PREC_AND + 1)}"
-            return s if ctx <= _PREC_AND else f"({s})"
-        if isinstance(g, Or):
-            s = f"{go(g.left, _PREC_OR)} {sym['or']} {go(g.right, _PREC_OR + 1)}"
-            return s if ctx <= _PREC_OR else f"({s})"
-        if isinstance(g, Implies):
-            s = f"{go(g.left, _PREC_IMP + 1)} {sym['imp']} {go(g.right, _PREC_IMP)}"
-            return s if ctx <= _PREC_IMP else f"({s})"
-        if isinstance(g, Iff):
-            s = f"{go(g.left, _PREC_IFF)} {sym['iff']} {go(g.right, _PREC_IFF + 1)}"
-            return s if ctx <= _PREC_IFF else f"({s})"
+            return f"{sym['not']}{go(g.body, _UNARY)}"
+        if type(g) in _BINARY:
+            level = _LEVEL[type(g)]
+            _, _, asc, uni, right = _CONNECTIVES[level]
+            s = f"{go(g.left, level + right)} {uni if unicode else asc} " \
+                f"{go(g.right, level + (not right))}"
+            return s if ctx <= level else f"({s})"
         if isinstance(g, FO_QUANT) or isinstance(g, SO_QUANT):
             word = "forall" if isinstance(g, (ForallFO, ForallSO)) else "exists"
-            s = f"{sym[word]}{g.var} {go(g.body, _PREC_UNARY)}"
-            return s if ctx <= _PREC_UNARY else f"({s})"
+            return f"{sym[word]}{g.var} {go(g.body, _UNARY)}"
         if isinstance(g, InstAtom):
             return f"inst({g.var}, {go(g.body, 0)})"
         raise FormulaError(f"not a formula: {g!r}")
@@ -860,28 +863,20 @@ def format_formula(f: Formula, unicode: bool = True) -> str:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<iff><->|↔)
-  | (?P<imp>->|→)
-  | (?P<and>&|∧)
-  | (?P<or>\||∨)
-  | (?P<not>~|¬)
-  | (?P<forall>∀)
-  | (?P<exists>∃)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<comma>,)
-  | (?P<eq>=)
-  | (?P<ident>[A-Za-z][A-Za-z0-9_]*(\^\d+)?)
-""", re.VERBOSE)
+_TOKEN = re.compile("|".join([
+    r"(?P<ws>\s+)",
+    *(f"(?P<{kind}>{re.escape(asc)}|{uni})" for kind, _, asc, uni, _ in _CONNECTIVES),
+    r"(?P<not>~|¬)", r"(?P<forall>∀)", r"(?P<exists>∃)", r"(?P<lparen>\()", r"(?P<rparen>\))",
+    r"(?P<comma>,)", r"(?P<eq>=)", r"(?P<ident>[A-Za-z][A-Za-z0-9_]*(\^\d+)?)"]))
 
 # The deepest nesting `parse` accepts, while parsing (parentheses, prefix
-# operators and implication chains each open a level) and in the formula it
-# returns, with a margin under the default recursion limit: the parser,
-# format, alpha_key and eval recurse.  Called 60 frames deep, parentheses fail
-# past 131 levels (seven parser frames each), and |, -> and exists chains past
-# 309 (alpha_key and eval walk the normal form, three levels per source level).
+# operators, implication chains and function arguments each open a level) and
+# in the formula it returns, with a margin under the default recursion limit:
+# the parser, format, alpha_key, eval and the term walks recurse.  Called 60
+# frames deep and unbounded, parentheses fail past 231 levels (four parser
+# frames each), function terms past 308 (three parser frames each), and |, ->
+# and exists chains past 308 (alpha_key and eval walk the normal form, three
+# levels per source level).
 MAX_DEPTH = 100
 
 # The most nodes `parse` accepts in the normal form of a formula with a
@@ -1005,13 +1000,13 @@ class _Parser:
     def peek(self) -> _Tok:
         return self.toks[self.pos]
 
-    def nested(self, parse) -> Formula:
-        """Run one nested parse, refusing nesting deeper than MAX_DEPTH."""
+    def nested(self, parse, *args):
+        """Run one nested parse, parse(*args), refusing nesting deeper than MAX_DEPTH."""
         if self.depth == MAX_DEPTH:
             raise NestingError(f"formula nested deeper than {MAX_DEPTH} levels",
                                self.peek().pos)
         self.depth += 1
-        f = parse()
+        f = parse(*args)
         self.depth -= 1
         return f
 
@@ -1023,38 +1018,22 @@ class _Parser:
         return t
 
     def parse_formula(self) -> Formula:
-        f = self.parse_iff()
+        f = self.parse_binary()
         t = self.peek()
         if t.kind != "eof":
             raise ParseError(f"unexpected {t.text!r}", t.pos)
         return f
 
-    def parse_iff(self) -> Formula:
-        f = self.parse_imp()
-        while self.peek().kind == "iff":
-            self.take()
-            f = Iff(f, self.parse_imp())
-        return f
-
-    def parse_imp(self) -> Formula:
-        f = self.parse_or()
-        if self.peek().kind == "imp":
-            self.take()
-            return Implies(f, self.nested(self.parse_imp))
-        return f
-
-    def parse_or(self) -> Formula:
-        f = self.parse_and()
-        while self.peek().kind == "or":
-            self.take()
-            f = Or(f, self.parse_and())
-        return f
-
-    def parse_and(self) -> Formula:
+    def parse_binary(self, lowest: int = 0) -> Formula:
+        """A formula whose connectives outside parentheses are of level lowest
+        or tighter, by precedence climbing over `_CONNECTIVES`; the right operand
+        of a right-grouping connective opens a nesting level."""
         f = self.parse_unary()
-        while self.peek().kind == "and":
+        while (level := _LEVEL.get(self.peek().kind, -1)) >= lowest:
             self.take()
-            f = And(f, self.parse_unary())
+            _, node, _, _, right = _CONNECTIVES[level]
+            f = node(f, self.nested(self.parse_binary, level) if right
+                     else self.parse_binary(level + 1))
         return f
 
     def parse_unary(self) -> Formula:
@@ -1106,7 +1085,7 @@ class _Parser:
         if kind == "const":
             return Const(value)
         if kind == "func":
-            args = self._parse_args()
+            args = self.nested(self._parse_args)
             if len(args) != self.sig.functions[value]:
                 raise ParseError(
                     f"function {value!r} expects {self.sig.functions[value]} arguments",
@@ -1127,7 +1106,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "lparen":
             self.take()
-            f = self.nested(self.parse_iff)
+            f = self.nested(self.parse_binary)
             self.take("rparen")
             return f
         if t.kind != "ident":
@@ -1183,7 +1162,7 @@ class _Parser:
         if kind != "sovar":
             raise ParseError("inst() needs a relation variable first", vtok.pos)
         self.take("comma")
-        body = self.nested(self.parse_iff)
+        body = self.nested(self.parse_binary)
         self.take("rparen")
         return InstAtom(value, body)
 

@@ -364,7 +364,7 @@ def eval_fo(s: FiniteStructure, f: Formula, assignment: Mapping | None = None) -
 class Provenance:
     """Where a relation of a family came from; a θ-member's relation also
     records the member index and the parameter tuple that define it."""
-    kind: str                     # 'theta' | 'orbit' | 'all' | 'weak-so' | 'rank-enum'
+    kind: str                     # 'theta' | 'orbit' | 'rank-enum'
     theta_index: Optional[int] = None
     params: Optional[tuple] = None
 
@@ -643,8 +643,7 @@ def _rank_classes(s: FiniteStructure, rank: int) -> list:
     """The element classes whose unions `rank_bounded_unary_family` lists,
     as sets of 1-tuples."""
     if s.functions:
-        raise FeasibilityError(
-            "rank-bounded enumeration supports relational signatures only")
+        raise EvalError("rank-bounded enumeration supports relational signatures only")
     interned: dict = {}
 
     def intern(value):

@@ -115,17 +115,18 @@ def test_a_parse_error_in_a_proof_file_names_its_line(tmp_path, capsys):
         "", "parse error: line 2: expected rparen, found '' (at position 5)\n"))
 
 
-def test_a_too_deep_formula_in_a_file_names_its_line(tmp_path, capsys, pred_json):
-    deep = "~" * 150 + "P0(c0)"
-    fam, proof = tmp_path / "deep.fam", tmp_path / "deep.prf"
-    fam.write_text(f"x0 ; ; P0(x0)\n ; ; {deep}\n", encoding="utf-8")
-    proof.write_text(f"1. P0(c0) ; ax P1\n2. {deep} ; ax P1\n", encoding="utf-8")
-    refused = "formula nested deeper than 100 levels (at position 100)\n"
-    assert main(["ktheta", "--structure", pred_json, "--theta", f"file:{fam}",
-                 "--bound", "0"]) == 2
-    assert capsys.readouterr() == ("", f"parse error: {fam}:2: {refused}")
-    assert main(["prove-check", "--proof", str(proof)]) == 2
-    assert capsys.readouterr() == ("", f"parse error: line 2: {refused}")
+def test_a_too_deep_formula_in_a_file_names_its_line(tmp_path, capsys, const_json):
+    for deep, position in [("~" * 150 + "P0(c0)", 100),
+                           ("P0(" + "f0(" * 150 + "c0" + ")" * 151, 302)]:
+        fam, proof = tmp_path / "deep.fam", tmp_path / "deep.prf"
+        fam.write_text(f"x0 ; ; P0(x0)\n ; ; {deep}\n", encoding="utf-8")
+        proof.write_text(f"1. P0(c0) ; ax P1\n2. {deep} ; ax P1\n", encoding="utf-8")
+        refused = f"formula nested deeper than 100 levels (at position {position})\n"
+        assert main(["ktheta", "--structure", const_json, "--theta", f"file:{fam}",
+                     "--bound", "0"]) == 2
+        assert capsys.readouterr() == ("", f"parse error: {fam}:2: {refused}")
+        assert main(["prove-check", "--proof", str(proof)]) == 2
+        assert capsys.readouterr() == ("", f"parse error: line 2: {refused}")
 
 
 def test_orbits_command(pred_json):
@@ -554,14 +555,17 @@ DEEP = {
     "parentheses": "(" * 200 + "P0(c0)" + ")" * 200,
     "conjunction chain": " & ".join(["P0(c0)"] * 1200),
     "implication chain": " -> ".join(["P0(c0)"] * 1200),
+    "function term": "P0(" + "f0(" * 1200 + "c0" + ")" * 1201,
+    # a function's arguments open a level, as a parenthesis does: 60 + 45 > 100
+    "negations around a function term": "~" * 60 + "P0(" + "f0(" * 45 + "c0" + ")" * 46,
 }
 
 
 @pytest.fixture
 def const_json(tmp_path):
     p = tmp_path / "const.json"
-    p.write_text('{"domain_size": 2, "predicates": {"P0": [[0]]}, "constants": {"c0": 0}}',
-                 encoding="utf-8")
+    p.write_text('{"domain_size": 2, "predicates": {"P0": [[0]]}, "functions": {"f0": [1, 0]}, '
+                 '"constants": {"c0": 0}}', encoding="utf-8")
     return str(p)
 
 
@@ -590,11 +594,19 @@ def test_deep_input_exits_2(tmp_path, capsys, const_json, command, name):
     "~" * (MAX_DEPTH - 1) + "P0(c0)",
     "(" * (MAX_DEPTH - 1) + "P0(c0)" + ")" * (MAX_DEPTH - 1),
     " & ".join(["P0(c0)"] * MAX_DEPTH),
-], ids=["negations", "parentheses", "conjunction chain"])
+    "P0(" + "f0(" * (MAX_DEPTH - 1) + "c0" + ")" * MAX_DEPTH,
+], ids=["negations", "parentheses", "conjunction chain", "function term"])
 def test_formula_at_the_depth_limit_parses_and_evaluates(const_json, text):
     assert run_cli(["parse", "--sentence", text])[0] == 0
     assert run_cli(["eval", "--structure", const_json, "--oracle", "all",
                     "--sentence", text])[0] == 0
+
+
+def test_the_rank_oracle_on_a_signature_with_functions_exits_3(capsys, const_json):
+    code = main(["eval", "--structure", const_json, "--oracle", "rank",
+                 "--sentence", "exists X0 X0(f0(c0))"])
+    assert (code, capsys.readouterr()) == (3, (
+        "", "error: rank-bounded enumeration supports relational signatures only\n"))
 
 
 def test_a_biconditional_chain_past_the_node_bound_exits_2_at_once(capsys):

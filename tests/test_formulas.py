@@ -102,6 +102,76 @@ def test_roundtrip_examples():
             assert parse(format_formula(f, unicode=unicode), SIG) == f
 
 
+A, B = PredApp("P0", (Const("c0"),)), PredApp("P0", (Const("c1"),))
+C = PredApp("P1", (Const("c0"), Const("c1")))
+D = PredApp("P0", (Func("f0", (Const("c0"),)),))
+Px0 = PredApp("P0", (Var(x0),))
+_WORDS = {"A": "P0(c0)", "B": "P0(c1)", "C": "P1(c0, c1)", "D": "P0(f0(c0))"}
+_UNICODE = (("<->", "↔"), ("->", "→"), ("|", "∨"), ("&", "∧"), ("~", "¬"),
+            ("forall ", "∀"), ("exists ", "∃"))
+
+
+def _spell(text: str, unicode: bool) -> str:
+    for letter, atom in _WORDS.items():
+        text = text.replace(letter, atom)
+    for asc, uni in _UNICODE if unicode else ():
+        text = text.replace(asc, uni)
+    return text
+
+
+# unparenthesized mixed chains: <-> is loosest, then ->, |, &, and ~ and the
+# quantifiers bind tightest; -> groups right, the others left, and a
+# quantifier's scope is one unary formula
+CHAINS = [
+    ("A <-> B <-> C", Iff(Iff(A, B), C)),
+    ("A -> B -> C", Implies(A, Implies(B, C))),
+    ("A | B | C", Or(Or(A, B), C)),
+    ("A & B & C", And(And(A, B), C)),
+    ("A <-> B -> C <-> D", Iff(Iff(A, Implies(B, C)), D)),
+    ("A -> B <-> C -> D", Iff(Implies(A, B), Implies(C, D))),
+    ("A | B & C | D", Or(Or(A, And(B, C)), D)),
+    ("A & B | C & D", Or(And(A, B), And(C, D))),
+    ("A -> B | C & D", Implies(A, Or(B, And(C, D)))),
+    ("A & B -> C | D -> A <-> B", Iff(Implies(And(A, B), Implies(Or(C, D), A)), B)),
+    ("~A & B", And(Not(A), B)),
+    ("~A -> ~~B", Implies(Not(A), Not(Not(B)))),
+    ("forall x0 P0(x0) & B", And(ForallFO(x0, Px0), B)),
+    ("exists x0 P0(x0) | forall X0 X0(c0)",
+     Or(ExistsFO(x0, Px0), ForallSO(X0, SOApp(X0, (Const("c0"),))))),
+    ("~forall x0 ~P0(x0) <-> A", Iff(Not(ForallFO(x0, Not(Px0))), A)),
+    ("forall x0 exists x1 P0(x0) -> A & B", Implies(ForallFO(x0, ExistsFO(x1, Px0)), And(A, B))),
+]
+
+
+@pytest.mark.parametrize("unicode", [False, True], ids=["ascii", "unicode"])
+@pytest.mark.parametrize("text, tree", CHAINS, ids=[c[0] for c in CHAINS])
+def test_a_mixed_chain_parses_by_level_and_grouping_and_prints_back(text, tree, unicode):
+    text = _spell(text, unicode)
+    f = parse(text, SIG)
+    assert f == tree
+    assert format_formula(f, unicode=unicode) == text
+
+
+# parenthesized input prints with only the parentheses that the levels need
+@pytest.mark.parametrize("text, printed", [
+    ("(A | B) & C", "(A | B) & C"),
+    ("((A & B) | C)", "A & B | C"),
+    ("(A -> B) -> C", "(A -> B) -> C"),
+    ("A -> (B -> C)", "A -> B -> C"),
+    ("A & (B & C)", "A & (B & C)"),
+    ("(A <-> B) <-> C", "A <-> B <-> C"),
+    ("A <-> (B <-> C)", "A <-> (B <-> C)"),
+    ("~(A & B)", "~(A & B)"),
+    ("forall x0 (P0(x0) & B)", "forall x0 (P0(x0) & B)"),
+    ("(forall x0 P0(x0)) & B", "forall x0 P0(x0) & B"),
+    ("A & (forall x0 P0(x0))", "A & forall x0 P0(x0)"),
+])
+def test_format_prints_the_fewest_parentheses(text, printed):
+    f = parse(_spell(text, False), SIG)
+    for unicode in (False, True):
+        assert format_formula(f, unicode=unicode) == _spell(printed, unicode)
+
+
 def test_a_template_line_prints_and_parses_back():
     # an inst atom is printed as inst(V, body) and read back under allow_inst
     f = parse("forall X0 (X0(c0) & exists x1 X0(x1)) -> inst(X0, X0(c0) & exists x1 X0(x1))",

@@ -581,7 +581,7 @@ def test_rank_bounded_directed_path_stops_at_rank_2(size):
 def test_rank_bounded_family_rejects_functions():
     fsig = Signature(functions={"f0": 1})
     s = FiniteStructure(fsig, 2, functions={"f0": {(0,): 1, (1,): 0}})
-    with pytest.raises(FeasibilityError):
+    with pytest.raises(EvalError, match="relational signatures only"):
         rank_bounded_unary_family(s, 3)
 
 
