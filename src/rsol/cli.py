@@ -233,6 +233,13 @@ def _make_algebra(spec: str):
     return factory(int(arg)) if sized else factory()
 
 
+def _number(word: str, text: str) -> int:
+    try:
+        return int(word)
+    except ValueError:
+        raise FormulaError(f"cannot read element {text!r}") from None
+
+
 def _parse_element(alg, text: str):
     text = text.strip()
     if text in ("zero", "0*"):
@@ -242,19 +249,19 @@ def _parse_element(alg, text: str):
     if isinstance(alg, ba.PowersetAlgebra):
         if text in ("", "{}"):
             return frozenset()
-        items = frozenset(int(x) for x in text.split(","))
+        items = frozenset(_number(x, text) for x in text.split(","))
         if not items <= alg.one:
             raise FormulaError(f"element {text!r} is not a subset of the atoms "
                                f"{sorted(alg.one)}")
         return items
     if isinstance(alg, ba.FreeBooleanAlgebra):
-        value = int(text)
+        value = _number(text, text)
         if not 0 <= value <= alg.one:
             raise FormulaError(f"element {text!r} is outside 0..{alg.one}")
         return value
     if isinstance(alg, ba.FiniteCofiniteAlgebra):
         kind, _, rest = text.partition(":")
-        items = [int(x) for x in rest.split(",") if x.strip()]
+        items = [_number(x, text) for x in rest.split(",") if x.strip()]
         if any(x < 0 for x in items):
             raise FormulaError(f"element {text!r} names a negative number")
         if kind == "fin":
@@ -284,22 +291,22 @@ def _load_family_entries(alg, spec: str):
     entries = []
     with open(spec, encoding="utf-8") as fh:
         for lineno, line in content_lines(fh):
-            # the colon of a `fin:`/`cof:` element does not separate fields
-            parts = [p.strip() for p in _ENTRY_SEP.split(line)]
-            if len(parts) < 3:
-                raise FormulaError(f"{spec}:{lineno}: expected "
-                                   f"'join|meet : bound : members'")
-            kind, bound_text = parts[0], parts[1]
-            member_text = ":".join(parts[2:])
-            bound = _parse_element(alg, bound_text)
-            if member_text.strip() == "@atoms":
-                entries.append(dataclasses.replace(
-                    _atoms_entry(alg), kind=kind, bound=bound, name=f"entry{lineno}"))
-            else:
-                members = tuple(_parse_element(alg, t)
-                                for t in member_text.split() if t)
-                entries.append(ba.RegularEntry(kind, bound, members=members,
-                                               name=f"entry{lineno}"))
+            try:
+                # the colon of a `fin:`/`cof:` element does not separate fields
+                parts = [p.strip() for p in _ENTRY_SEP.split(line)]
+                if len(parts) < 3:
+                    raise FormulaError("expected 'join|meet : bound : members'")
+                kind, bound = parts[0], _parse_element(alg, parts[1])
+                member_text = ":".join(parts[2:])
+                if member_text == "@atoms":
+                    entries.append(dataclasses.replace(
+                        _atoms_entry(alg), kind=kind, bound=bound, name=f"entry{lineno}"))
+                else:
+                    members = tuple(_parse_element(alg, t) for t in member_text.split())
+                    entries.append(ba.RegularEntry(kind, bound, members=members,
+                                                   name=f"entry{lineno}"))
+            except ValueError as exc:
+                raise FormulaError(f"{spec}:{lineno}: {exc}") from None
     return entries
 
 

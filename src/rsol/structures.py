@@ -1026,70 +1026,47 @@ class _FixedFamilyK(_Provider):
 
 def leibniz_reduce(s: FiniteStructure):
     """Quotient by indistinguishability under identity-free formulas with
-    parameters.
+    parameters: the coarsest congruence, read off the rows and tables.
 
-    Elements are first split by their atomic predicate facts in every
-    parameter context, then repeatedly by the classes of their function
-    images until the partition is stable; quantified variables add nothing
-    because every element is already available as a parameter.  Only the
-    fixpoint is a congruence, so only it gives a well-defined quotient.
+    Every element is available as a parameter, so what tells an element
+    apart is its contexts: (symbol, position, the other entries, value)
+    for each predicate row and each function-table entry it occurs in.  A
+    row's value is fixed and an entry's is the colour of its image.  The
+    colours start from the predicate contexts and are refined by the
+    function contexts until no colour splits; quantified variables add
+    nothing.  Only the fixpoint is a congruence, and there the images of
+    the rows, entries and constants form a well-defined quotient.
     """
-    color = {}
-    for a in s.elements:
-        facts = []
-        for name in sorted(s.predicates):
-            arity = s.sig.predicates[name]
-            rows = s.predicates[name]
-            for pos in range(arity):
-                for ctx in itertools.product(range(s.size), repeat=arity - 1):
-                    row = ctx[:pos] + (a,) + ctx[pos:]
-                    if row in rows:
-                        facts.append((name, pos, ctx))
-        color[a] = ("atoms", tuple(facts))
-    color = _ranks(list(color.values()))
+    def contexts(entries):
+        occurs: list = [[] for _ in s.elements]
+        for name, row, value in entries:
+            for pos, a in enumerate(row):
+                occurs[a].append((name, pos, row[:pos] + row[pos + 1:], value))
+        return [tuple(sorted(c)) for c in occurs]
 
+    colour = _ranks(contexts((name, row, True) for name, rows in s.predicates.items()
+                             for row in rows))
+    entries = [(name, args, v) for name, table in s.functions.items()
+               for args, v in table.items()]
     while True:
-        new = {}
-        for a in s.elements:
-            images = []
-            for name in sorted(s.functions):
-                arity = s.sig.functions[name]
-                table = s.functions[name]
-                for pos in range(arity):
-                    for ctx in itertools.product(range(s.size), repeat=arity - 1):
-                        args = ctx[:pos] + (a,) + ctx[pos:]
-                        images.append((name, pos, ctx, color[table[args]]))
-            new[a] = (color[a], tuple(images))
-        new = _ranks(list(new.values()))
-        if new == color:
+        new = _ranks(list(zip(colour, contexts(
+            (name, args, colour[v]) for name, args, v in entries))))
+        if max(new) == max(colour):
             break
-        color = new
+        colour = new
 
     blocks: dict = {}
-    for a in s.elements:
-        blocks.setdefault(color[a], []).append(a)
-    partition = sorted((sorted(b) for b in blocks.values()), key=lambda b: b[0])
-    index = {}
-    for i, block in enumerate(partition):
-        for a in block:
-            index[a] = i
-    reps = [block[0] for block in partition]
-    # interpret each block by its least representative
-    predicates = {}
-    for name, rows in s.predicates.items():
-        arity = s.sig.predicates[name]
-        out = set()
-        for brow in itertools.product(range(len(partition)), repeat=arity):
-            if tuple(reps[i] for i in brow) in rows:
-                out.add(brow)
-        predicates[name] = out
-    functions = {}
-    for name, table in s.functions.items():
-        arity = s.sig.functions[name]
-        ftab = {}
-        for brow in itertools.product(range(len(partition)), repeat=arity):
-            ftab[brow] = index[table[tuple(reps[i] for i in brow)]]
-        functions[name] = ftab
+    for a, c in enumerate(colour):
+        blocks.setdefault(c, []).append(a)
+    partition = sorted(blocks.values())
+    index = {a: i for i, block in enumerate(partition) for a in block}
+
+    def image(row):
+        return tuple(map(index.__getitem__, row))
+    predicates = {name: {image(row) for row in rows}
+                  for name, rows in s.predicates.items()}
+    functions = {name: {image(args): index[v] for args, v in table.items()}
+                 for name, table in s.functions.items()}
     constants = {name: index[v] for name, v in s.constants.items()}
     quotient = FiniteStructure(s.sig, len(partition), predicates, functions, constants)
     return quotient, partition

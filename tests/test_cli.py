@@ -274,28 +274,42 @@ def test_rs_cli_bad_algebra_exits_3(capsys, spec, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# an entry file's errors name the file and the line, written {path}:1 here
 @pytest.mark.parametrize("algebra, family, avoid, message", [
     ("powerset:3", "complete", "7", "element '7' is not a subset of the atoms [0, 1, 2]"),
     ("powerset:3", "complete", "-1", "element '-1' is not a subset of the atoms [0, 1, 2]"),
     ("powerset:3", "join : 0,7 : 0 1", "1",
-     "element '0,7' is not a subset of the atoms [0, 1, 2]"),
-    ("powerset:3", "meet : 0 : 0 5", "1", "element '5' is not a subset of the atoms [0, 1, 2]"),
+     "{path}:1: element '0,7' is not a subset of the atoms [0, 1, 2]"),
+    ("powerset:3", "meet : 0 : 0 5", "1",
+     "{path}:1: element '5' is not a subset of the atoms [0, 1, 2]"),
     ("free:2", "join : 15 : 3 12", "99", "element '99' is outside 0..15"),
     ("free:2", "join : 15 : 3 12", "-1", "element '-1' is outside 0..15"),
-    ("free:2", "join : 15 : 3 99", "3", "element '99' is outside 0..15"),
+    ("free:2", "join : 15 : 3 99", "3", "{path}:1: element '99' is outside 0..15"),
     ("fincof", "atoms", "cof:-5", "element 'cof:-5' names a negative number"),
     ("fincof", "atoms", "fin:1,-2", "element 'fin:1,-2' names a negative number"),
     ("fincof", "join : fin:1,-2 : fin:1", "zero",
-     "element 'fin:1,-2' names a negative number"),
+     "{path}:1: element 'fin:1,-2' names a negative number"),
+    ("free:2", "join : 15 : 3 x", "3", "{path}:1: cannot read element 'x'"),
+    ("free:2", "join : 15 : 3 12", "x", "cannot read element 'x'"),
+    ("powerset:3", "complete", "1,x", "cannot read element '1,x'"),
+    ("fincof", "atoms", "fin:1,y", "cannot read element 'fin:1,y'"),
+    ("free:2", "jion : 1 : 1", "3",
+     "{path}:1: entry kind must be join or meet, got 'jion'"),
+    ("fincof", "jion : zero : @atoms", "zero",
+     "{path}:1: entry kind must be join or meet, got 'jion'"),
+    ("free:2", "meet 1", "3", "{path}:1: expected 'join|meet : bound : members'"),
 ], ids=["powerset-7", "powerset-negative", "powerset-bound", "powerset-member",
         "free-99", "free-negative", "free-member", "cof-negative", "fin-negative",
-        "fin-bound-negative"])
+        "fin-bound-negative", "free-non-integer-member", "free-non-integer-avoid",
+        "powerset-non-integer-avoid", "fin-non-integer-avoid", "misspelt-kind",
+        "misspelt-kind-atoms", "short-line"])
 def test_rs_cli_element_outside_the_carrier_exits_3(tmp_path, capsys, algebra, family,
                                                    avoid, message):
     if family not in ("complete", "atoms"):
         path = tmp_path / "fam.txt"
         path.write_text(family + "\n", encoding="utf-8")
         family = str(path)
+    message = message.format(path=family)
     code = main(["rs", "--algebra", algebra, "--family", family, "--avoid", avoid])
     assert code == 3
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,6 +1,7 @@
 """Golden byte streams: the sha256 of `--format json` stdout and the exit
 code of each README command on a fixed two.json, of the rank oracle on
-two.json and on a 4-element star, and of `suite all`.
+two.json and on a 4-element star, of `reduce` on a 5-element structure
+with predicates, functions and a constant, and of `suite all`.
 
 A change that alters any of these bytes alters documented output; update
 a digest only together with a note saying which output changed and why.
@@ -23,6 +24,12 @@ PROOF = ("template t1 over n {\n"
          "1. forall X0 X0(c0) -> forall X0 X0(c0) ; R3 t1\n")
 SENTENCE = "forall x exists X forall y (X(y) <-> x = y)"
 CENTRE = "exists X forall y (X(y) <-> forall z ~E(z, y))"
+# the pull-back of a 3-element structure along 0, 1 -> 0; 2, 3 -> 1; 4 -> 2,
+# whose coarsest congruence is that map's kernel
+FIVE = ('{"domain_size": 5, "predicates": {"P": [[0], [1]], "E": [[0, 2], [0, 3], '
+        '[1, 2], [1, 3], [2, 4], [3, 4]]}, "functions": {"g": [2, 3, 4, 4, 4], '
+        '"m": [0, 1, 2, 3, 4, 1, 0, 3, 2, 4, 2, 3, 2, 3, 4, 3, 2, 3, 2, 4, 4, 4, 4, 4, 4]}, '
+        '"constants": {"c": 4}}')
 
 GOLDEN = {
     "parse": (
@@ -86,6 +93,9 @@ GOLDEN = {
     "reduce": (
         ["reduce", "--structure", "{two}"], 0,
         "d9aadfe68f2bebb99e2cfcf048360eb4919d02f99597a9bcf2670fc66ef19ace"),
+    "reduce-five": (
+        ["reduce", "--structure", "{five}"], 0,
+        "4dee89a40a3adca706dac89804f827b2698177d0b683f1b536ec0d433a7d7f8d"),
     "prove-check": (
         ["prove-check", "--proof", "{proof}", "--theta", "weak-so:1",
          "--spot", "5"], 0,
@@ -110,9 +120,12 @@ def paths(tmp_path):
     two.write_text(TWO, encoding="utf-8")
     star4 = tmp_path / "star4.json"
     star4.write_text(STAR4, encoding="utf-8")
+    five = tmp_path / "five.json"
+    five.write_text(FIVE, encoding="utf-8")
     proof = tmp_path / "self.prf"
     proof.write_text(PROOF, encoding="utf-8")
-    return {"two": str(two), "star4": str(star4), "proof": str(proof)}
+    return {"two": str(two), "star4": str(star4), "five": str(five),
+            "proof": str(proof)}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

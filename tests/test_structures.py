@@ -650,6 +650,73 @@ def test_leibniz_reduce_terminates_past_ten_blocks(size):
     assert quotient.size == size
 
 
+def _random_reducible(rng):
+    """A structure of size 1-5 with up to three predicates of arity 1-3, up
+    to two functions of arity 1-2 and maybe a constant; a sparse draw
+    leaves many block-mates."""
+    n = rng.randint(1, 5)
+    preds = {f"P{i}": rng.randint(1, 3) for i in range(rng.randint(0, 3))}
+    funcs = {f"f{i}": rng.randint(1, 2) for i in range(rng.randint(0, 2))}
+    consts = ["c0"] if rng.random() < 0.5 else []
+    density = rng.random()
+    rows = {p: [r for r in itertools.product(range(n), repeat=k) if rng.random() < density]
+            for p, k in preds.items()}
+    tables = {f: {a: rng.randrange(n) for a in itertools.product(range(n), repeat=k)}
+              for f, k in funcs.items()}
+    return FiniteStructure(Signature(predicates=preds, functions=funcs, constants=consts),
+                           n, rows, tables, {c: rng.randrange(n) for c in consts})
+
+
+def _is_congruence(s, label):
+    """Whether the partition with block `label[a]` for each a is a
+    congruence: replacing one entry of a row by a block-mate keeps the row
+    in its predicate, and of a table entry keeps its value's block."""
+    mates = [[b for b in s.elements if label[b] == label[a]] for a in s.elements]
+
+    def swaps(row):
+        return (row[:pos] + (b,) + row[pos + 1:] for pos, a in enumerate(row)
+                for b in mates[a])
+    return all(r in rows for rows in s.predicates.values() for row in rows
+               for r in swaps(row)) and \
+        all(label[table[r]] == label[v] for table in s.functions.values()
+            for args, v in table.items() for r in swaps(args))
+
+
+def test_leibniz_reduce_is_the_coarsest_congruence_by_brute_force():
+    # every set partition of A, as restricted growth strings, is tested;
+    # the answer must be a congruence that every congruence refines, and
+    # the quotient must be the image of the structure under its blocks.  In
+    # the path 0 -> 1 -> 2, 0 and 2 have the same neighbour in the other
+    # position, which random draws seldom show
+    rng = random.Random(30)
+    path = FiniteStructure(Signature(predicates={"E": 2}), 3, {"E": [(0, 1), (1, 2)]})
+    merged = 0
+    for s in [path] + [_random_reducible(rng) for _ in range(300)]:
+        quotient, partition = leibniz_reduce(s)
+        index = {a: i for i, block in enumerate(partition) for a in block}
+        assert sorted(a for block in partition for a in block) == list(s.elements)
+        assert partition == sorted(partition) and all(b == sorted(b) for b in partition)
+        assert _is_congruence(s, index)
+        labels = [[]]
+        for _ in s.elements:
+            labels = [la + [b] for la in labels for b in range(max(la, default=-1) + 2)]
+        for label in labels:
+            if _is_congruence(s, label):
+                assert all(index[a] == index[b] for a in s.elements for b in s.elements
+                           if label[a] == label[b])
+
+        def image(row):
+            return tuple(index[a] for a in row)
+        assert quotient.size == len(partition)
+        assert quotient.predicates == {p: {image(r) for r in rows}
+                                       for p, rows in s.predicates.items()}
+        assert quotient.functions == {f: {image(args): index[v] for args, v in t.items()}
+                                      for f, t in s.functions.items()}
+        assert quotient.constants == {c: index[v] for c, v in s.constants.items()}
+        merged += len(partition) < s.size
+    assert merged > 50       # the draw exercises merging, not only discrete answers
+
+
 def test_structure_json_roundtrip(tmp_path):
     data = {
         "domain_size": 3,
